@@ -16,7 +16,9 @@ explicit lower/upper endpoint pairs, either as directed decimals
 (`rational` mode).
 
 Exit codes: 0 pass, 2 invalid parameters, 3 budget exhausted (a partial
-manifest is still written), 4 a verdict gate failed.
+manifest is still written), 4 a verdict gate failed (an unconverged
+`obstacle solve` included), 5 could not certify (a build or a certified
+comparison could not be settled; the manifest names the exception).
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from subhess.obstacle import (
     solve as obstacle_solve,
     square_instance,
 )
-from subhess.scalars import Iv, fr_str, iv_dec
+from subhess.scalars import Iv, Undecided, fr_str, iv_dec
 from subhess.sym2 import SymMat2
-from subhess.synthesizer import BudgetExceeded, realize_laminate, staircase_build
+from subhess.synthesizer import BudgetExceeded, BuildError, realize_laminate, staircase_build
 from subhess.verifier import (
     area_fractions,
     boundary_check,
@@ -58,12 +60,13 @@ from subhess.verifier import (
     potential_report,
     write_csv,
 )
-from subhess.wavecone import agreement_suite, lattice_suite
+from subhess.wavecone import CertificationError, agreement_suite, lattice_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_VERDICT = 4
+EXIT_UNCERTIFIED = 5
 
 SCALAR_MODES = ("certified-interval", "rational")
 
@@ -417,7 +420,7 @@ def _run_obstacle_solve(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     }
     rpt = cfg.out_dir / "obstacle_report.json"
     _write_json(rpt, report, cfg.scalar_mode, cfg.digits)
-    return EXIT_OK, [grid_path, rpt]
+    return (EXIT_OK if sol.converged else EXIT_VERDICT), [grid_path, rpt]
 
 
 def _run_obstacle_selfcheck(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
@@ -451,6 +454,13 @@ def run(cfg: ExperimentConfig) -> int:
         _write_manifest(cfg, [], started, note=f"budget exhausted: {exc}")
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (BuildError, Undecided, CertificationError) as exc:
+        # BuildError subclasses ValueError: caught here, it never reaches
+        # main's "invalid parameters" handler
+        note = f"could not certify: {type(exc).__name__}: {exc}"
+        _write_manifest(cfg, [], started, note=note)
+        print(note, file=sys.stderr)
+        return EXIT_UNCERTIFIED
     _write_manifest(cfg, outputs, started)
     return status
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from subhess.scalars import Iv, IvLike, as_iv, fr_str, rpow
-from subhess.sym2 import RankOne, SymMat2, rank_one_connected
+from subhess.sym2 import SymMat2, rank_one_connected
 
 PhiLike = Union[str, tuple, Callable[[SymMat2], Iv]]
 
@@ -266,24 +266,6 @@ def validate(lam: Laminate, width_tol: Fraction = Fraction(1, 10**9)) -> dict:
         "depth": lam.depth(),
         "mass": mass,
     }
-
-
-def split_connections(lam: Laminate) -> tuple[RankOne, ...]:
-    """RankOne data for every split, depth-first; raises if any fails."""
-    out: list[RankOne] = []
-
-    def walk(node: SplitNode):
-        if node.is_leaf():
-            return
-        conn = rank_one_connected(node.left.matrix, node.right.matrix)
-        if conn is None:
-            raise ValueError("split endpoints not rank-one connected")
-        out.append(conn)
-        walk(node.left)
-        walk(node.right)
-
-    walk(lam.root)
-    return tuple(out)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -92,10 +92,6 @@ class Iv:
         o = as_iv(other)
         return self.lo <= o.lo and o.hi <= self.hi
 
-    def intersects(self, other: IvLike) -> bool:
-        o = as_iv(other)
-        return not (self.hi < o.lo or o.hi < self.lo)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: IvLike) -> "Iv":
@@ -420,10 +416,6 @@ def iv_dec(x: IvLike, digits: int = 30) -> tuple[str, str]:
 
 def fr_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def fr_parse(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def dyadic_round(f: Fraction, bits: int) -> Fraction:

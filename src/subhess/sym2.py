@@ -1,16 +1,14 @@
 """Symmetric 2x2 matrices over certified intervals.
 
-Provides the eigen-splitting (positive/negative parts), rank-one
-connectedness with exact direction data, and certified distance to a segment
-of matrices — the three primitives the laminate layer and the verifier lean
-on. The Frobenius inner product counts the off-diagonal entry twice, matching
+Provides the matrix algebra and the rank-one connectedness test with exact
+direction data that the laminate layer and the synthesizer lean on. The
+Frobenius inner product counts the off-diagonal entry twice, matching
 integration of symmetric-matrix fields component by component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from subhess.scalars import DEFAULT_PREC, Iv, IvLike, Undecided, as_iv, sqrt_iv
@@ -85,61 +83,8 @@ class SymMat2:
         xv, yv = as_iv(x), as_iv(y)
         return (self.a11 * xv + self.a12 * yv, self.a12 * xv + self.a22 * yv)
 
-    def eig_bounds(self, bits: int = DEFAULT_PREC) -> tuple[Iv, Iv]:
-        """Enclosures of (lambda_min, lambda_max)."""
-        half_tr = self.trace() * Fraction(1, 2)
-        rad_sq = ((self.a11 - self.a22) * Fraction(1, 2)).sq() + self.a12.sq()
-        rad = sqrt_iv(rad_sq.clip_nonneg(), bits)
-        return (half_tr - rad, half_tr + rad)
-
     def __str__(self) -> str:
         return f"[[{self.a11}, {self.a12}], [{self.a12}, {self.a22}]]"
-
-
-ZERO_MAT = SymMat2.diag(0, 0)
-
-
-# -- eigen splitting -------------------------------------------------------------
-
-
-def pos_neg_parts(m: SymMat2, bits: int = DEFAULT_PREC) -> tuple[SymMat2, SymMat2]:
-    """Certified (M+, M-) with M = M+ - M-, both positive semidefinite.
-
-    M- is built as M+ - M so the decomposition identity is structurally
-    exact. Diagonal matrices with sign-certain entries split entrywise and
-    exactly; the general branch settles definiteness through the exact det
-    and trace and uses an eigenvalue enclosure only for genuinely indefinite
-    matrices. Raises Undecided when the input is too wide to classify.
-    """
-    if m.a12 == 0:
-        try:
-            s11 = m.a11.sign()
-            s22 = m.a22.sign()
-        except Undecided:
-            s11 = s22 = None
-        if s11 is not None:
-            pos = SymMat2.diag(m.a11 if s11 > 0 else Iv(0), m.a22 if s22 > 0 else Iv(0))
-            return pos, pos - m
-
-    d = m.det()
-    t = m.trace()
-    if d.certainly_ge(0):
-        if t.certainly_ge(0):
-            return m, ZERO_MAT
-        if t.certainly_le(0):
-            return ZERO_MAT, -m
-        raise Undecided(f"trace sign undecided for {m}")
-    if not d.certainly_lt(0):
-        raise Undecided(f"det sign undecided for {m}")
-
-    lam_min, lam_max = m.eig_bounds(bits)
-    gap = lam_max - lam_min
-    if not gap.certainly_gt(0):
-        raise Undecided(f"eigen gap undecided for {m}")
-    coef = lam_max / gap
-    shifted = m - SymMat2.identity(lam_min)
-    pos = shifted.scale(coef)
-    return pos, pos - m
 
 
 # -- rank-one connections ---------------------------------------------------------
@@ -212,66 +157,3 @@ def rank_one_connected(a: SymMat2, b: SymMat2, bits: int = DEFAULT_PREC) -> Opti
     if off.possibly_lt(0) and not off.certainly_ge(0):
         n2 = -n2
     return RankOne(c, None, (n1, n2), proj)
-
-
-# -- segments in matrix space -----------------------------------------------------
-
-
-def dist_sq_to_segment(x: SymMat2, b: SymMat2, c: SymMat2) -> Iv:
-    """Certified Frobenius distance^2 from X to the segment [B, C]."""
-    d = b - c
-    den = d.frob_sq()
-    xc = x - c
-    if den.hi == 0:
-        return xc.frob_sq()
-    if not den.certainly_gt(0):
-        return Iv(0, max(xc.frob_sq().hi, (x - b).frob_sq().hi))
-    num = xc.inner(d)
-    end0 = xc.frob_sq()
-    end1 = (x - b).frob_sq()
-    cands = [end0, end1]
-    s_star = num / den
-    if s_star.possibly_lt(1) and Iv(0).possibly_lt(s_star):
-        vertex = end0 - num.sq() / den
-        cands.append(vertex.clip_nonneg() if vertex.lo < 0 else vertex)
-    lo = min(cv.lo for cv in cands)
-    hi = min(cv.hi for cv in cands)
-    return Iv(max(Fraction(0), lo), max(Fraction(0), hi))
-
-
-def in_eps_segment(x: SymMat2, b: SymMat2, c: SymMat2, eps: IvLike) -> tuple[bool, Iv]:
-    """Certified test dist(X, [B,C]) <= eps; returns (verdict, dist^2)."""
-    e = as_iv(eps)
-    d2 = dist_sq_to_segment(x, b, c)
-    e2 = e.sq()
-    if d2.certainly_le(e2):
-        return True, d2
-    if d2.certainly_gt(e2):
-        return False, d2
-    raise Undecided(f"segment distance {d2} vs eps^2 {e2} undecided")
-
-
-def box_dist_sq_to_axis_segment(h11: Iv, h12: Iv, h22: Iv, b: SymMat2, c: SymMat2) -> Iv:
-    """Distance^2 bound from a box of matrices to a segment aligned with e1 (x) e1.
-
-    Requires B - C supported on the (1,1) entry; then the segment is an
-    axis-aligned line in (a11, a12, a22) space and the worst-case distance
-    over the box is a sum of per-coordinate interval distances. Returns an
-    interval whose hi bounds the distance^2 of EVERY matrix in the box.
-    """
-    d = b - c
-    if not (d.a12 == 0 and d.a22 == 0):
-        raise ValueError("segment is not e1(x)e1-aligned")
-    seg11 = b.a11.union(c.a11)
-
-    def coord_dist(v: Iv, seg: Iv) -> Iv:
-        below = (seg.lo - v).pos_part()  # hi bound of shortfall
-        above = (v - seg.hi).pos_part()
-        hi = max(below.hi, above.hi)
-        lo = max(below.lo, above.lo, Fraction(0))
-        return Iv(min(lo, hi), hi)
-
-    d11 = coord_dist(h11, seg11)
-    d12 = coord_dist(h12, b.a12)
-    d22 = coord_dist(h22, b.a22)
-    return d11.sq() + 2 * d12.sq() + d22.sq()

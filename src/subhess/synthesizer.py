@@ -161,6 +161,12 @@ def _quad_ranges(v0: Iv, s0: Iv, w2: Iv, width: Fraction) -> tuple[Iv, Iv, Iv, I
     return vals, slope, v1, s1
 
 
+def _stripe(role: str, x_lo: Fraction, x_hi: Fraction, w2: Iv, s0: Iv, v0: Iv):
+    """(stripe class, end slope, end value) of one stripe entered at state (s0, v0)."""
+    vals, slope, v1, s1 = _quad_ranges(v0, s0, w2, x_hi - x_lo)
+    return StripeClass(role, x_lo, x_hi, w2, s0, v0, slope, vals), s1, v1
+
+
 @dataclass
 class _Profile:
     stripes: tuple[StripeClass, ...]  # 4 two-value classes + 2 compensators
@@ -189,47 +195,22 @@ def _build_profile(
         (delta, delta + b, "C", w2_c),
         (delta + b, 2 * delta, "B", w2_b),
     ]
+    stripes: list[StripeClass] = []
     s_cur, v_cur = ZERO, ZERO
-    rel: list[tuple] = []
     for x_lo, x_hi, role, w2 in segs:
-        vals, slope, v_end, s_end = _quad_ranges(v_cur, s_cur, w2, x_hi - x_lo)
-        rel.append((x_lo, x_hi, role, w2, s_cur, v_cur, vals, slope))
-        s_cur, v_cur = s_end, v_end
+        stripe, s_cur, v_cur = _stripe(role, x_lo, x_hi, w2, s_cur, v_cur)
+        stripes.append(stripe)
 
     # compensators: close W and W' exactly at the period end
-    s_d, v_d = s_cur, v_cur
-    c1 = -(v_d / (sigma * sigma) + 3 * s_d / (2 * sigma))
-    s1c = s_d + c1 * sigma
-    v1c = v_d + s_d * sigma + c1 * sigma * sigma * HALF
-    c2 = -s1c / sigma
-    resid_s = s1c + c2 * sigma
-    resid_v = v1c + s1c * sigma + c2 * sigma * sigma * HALF
+    end = 2 * delta
+    c1 = -(v_cur / (sigma * sigma) + 3 * s_cur / (2 * sigma))
+    comp1, s_cur, v_cur = _stripe("comp", end, end + sigma, c1, s_cur, v_cur)
+    c2 = -s_cur / sigma
+    comp2, resid_s, resid_v = _stripe("comp", end + sigma, end + 2 * sigma, c2, s_cur, v_cur)
     if not (resid_s.contains(0) and resid_v.contains(0)):
         raise BuildError("compensator closure identities failed")
     closure_width = max(resid_s.width, resid_v.width)
-
-    rel.append((2 * delta, 2 * delta + sigma, "comp", c1, s_d, v_d))
-    rel.append((2 * delta + sigma, 2 * delta + 2 * sigma, "comp", c2, s1c, v1c))
-
-    stripes: list[StripeClass] = []
-    for item in rel:
-        x_lo, x_hi, role, w2, s0, v0 = item[:6]
-        if len(item) == 8:
-            vals, slope = item[6], item[7]
-        else:
-            vals, slope, _, _ = _quad_ranges(v0, s0, w2, x_hi - x_lo)
-        stripes.append(
-            StripeClass(
-                role=role,
-                x_lo=x_lo,
-                x_hi=x_hi,
-                w2=w2,
-                s0=s0,
-                v0=v0,
-                slope_rng=slope,
-                value_rng=vals,
-            )
-        )
+    stripes += (comp1, comp2)
 
     w_sup = Iv.hull([abs(s.value_rng) for s in stripes])
     dw_sup = Iv.hull([abs(s.slope_rng) for s in stripes])
@@ -278,7 +259,6 @@ class PatternNode:
     eps_a: Fraction
     ball_sq: Iv  # certified sup over ramp cells of dist^2 to [B, C]
     grad_dev: Iv  # certified sup |grad psi| of this level alone
-    val_dev: Iv
     children: dict[str, ChildLink] = field(default_factory=dict)
     mult: int = 1
     _floats: Optional[dict] = None
@@ -306,29 +286,14 @@ class PatternNode:
     def pair_stripes(self) -> tuple[StripeClass, ...]:
         return self.profile.stripes[:4]
 
-    def comp_stripes(self) -> tuple[StripeClass, ...]:
-        return self.profile.stripes[4:]
-
     def atom_for_role(self, role: str) -> SymMat2:
         return self.mat_b if role == "B" else self.mat_c
 
-    def weight_for_role(self, role: str) -> Iv:
-        return self.t if role == "B" else (1 - self.t)
 
-    def global_box(self, h_long2: Iv, h_mixed: Iv, h_perp2: Iv) -> tuple[Iv, Iv, Iv]:
-        """Map local Hessian contributions to global (a11, a12, a22)."""
-        if self.axis == 0:
-            return (self.base.a11 + h_long2, self.base.a12 + h_mixed, self.base.a22 + h_perp2)
-        return (self.base.a11 + h_perp2, self.base.a12 + h_mixed, self.base.a22 + h_long2)
-
-
-def _seg_dist_sq_box(node, h11: Iv, h12: Iv, h22: Iv) -> Iv:
-    """Worst-case dist^2 from a global Hessian box to segment [B, C].
-
-    `node` is anything carrying mat_b, mat_c, axis (a PatternNode or probe).
-    """
-    b, c = node.mat_b, node.mat_c
-    if node.axis == 0:
+def _seg_dist_sq_box(b: SymMat2, c: SymMat2, axis: int, h11: Iv, h12: Iv, h22: Iv) -> Iv:
+    """Worst-case dist^2 from a global Hessian box to the segment [B, C],
+    where B - C is supported on the (axis, axis) entry."""
+    if axis == 0:
         seg_var, fix_off, fix_perp = b.a11.union(c.a11), b.a12, b.a22
         var, off, perp = h11, h12, h22
     else:
@@ -344,6 +309,39 @@ def _seg_dist_sq_box(node, h11: Iv, h12: Iv, h22: Iv) -> Iv:
     d_off = coord(off, fix_off)
     d_perp = coord(perp, fix_perp)
     return d_var.sq() + 2 * d_off.sq() + d_perp.sq()
+
+
+def _ramp_rows(
+    stripe: StripeClass,
+    etas: tuple[EtaPiece, ...],
+    base: SymMat2,
+    mat_b: SymMat2,
+    mat_c: SymMat2,
+    axis: int,
+) -> Iterator[tuple[Fraction, tuple[Iv, Iv, Iv], Iv]]:
+    """(row height, global Hessian box, certified dist^2 to [B, C]) for every
+    ramp row of one stripe, then for its core row if it is a compensator.
+
+    Ramp rows add eta*W'' along the axis, eta'*W' mixed and eta''*W across
+    it; a compensator core row (eta = 1) sits within |c_i| of the base.
+    """
+    rows = [
+        (
+            eta.hi - eta.lo,
+            eta.rng * stripe.w2,
+            eta.d_rng * stripe.slope_rng,
+            Iv(eta.dd) * stripe.value_rng,
+        )
+        for eta in etas
+        if not eta.core
+    ]
+    if stripe.role == "comp":
+        core = next(eta for eta in etas if eta.core)
+        rows.append((core.hi - core.lo, stripe.w2.union(ZERO), ZERO, ZERO))
+    for height, h_long2, h_mixed, h_perp2 in rows:
+        h11, h22 = (h_long2, h_perp2) if axis == 0 else (h_perp2, h_long2)
+        box = (base.a11 + h11, base.a12 + h_mixed, base.a22 + h22)
+        yield height, box, Iv(0, _seg_dist_sq_box(mat_b, mat_c, axis, *box).hi)
 
 
 def build_pattern_node(
@@ -408,7 +406,6 @@ def build_pattern_node(
     n_pairs = max(1, _ceil_div(long, delta_cap * pscale))
 
     eps_h_sq = Iv(eps_h * eps_h)
-    probe = _ProbeNode(base, mat_b, mat_c, axis)
     etas = _build_etas(perp, rho)
     for _attempt in range(64):
         period = long / n_pairs
@@ -421,42 +418,18 @@ def build_pattern_node(
             abs(ci).certainly_le(abs(w2_b)) and abs(ci).certainly_le(abs(w2_c))
             for ci in (profile.c1, profile.c2)
         )
-
-        # ramp-cell certification: every (stripe x ramp-row) Hessian box within
-        # eps_h of [B, C]
-        ball_sq = ZERO
-        for stripe in profile.stripes:
-            for eta in etas:
-                if eta.core:
-                    continue
-                h_long2 = eta.rng * stripe.w2
-                h_mixed = eta.d_rng * stripe.slope_rng
-                h_perp2 = Iv(eta.dd) * stripe.value_rng
-                h11, h12, h22 = (
-                    (h_long2, h_mixed, h_perp2) if axis == 0 else (h_perp2, h_mixed, h_long2)
-                )
-                d_sq = _seg_dist_sq_box(
-                    probe,
-                    base.a11 + h11,
-                    base.a12 + h12,
-                    base.a22 + h22,
-                )
-                ball_sq = Iv(0, max(ball_sq.hi, d_sq.hi))
-        # core rows of comp stripes sit within |c_i| of the base, also in-ball
-        for stripe in profile.stripes[4:]:
-            h_axis = stripe.w2.union(ZERO)
-            h11, h12, h22 = (
-                (h_axis, ZERO, ZERO) if axis == 0 else (ZERO, ZERO, h_axis)
-            )
-            d_sq = _seg_dist_sq_box(probe, base.a11 + h11, base.a12 + h12, base.a22 + h22)
-            ball_sq = Iv(0, max(ball_sq.hi, d_sq.hi))
+        # ramp-cell certification: every ramp-row Hessian box within eps_h of [B, C]
+        ball_sq = Iv(0, max(
+            d_sq.hi
+            for stripe in profile.stripes
+            for _, _, d_sq in _ramp_rows(stripe, etas, base, mat_b, mat_c, axis)
+        ))
 
         grad_long = profile.dw_sup
         grad_perp = Iv(0, Fraction(2) / rho) * profile.w_sup
         grad_dev = Iv(
             0, sqrt_iv(grad_long.sq() + grad_perp.sq()).hi
         )  # Euclidean sup bound
-        val_dev = profile.w_sup
 
         ok = comp_ok and ball_sq.certainly_le(eps_h_sq)
         if dev_cap is not None:
@@ -485,18 +458,9 @@ def build_pattern_node(
                 eps_a=eps_a,
                 ball_sq=ball_sq,
                 grad_dev=grad_dev,
-                val_dev=val_dev,
             )
         n_pairs *= 2
     raise BuildError(f"certification did not converge for node {tag}")
-
-
-@dataclass(frozen=True)
-class _ProbeNode:
-    base: SymMat2
-    mat_b: SymMat2
-    mat_c: SymMat2
-    axis: int
 
 
 # -- cell classes (the measurement interface) -----------------------------------------
@@ -518,59 +482,28 @@ class CellClass:
 
 def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
     core_lo, core_hi = node.core_span()
-    core_h = core_hi - core_lo
+    count = node.n_pairs * node.mult
     for stripe in node.profile.stripes:
         w = node.stripe_width(stripe)
-        count = node.n_pairs * node.mult
-        for eta in node.etas:
-            if eta.core:
-                continue
-            h_long2 = eta.rng * stripe.w2
-            h_mixed = eta.d_rng * stripe.slope_rng
-            h_perp2 = Iv(eta.dd) * stripe.value_rng
-            if node.axis == 0:
-                box = (node.base.a11 + h_long2, node.base.a12 + h_mixed, node.base.a22 + h_perp2)
-            else:
-                box = (node.base.a11 + h_perp2, node.base.a12 + h_mixed, node.base.a22 + h_long2)
-            d_sq = _seg_dist_sq_box(node, *box)
+        for height, box, ball_sq in _ramp_rows(
+            stripe, node.etas, node.base, node.mat_b, node.mat_c, node.axis
+        ):
             yield CellClass(
                 kind="ramp",
-                area=w * (eta.hi - eta.lo),
+                area=w * height,
                 count=count,
                 hess=None,
                 h_box=box,
-                ball_sq=Iv(0, d_sq.hi),
+                ball_sq=ball_sq,
                 node_tag=node.tag,
                 level=node.level,
                 omega=node.omega,
                 atom_tag=None,
             )
-        # core row
-        if stripe.role == "comp":
-            h_axis = stripe.w2.union(ZERO)
-            if node.axis == 0:
-                box = (node.base.a11 + h_axis, node.base.a12, node.base.a22)
-            else:
-                box = (node.base.a11, node.base.a12, node.base.a22 + h_axis)
-            d_sq = _seg_dist_sq_box(node, *box)
-            yield CellClass(
-                kind="ramp",
-                area=w * core_h,
-                count=count,
-                hess=None,
-                h_box=box,
-                ball_sq=Iv(0, d_sq.hi),
-                node_tag=node.tag,
-                level=node.level,
-                omega=node.omega,
-                atom_tag=None,
-            )
-            continue
-        link = node.children.get(stripe.role)
-        if link is None:
+        if stripe.role != "comp" and stripe.role not in node.children:
             yield CellClass(
                 kind="atom",
-                area=w * core_h,
+                area=w * (core_hi - core_lo),
                 count=count,
                 hess=node.atom_for_role(stripe.role),
                 h_box=None,

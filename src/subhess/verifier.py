@@ -19,10 +19,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from subhess.laminate import PhiLike, resolve_phi
-from subhess.scalars import Iv, as_iv, iv_dec, rpow, sqrt_iv
+from subhess.scalars import Iv, as_iv, rpow, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import CellClass, PiecewisePotential
 
@@ -79,10 +79,6 @@ def mean_phi(pot: PiecewisePotential, phi: PhiLike, region: Region = None) -> Iv
 def hessian_l1(pot: PiecewisePotential, region: Region = None) -> Iv:
     """Mean over the region of |H11| + |H22|."""
     return mean_phi(pot, "l1_diag", region)
-
-
-def hessian_l1_total(pot: PiecewisePotential, region: Region = None) -> Iv:
-    return integrate_phi(pot, "l1_diag", region)
 
 
 def neg_part_lq(
@@ -242,20 +238,6 @@ def continuity_audit(pot: PiecewisePotential) -> dict:
     return {"checks": checks, "exact": exact, "max_width": width}
 
 
-def lp_divergence_table(
-    pot: PiecewisePotential,
-    q_list: Iterable,
-    i: int,
-    region: Region = None,
-) -> list[dict]:
-    """Rows of certified negative-part L^q means for each exponent."""
-    rows = []
-    for q in q_list:
-        enc = neg_part_lq(pot, q, i, region)
-        rows.append({"q": as_iv(q), "i": i, "mean": enc})
-    return rows
-
-
 # -- report serialization ------------------------------------------------------------
 
 
@@ -264,14 +246,6 @@ class ReportItem:
     name: str
     value: Iv
     note: str = ""
-
-
-def items_to_csv_rows(items: Iterable[ReportItem], digits: int = 30) -> list[list[str]]:
-    rows = [["name", "lower", "upper", "note"]]
-    for it in items:
-        lo, hi = iv_dec(it.value, digits)
-        rows.append([it.name, lo, hi, it.note])
-    return rows
 
 
 def write_csv(path: str, rows: list[list[str]]) -> None:

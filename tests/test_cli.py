@@ -235,6 +235,45 @@ class TestVerdictGate:
                         "--n", "17", "--gate-c", "1.0")
         assert code == 4
 
+    def test_unconverged_solve_exits_4(self, tmp_path):
+        code, out = run(tmp_path, "obstacle", "solve", "--n", "33",
+                        "--max-iter", "5")
+        assert code == 4
+        rep = json.loads((out / "obstacle_report.json").read_text())
+        assert rep["converged"] is False and rep["iterations"] == 5
+        man = json.loads((out / "manifest.json").read_text())
+        assert sorted(man["outputs"]) == ["obstacle_report.json", "obstacle_solution.csv"]
+
+
+# a 110-digit decimal of log2(3): the certified comparison p > log2(3) stalls
+LOG2_3_110 = ("1.584962500721156181453738943947816508759814407692481060455752654541"
+              "09822779435856252228047491808824209098066247")
+
+
+class TestCouldNotCertify:
+    @pytest.mark.parametrize("argv, exc_name", [
+        (["realize", "--p", "100", "--eps", "1/10"], "BuildError"),
+        (["laminate", "--p", LOG2_3_110], "Undecided"),
+    ], ids=["build-error", "undecided"])
+    def test_exits_5_with_manifest_note(self, tmp_path, capsys, argv, exc_name):
+        code, out = run(tmp_path, *argv)
+        assert code == 5
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["note"].startswith(f"could not certify: {exc_name}: ")
+        assert man["outputs"] == {}
+        assert "invalid parameters" not in capsys.readouterr().err
+
+    def test_unresolved_cone_patch_exits_5(self, tmp_path, monkeypatch):
+        def stall(*args, **kwargs):
+            raise cli.CertificationError("residual floor unresolved")
+
+        monkeypatch.setattr(cli, "agreement_suite", stall)
+        code, out = run(tmp_path, "wavecone", "--n", "2", "--trials", "1")
+        assert code == 5
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["note"] == ("could not certify: CertificationError: "
+                               "residual floor unresolved")
+
 
 class TestConfigFile:
     def test_defaults_from_file_with_flag_override(self, tmp_path):

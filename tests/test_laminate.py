@@ -12,11 +12,10 @@ from subhess.laminate import (
     loads,
     moment,
     resolve_phi,
-    split_connections,
     validate,
 )
 from subhess.scalars import Iv, pow2
-from subhess.sym2 import SymMat2
+from subhess.sym2 import SymMat2, rank_one_connected
 
 
 def two_level() -> Laminate:
@@ -54,10 +53,12 @@ class TestSplitting:
         assert bc.a11 == Iv(1) and bc.a22 == Iv(1) and bc.a12 == Iv(0)
 
     def test_split_connections_axes(self):
-        # depth-first: root split (axis 0) precedes the nested split (axis 1)
-        conns = split_connections(two_level())
-        assert conns[0].axis == 0
-        assert conns[1].axis == 1  # diag(2,4) - diag(2,-1/2) supported on e2
+        # root split along e1, the nested split along e2
+        root = two_level().root
+        nested = root.left
+        assert rank_one_connected(root.left.matrix, root.right.matrix).axis == 0
+        # diag(2,4) - diag(2,-1/2) is supported on e2
+        assert rank_one_connected(nested.left.matrix, nested.right.matrix).axis == 1
 
     def test_rejects_bad_barycenter(self):
         lam = Laminate.dirac(SymMat2.diag(1, 1))

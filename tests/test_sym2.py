@@ -1,19 +1,12 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subhess.scalars import Iv, Undecided
-from subhess.sym2 import (
-    SymMat2,
-    box_dist_sq_to_axis_segment,
-    dist_sq_to_segment,
-    in_eps_segment,
-    pos_neg_parts,
-    rank_one_connected,
-)
+from subhess.scalars import Iv
+from subhess.sym2 import SymMat2, rank_one_connected
+from subhess.synthesizer import _seg_dist_sq_box
 
 small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 
@@ -25,65 +18,6 @@ def np_of(m: SymMat2) -> np.ndarray:
             [float(m.a12.mid), float(m.a22.mid)],
         ]
     )
-
-
-def np_pos_part(arr: np.ndarray) -> np.ndarray:
-    # independent oracle: eigendecomposition, clamp negative eigenvalues
-    w, v = np.linalg.eigh(arr)
-    return (v * np.maximum(w, 0.0)) @ v.T
-
-
-class TestPosNegParts:
-    def test_antidiagonal_split(self):
-        # eigenvalues +-1, both parts are the rank-one half matrices
-        p, n = pos_neg_parts(SymMat2.of(0, 1, 0))
-        for entry in (p.a11, p.a12, p.a22):
-            assert entry.contains(Fraction(1, 2))
-            assert entry.width < Fraction(1, 2**80)
-        diff = p - n
-        assert diff.a11 == Iv(0) and diff.a12 == Iv(1) and diff.a22 == Iv(0)
-
-    def test_diagonal_exact(self):
-        p, n = pos_neg_parts(SymMat2.diag(3, -2))
-        assert p == SymMat2.diag(3, 0)
-        assert n == SymMat2.diag(0, 2)
-        p, n = pos_neg_parts(SymMat2.diag(Fraction(-1, 3), Fraction(-1, 7)))
-        assert p == SymMat2.diag(0, 0)
-
-    def test_psd_and_nsd_shortcuts(self):
-        p, n = pos_neg_parts(SymMat2.of(2, 1, 2))
-        assert n == SymMat2.diag(0, 0) and p.a12 == Iv(1)
-        p, n = pos_neg_parts(SymMat2.of(-2, 1, -2))
-        assert p == SymMat2.diag(0, 0) and n.a12 == Iv(-1)
-
-    def test_wide_input_raises(self):
-        # wide diagonal entry with indefinite trace: no certified split
-        with pytest.raises(Undecided):
-            pos_neg_parts(SymMat2.of(Iv(-1, 1), 0, 0))
-
-    @given(small, small, small)
-    @settings(max_examples=150)
-    def test_against_eigh_oracle(self, a, b, c):
-        m = SymMat2.of(a, b, c)
-        try:
-            p, n = pos_neg_parts(m)
-        except Undecided:
-            # exact inputs only stall on exactly-degenerate spectra
-            assert b == 0 or (a - c) ** 2 + 4 * b * b == 0
-            return
-        ref = np_pos_part(np_of(m))
-        for got, want in zip(p.entries(), (ref[0, 0], ref[0, 1], ref[1, 1])):
-            assert float(got.lo) - 1e-9 <= want <= float(got.hi) + 1e-9
-        # N is defined as P - M, so P - N rebuilds M up to enclosure width
-        diff = p - n
-        assert diff.contains(m)
-        assert diff.a11.width <= 3 * p.a11.width + m.a11.width
-        # certified PSD of both parts
-        assert p.trace().hi >= -1e-30 and n.trace().hi >= -1e-30
-        assert p.det().hi >= -1e-18 and n.det().hi >= -1e-18
-        # complementarity: P*N = 0 up to enclosure width
-        pn = np_pos_part(np_of(m)) @ (np_pos_part(np_of(m)) - np_of(m))
-        assert np.allclose(pn, 0.0, atol=1e-8)
 
 
 class TestRankOne:
@@ -139,8 +73,13 @@ class TestRankOne:
 
 
 class TestSegmentDistance:
+    # the segment distance lives with its one caller, the synthesizer's ramp
+    # certification; on a point box its upper end is the exact distance^2
     B = SymMat2.diag(2, 1)
     C = SymMat2.diag(-1, 1)
+
+    def dist_sq(self, x: SymMat2, c: SymMat2 = C) -> Iv:
+        return _seg_dist_sq_box(self.B, c, 0, *x.entries())
 
     def brute(self, x: SymMat2) -> float:
         bn, cn, xn = np_of(self.B), np_of(self.C), np_of(x)
@@ -153,45 +92,44 @@ class TestSegmentDistance:
 
     def test_interior_projection(self):
         x = SymMat2.of(1, 0, Fraction(3, 2))
-        d2 = dist_sq_to_segment(x, self.B, self.C)
+        d2 = self.dist_sq(x)
         assert d2.contains(Fraction(1, 4))
         assert abs(self.brute(x) - 0.25) < 1e-7
 
     def test_endpoint_clamp(self):
         x = SymMat2.diag(4, 1)
-        d2 = dist_sq_to_segment(x, self.B, self.C)
+        d2 = self.dist_sq(x)
         assert d2.contains(Fraction(4))
 
     @given(small, small, small)
     @settings(max_examples=40)
     def test_against_brute_force(self, a, b, c):
         x = SymMat2.of(a, b, c)
-        d2 = dist_sq_to_segment(x, self.B, self.C)
+        d2 = self.dist_sq(x)
         ref = self.brute(x)
         assert float(d2.lo) - 1e-6 <= ref <= float(d2.hi) + 1e-6
 
     def test_degenerate_segment(self):
-        d2 = dist_sq_to_segment(SymMat2.diag(1, 1), self.B, self.B)
+        d2 = self.dist_sq(SymMat2.diag(1, 1), c=self.B)
         assert d2.contains(Fraction(1))
 
     def test_in_eps_segment_verdicts(self):
         x = SymMat2.of(1, 0, Fraction(3, 2))
-        ok, _ = in_eps_segment(x, self.B, self.C, Fraction(6, 10))
-        assert ok
-        ok, _ = in_eps_segment(x, self.B, self.C, Fraction(4, 10))
-        assert not ok
+        assert self.dist_sq(x).certainly_le(Iv(Fraction(6, 10)).sq())
+        assert not self.dist_sq(x).certainly_le(Iv(Fraction(4, 10)).sq())
 
     def test_box_distance(self):
         h11 = Iv(-1, 2)
         h12 = Iv(Fraction(-1, 10), Fraction(1, 10))
         h22 = Iv(1)
-        d2 = box_dist_sq_to_axis_segment(h11, h12, h22, self.B, self.C)
+        d2 = _seg_dist_sq_box(self.B, self.C, 0, h11, h12, h22)
         assert d2.hi == Fraction(2, 100) and d2.lo == 0
         # box partly outside in a11 too
-        d2 = box_dist_sq_to_axis_segment(Iv(-3, 0), Iv(0), Iv(1), self.B, self.C)
+        d2 = _seg_dist_sq_box(self.B, self.C, 0, Iv(-3, 0), Iv(0), Iv(1))
         assert d2.hi == Fraction(4) and d2.lo == 0
-        with pytest.raises(ValueError):
-            box_dist_sq_to_axis_segment(h11, h12, h22, self.B, SymMat2.diag(-1, 0))
+        # the same segment along the other axis
+        swap = SymMat2.diag(1, 2), SymMat2.diag(1, -1)
+        assert _seg_dist_sq_box(*swap, 1, h22, h12, h11) == Iv(0, Fraction(2, 100))
 
 
 class TestMatrixBasics:
@@ -205,13 +143,6 @@ class TestMatrixBasics:
         assert a.det() == Iv(-1)
         assert a.frob_sq() == Iv(18)
         assert a.inner(b) == Iv(Fraction(1, 2) - 3)
-
-    def test_eig_bounds_contain_numpy(self):
-        m = SymMat2.of(2, 1, -1)
-        lo, hi = m.eig_bounds()
-        w = np.linalg.eigvalsh(np_of(m))
-        assert float(lo.lo) - 1e-9 <= w[0] <= float(lo.hi) + 1e-9
-        assert float(hi.lo) - 1e-9 <= w[1] <= float(hi.hi) + 1e-9
 
     def test_apply(self):
         gx, gy = SymMat2.of(2, 1, 3).apply(1, Fraction(1, 2))

@@ -317,6 +317,38 @@ class TestAxisSwap:
             assert gx == Iv(x) and gy == Iv(y)
 
 
+# ---- measurement classes against the materialized cells -------------------------------
+
+RATIONAL_CASES = (TestSimpleRational, TestCompensatedRational, TestAxisSwap)
+
+
+class TestRampClassesMatchCells:
+    @pytest.mark.parametrize("case", RATIONAL_CASES, ids=lambda c: c.__name__)
+    def test_ramp_cell_hessians_inside_class_boxes(self, case):
+        boxes: dict = {}
+        for cc in case.POT.cell_classes():
+            if cc.kind == "ramp":
+                boxes.setdefault((cc.node_tag, cc.area), []).append(cc.h_box)
+        ramp_cells = [mc for mc in case.CELLS if mc.kind == "ramp"]
+        assert ramp_cells
+        for mc in ramp_cells:
+            w, h = mc.rect[2], mc.rect[3]
+            points = ((0, 0), (w, 0), (0, h), (w, h), (w / 2, h / 2))
+            hessians = [poly_hess(mc.coeffs, F(dx), F(dy)) for dx, dy in points]
+            assert any(
+                all(b.contains_iv(e) for hess in hessians for b, e in zip(box, hess))
+                for box in boxes.get((mc.node_tag, w * h), ())
+            ), (mc.node_tag, mc.rect)
+
+    @pytest.mark.parametrize("case", RATIONAL_CASES, ids=lambda c: c.__name__)
+    def test_node_ball_is_max_over_its_ramp_classes(self, case):
+        classes = list(case.POT.cell_classes())
+        for node in case.POT.nodes():
+            balls = [cc.ball_sq.hi for cc in classes
+                     if cc.kind == "ramp" and cc.node_tag == node.tag]
+            assert balls and node.ball_sq.hi == max(balls)
+
+
 class TestIrrationalFraction:
     # alpha(p = 3/2) is a genuine irrational enclosure; geometry stays rational
     PARAMS = DoublingParams.make(F(3, 2))

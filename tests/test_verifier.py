@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from subhess.cli import _report_items_rows
 from subhess.constructions import DoublingParams, doubling_cascade, doubling_laminate
 from subhess.laminate import moment
 from subhess.scalars import Iv
@@ -12,10 +13,7 @@ from subhess.verifier import (
     boundary_check,
     continuity_audit,
     hessian_l1,
-    hessian_l1_total,
     integrate_phi,
-    items_to_csv_rows,
-    lp_divergence_table,
     mean_phi,
     min_trace,
     neg_part_lq,
@@ -87,7 +85,7 @@ class TestMeans:
         want = moment(LAM, "l1_diag")
         # realized mean sits within eps of the laminate moment
         assert abs(got - want).hi <= F(1, 4) * want.hi
-        assert hessian_l1_total(DOUBLING) == got  # unit area
+        assert integrate_phi(DOUBLING, "l1_diag") == got  # unit area
 
     def test_neg_part_two_sided(self):
         q = F(3, 2)
@@ -121,11 +119,6 @@ class TestMeans:
         # builders budget 3 eps / 4 for the Hessian band
         assert trail_proximity(SIMPLE).hi <= F(3, 8)
         assert trail_proximity(DOUBLING).hi <= F(3, 16)
-
-    def test_lp_divergence_table(self):
-        rows = lp_divergence_table(DOUBLING, [F(11, 10), F(3, 2)], 1)
-        assert len(rows) == 2 and all(r["i"] == 1 for r in rows)
-        assert rows[0]["mean"].lo > 0
 
 
 class TestFractionsAndAudit:
@@ -175,7 +168,7 @@ class TestReports:
 
     def test_csv_rows_directed(self):
         items = [ReportItem("x", Iv(F(1, 3)))]
-        rows = items_to_csv_rows(items, digits=5)
+        rows = _report_items_rows(items, "certified-interval", 5)
         lo, hi = rows[1][1], rows[1][2]
         assert Fraction(lo) <= F(1, 3) <= Fraction(hi)
         assert lo != hi  # 1/3 has no exact 5-digit decimal
@@ -183,7 +176,7 @@ class TestReports:
     def test_csv_deterministic(self, tmp_path):
         items = potential_report(SIMPLE)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(str(p1), items_to_csv_rows(items))
-        write_csv(str(p2), items_to_csv_rows(potential_report(SIMPLE)))
+        write_csv(str(p1), _report_items_rows(items, "certified-interval", 30))
+        write_csv(str(p2), _report_items_rows(potential_report(SIMPLE), "certified-interval", 30))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().startswith(b"name,lower,upper,note")
