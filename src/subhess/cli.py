@@ -132,7 +132,7 @@ _OBSTACLE_BUILTINS = ("radial", "radial-flat", "cup", "bowl", "harmonic")
 
 def _validate_obstacle_solve(p: dict):
     _require(p["n"] >= 8, "grid size must be >= 8")
-    _require(0 < p["omega"] < 2, "relaxation factor must lie in (0, 2)")
+    _require(p["omega"] is None or 0 < p["omega"] < 2, "relaxation factor must lie in (0, 2)")
     _require(p["tol"] > 0, "tol must be positive")
     _require(p["max_iter"] >= 1, "max_iter must be positive")
     name = p["obstacle"]
@@ -532,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs.add_subparsers(dest="obstacle_command", required=True)
     osv = obs_sub.add_parser("solve", help="solve one instance")
     osv.add_argument("--n", type=int)
-    osv.add_argument("--omega", type=float)
+    osv.add_argument("--omega", type=float,
+                     help="relaxation factor (default: 2/(1+sin(pi/(n-1))))")
     osv.add_argument("--tol", type=float)
     osv.add_argument("--max-iter", type=int)
     osv.add_argument("--obstacle",
@@ -571,7 +572,7 @@ _COMMAND_SPEC: dict[str, dict] = {
     "staircase": {"levels": _REQUIRED, "q": Fraction(3, 2), "i": 1},
     "wavecone": {"n": _REQUIRED, "trials": 1000, "seed": 0, "resolution": 16,
                  "radius": 2},
-    "obstacle-solve": {"n": _REQUIRED, "omega": 1.8, "tol": 1e-10,
+    "obstacle-solve": {"n": _REQUIRED, "omega": None, "tol": 1e-10,
                        "max_iter": 200_000, "obstacle": "radial"},
     "obstacle-selfcheck": {"depth": _REQUIRED, "n": [65, 129, 257],
                            "tol": 1e-10, "gate_c": 1.0},

@@ -37,6 +37,7 @@ from subhess.verifier import integrate_phi, min_trace
 GridData = Union[np.ndarray, Callable, float, int]
 
 _COMPAT_SLACK = 1e-12  # float slack when checking g >= phi on the boundary
+_CHECK_EVERY = 4  # sweeps between residual checks
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +206,22 @@ def sor_factor(n: int) -> float:
     return 2.0 / (1.0 + math.sin(math.pi / (n - 1)))
 
 
-def solve(instance: ObstacleInstance, omega: float = 1.8, tol: float = 1e-10,
-          max_iter: int = 200_000, check_every: int = 4,
-          energy_every: int = 0) -> VISolution:
+def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float = 1e-10,
+          max_iter: int = 200_000, energy_every: int = 0) -> VISolution:
     """Projected SOR: relax each node, then clip to max(., phi).
 
-    Sweeps update the two checkerboard colors in a fixed order, so the
-    result is deterministic.  Terminates once the positive 5-point sum, the
-    obstacle violation and the min-form complementarity residual are all at
-    most tol; hitting max_iter is reported, not raised.
+    omega defaults to sor_factor(instance.n).  Sweeps update the two
+    checkerboard colors in a fixed order, so the result is deterministic.
+    Terminates once the positive 5-point sum, the obstacle violation and the
+    min-form complementarity residual are all at most tol; hitting max_iter
+    is reported, not raised.
     """
+    if omega is None:
+        omega = sor_factor(instance.n)
     if not (0.0 < omega < 2.0):
         raise ValueError(f"relaxation factor {omega} outside (0, 2)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if check_every < 1:
-        raise ValueError("check_every must be >= 1")
     instance.validate()
 
     phi, interior, boundary = instance.phi, instance.interior, instance.boundary
@@ -249,11 +250,11 @@ def solve(instance: ObstacleInstance, omega: float = 1.8, tol: float = 1e-10,
             u[mask] = cand[mask]
         if energy_every and iterations % energy_every == 0:
             energy_trace.append(dirichlet_energy(u, active))
-        if iterations % check_every == 0 or iterations == max_iter:
+        if iterations % _CHECK_EVERY == 0 or iterations == max_iter:
             triple = _residual_triple(u, phi, interior, scratch)
             if max(triple[0], triple[1], triple[3]) <= tol:
                 converged = True
-    if iterations % check_every != 0 and iterations != max_iter:
+    if iterations % _CHECK_EVERY != 0 and iterations != max_iter:
         triple = _residual_triple(u, phi, interior, scratch)
 
     return VISolution(
@@ -369,8 +370,7 @@ def radial_instance(n: int, pinned: bool = True) -> ObstacleInstance:
 
 
 def radial_order_study(n_list: Sequence[int] = (65, 129, 257),
-                       tol: float = 1e-12, omega: Optional[float] = None,
-                       max_iter: int = 50_000) -> dict:
+                       tol: float = 1e-12) -> dict:
     """Sup-norm error against the radial reference across refinements.
 
     The contact radius is cross-checked between the closed-form root and the
@@ -385,8 +385,7 @@ def radial_order_study(n_list: Sequence[int] = (65, 129, 257),
     rows = []
     for n in n_list:
         inst = radial_instance(n, pinned=True)
-        sol = solve(inst, omega if omega is not None else sor_factor(n),
-                    tol=tol, max_iter=max_iter)
+        sol = solve(inst, tol=tol)
         R = np.sqrt(inst.xs[:, None] ** 2 + inst.ys[None, :] ** 2)
         ref = radial_profile(R, rstar)
         err = float(np.abs((sol.u - ref)[inst.interior]).max())
@@ -421,18 +420,13 @@ def sample_potential(pot, n: int, negate: bool = False) -> np.ndarray:
     x0, y0, w, h = pot.domain
     if w != h:
         raise ValueError("potential domain is not square")
-    xf, yf, wf = float(x0), float(y0), float(w)
-    out = np.empty((n, n))
+    xf, wf = float(x0), float(w)
     coords = [xf + wf * i / (n - 1) for i in range(n - 1)] + [xf + wf]
-    for i, x in enumerate(coords):
-        for j, y in enumerate(coords):
-            out[i, j] = pot.eval_float(x, y)
+    out = pot.sample(coords, coords)
     return -out if negate else out
 
 
-def self_obstacle_check(pot, n: int, tol: float = 1e-10,
-                        omega: Optional[float] = None,
-                        max_iter: int = 200_000) -> dict:
+def self_obstacle_check(pot, n: int, tol: float = 1e-10) -> dict:
     """Negated potential as obstacle and boundary datum; measures coincidence.
 
     Requires the potential to be certified trace-nonnegative; the negation is
@@ -446,8 +440,7 @@ def self_obstacle_check(pot, n: int, tol: float = 1e-10,
         )
     phi = sample_potential(pot, n, negate=True)
     inst = square_instance(n, phi)
-    om = omega if omega is not None else sor_factor(n)
-    sol = solve(inst, om, tol=tol, max_iter=max_iter)
+    sol = solve(inst, tol=tol)
     dev = float(np.abs(sol.u - phi).max())
     scratch = np.zeros_like(phi)
     ns = _neighbor_sum(phi, scratch)
@@ -465,8 +458,7 @@ def self_obstacle_check(pot, n: int, tol: float = 1e-10,
 
 
 def self_obstacle_suite(pot, n_list: Sequence[int] = (65, 129, 257),
-                        tol: float = 1e-10, omega: Optional[float] = None,
-                        max_iter: int = 200_000) -> dict:
+                        tol: float = 1e-10) -> dict:
     """Coincidence across refinements with the fitted allowance constant.
 
     fitted_c is the largest observed sup_dev / h; every row then trivially
@@ -475,8 +467,7 @@ def self_obstacle_suite(pot, n_list: Sequence[int] = (65, 129, 257),
     deviation column comes back with a refinement suggestion instead of an
     exception.
     """
-    rows = [self_obstacle_check(pot, n, tol=tol, omega=omega, max_iter=max_iter)
-            for n in n_list]
+    rows = [self_obstacle_check(pot, n, tol=tol) for n in n_list]
     fitted_c = max(r["dev_over_h"] for r in rows)
     shrinking = all(a["sup_dev"] >= b["sup_dev"] for a, b in zip(rows, rows[1:]))
     suggestion = None
@@ -551,7 +542,7 @@ def refinement_diagnostics(pot, n_list: Sequence[int] = (65, 129, 257, 513),
         phi = sample_potential(pot, n, negate=True)
         if solve_tol is not None:
             inst = square_instance(n, phi)
-            u = solve(inst, sor_factor(n), tol=solve_tol).u
+            u = solve(inst, tol=solve_tol).u
         else:
             u = phi
         h = float(pot.domain[2]) / (n - 1)

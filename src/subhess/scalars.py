@@ -53,6 +53,10 @@ class Iv:
     def __setattr__(self, name, value):
         raise AttributeError("Iv is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, not the blocked setattr
+        return (Iv, (self.lo, self.hi))
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -187,14 +191,6 @@ class Iv:
     def possibly_lt(self, other: IvLike) -> bool:
         return self.lo < as_iv(other).hi
 
-    def require_le(self, other: IvLike, what: str = "") -> None:
-        o = as_iv(other)
-        if self.certainly_le(o):
-            return
-        if o.certainly_lt(self):
-            raise AssertionError(f"certified violation{': ' + what if what else ''}: {self} > {o}")
-        raise Undecided(f"cannot certify {self} <= {o}" + (f" ({what})" if what else ""))
-
     def sign(self) -> int:
         """Certified sign: -1, 0 (exact zero only), +1; raises Undecided."""
         if self.lo > 0:
@@ -254,7 +250,6 @@ def as_iv(x: IvLike) -> Iv:
 
 
 ZERO = Iv(0)
-ONE = Iv(1)
 
 
 # -- integer-sqrt based square roots (directed, exact rational bounds) --------

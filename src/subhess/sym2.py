@@ -2,8 +2,8 @@
 
 Provides the matrix algebra and the rank-one connectedness test with exact
 direction data that the laminate layer and the synthesizer lean on. The
-Frobenius inner product counts the off-diagonal entry twice, matching
-integration of symmetric-matrix fields component by component.
+Frobenius norm counts the off-diagonal entry twice, matching integration of
+symmetric-matrix fields component by component.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class SymMat2:
 
     def frob(self, bits: int = DEFAULT_PREC) -> Iv:
         return sqrt_iv(self.frob_sq(), bits)
-
-    def inner(self, other: "SymMat2") -> Iv:
-        return self.a11 * other.a11 + 2 * (self.a12 * other.a12) + self.a22 * other.a22
 
     def is_exact(self) -> bool:
         return self.a11.is_exact() and self.a12.is_exact() and self.a22.is_exact()

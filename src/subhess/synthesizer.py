@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
+import numpy as np
+
 from subhess.laminate import Laminate, SplitNode
 from subhess.scalars import Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
@@ -261,7 +263,6 @@ class PatternNode:
     grad_dev: Iv  # certified sup |grad psi| of this level alone
     children: dict[str, ChildLink] = field(default_factory=dict)
     mult: int = 1
-    _floats: Optional[dict] = None
 
     # geometry helpers -----------------------------------------------------------
 
@@ -543,8 +544,11 @@ class AtomInfo:
 class PiecewisePotential:
     """u on a rectangle, gradient equal to base affine map on the boundary.
 
-    `root` may be None (pure frame). Evaluation descends the pattern tree in
-    O(depth); measurements aggregate cell classes. The base map is
+    `root` may be None (pure frame). `eval_all` is the exact evaluator and
+    the reference: it descends the pattern tree in O(depth) on certified
+    intervals. `sample` is the float grid sampler: the same descent on float
+    midpoints, vectorized over one grid line at a time. Measurements
+    aggregate cell classes. The base map is
     grad u0 = A0 (x - origin) + b0 with u0(origin) = c0.
     """
 
@@ -768,102 +772,96 @@ class PiecewisePotential:
     def grad(self, x, y) -> tuple[Iv, Iv]:
         return self.eval_all(x, y)[1]
 
-    # float fast path (obstacle sampling); mirrors eval_all's value branch
-    def eval_float(self, x: float, y: float) -> float:
-        node = self.root
-        x0, y0, _, _ = self.domain
-        c = 0.0
-        gx = gy = 0.0
-        a11, a12, a22 = (float(e.mid) for e in self.base_matrix.entries())
-        ox, oy = float(self.root_origin[0]), float(self.root_origin[1])
-        if node is None or not (
-            ox <= x <= ox + float(node.rect_w) and oy <= y <= oy + float(node.rect_h)
-        ):
-            dx, dy = x - float(x0), y - float(y0)
-            return 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
-        dx, dy = ox - float(x0), oy - float(y0)
-        c = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
-        gx, gy = a11 * dx + a12 * dy, a12 * dx + a22 * dy
-        while True:
-            f = _float_view(node)
-            lx, ly = x - ox, y - oy
-            xi, up = (lx, ly) if node.axis == 0 else (ly, lx)
-            w, dw, stripe_idx, cell_xi0 = _w_eval_float(f, xi)
-            eta_val, eta_core = _eta_eval_float(f, up)
-            role = f["roles"][stripe_idx] if stripe_idx is not None else None
-            link = node.children.get(role) if (eta_core and role) else None
-            if link is None:
-                hx = a11 * lx + a12 * ly
-                hy = a12 * lx + a22 * ly
-                return c + gx * lx + gy * ly + 0.5 * (hx * lx + hy * ly) + eta_val * w
-            sw = f["widths"][stripe_idx]
-            core_lo = f["rho"]
-            ch = f["perp"] - 2 * f["rho"]
-            n_xi = link.sub_nx if node.axis == 0 else link.sub_ny
-            n_up = link.sub_ny if node.axis == 0 else link.sub_nx
-            i_xi = min(int((xi - cell_xi0) / (sw / n_xi)), n_xi - 1)
-            i_up = min(int((up - core_lo) / (ch / n_up)), n_up - 1)
-            sub_xi0 = cell_xi0 + (sw / n_xi) * i_xi
-            sub_up0 = core_lo + (ch / n_up) * i_up
-            w0, dw0, _, _ = _w_eval_float(f, sub_xi0)
-            lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
-            hx = a11 * lx0 + a12 * ly0
-            hy = a12 * lx0 + a22 * ly0
-            c += gx * lx0 + gy * ly0 + 0.5 * (hx * lx0 + hy * ly0) + w0
-            gx += hx + (dw0 if node.axis == 0 else 0.0)
-            gy += hy + (0.0 if node.axis == 0 else dw0)
-            ox, oy = ox + lx0, oy + ly0
-            node = link.node
-            a11, a12, a22 = (float(e.mid) for e in node.base.entries())
+    # ---- float sampling -------------------------------------------------------
+
+    def sample(self, xs, ys) -> np.ndarray:
+        """u(xs[i], ys[j]) in floats: eval_all's value descent on float
+        midpoints, vectorized over one x-line of the grid at a time."""
+        x0, y0 = float(self.domain[0]), float(self.domain[1])
+        a0 = tuple(float(e.mid) for e in self.base_matrix.entries())
+        tabs = {id(n): _NodeFloats(n) for n in self.nodes()}
+        ys = np.asarray(ys, dtype=float)
+        out = np.empty((len(xs), len(ys)))
+        for i, x in enumerate(xs):
+            a11, a12, a22 = a0
+            dx, dy = x - x0, ys - y0
+            out[i] = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
+            if self.root is None:
+                continue
+            ox, oy = float(self.root_origin[0]), float(self.root_origin[1])
+            rw, rh = float(self.root.rect_w), float(self.root.rect_h)
+            j = np.flatnonzero((ox <= x) & (x <= ox + rw) & (oy <= ys) & (ys <= oy + rh))
+            dx, dy = ox - x0, oy - y0
+            c = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
+            gx, gy = a11 * dx + a12 * dy, a12 * dx + a22 * dy
+            work = [(self.root, a0, j) + tuple(np.full(len(j), v) for v in (ox, oy, c, gx, gy))]
+            while work:
+                node, (a11, a12, a22), j, ox, oy, c, gx, gy = work.pop()
+                t = tabs[id(node)]
+                lx, ly = x - ox, ys[j] - oy
+                xi, up = (lx, ly) if node.axis == 0 else (ly, lx)
+                w, _, s, cell0 = t.wave(xi)
+                e = np.searchsorted(t.eta_hi, up, "right")
+                hosted = (xi < t.long) & t.core[e] & t.hosted[s]
+                hx, hy = a11 * lx + a12 * ly, a12 * lx + a22 * ly
+                ev = t.c0[e] + t.c1[e] * up + t.c2[e] * up * up
+                val = c + gx * lx + gy * ly + 0.5 * (hx * lx + hy * ly) + ev * w
+                out[i, j[~hosted]] = val[~hosted]
+                for role, link in node.children.items():
+                    m = hosted & (t.role[s] == role)
+                    if not m.any():
+                        continue
+                    # the hosting core subcell, then the affine handoff at its corner
+                    sub = (link.sub_nx, link.sub_ny)
+                    n_xi, n_up = sub if node.axis == 0 else sub[::-1]
+                    sw = t.width[s[m]]
+                    i_xi = np.minimum((xi[m] - cell0[m]) / (sw / n_xi), n_xi - 1).astype(int)
+                    i_up = np.minimum((up[m] - t.rho) / (t.ch / n_up), n_up - 1).astype(int)
+                    sub_xi0 = cell0[m] + (sw / n_xi) * i_xi
+                    sub_up0 = t.rho + (t.ch / n_up) * i_up
+                    w0, dw0, _, _ = t.wave(sub_xi0)
+                    lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
+                    dgx, dgy = (dw0, 0.0) if node.axis == 0 else (0.0, dw0)
+                    hx, hy = a11 * lx0 + a12 * ly0, a12 * lx0 + a22 * ly0
+                    c_sub = c[m] + (gx[m] * lx0 + gy[m] * ly0 + 0.5 * (hx * lx0 + hy * ly0) + w0)
+                    work.append((link.node, tabs[id(link.node)].base, j[m], ox[m] + lx0,
+                                 oy[m] + ly0, c_sub, gx[m] + (hx + dgx), gy[m] + (hy + dgy)))
+        return out
 
 
-def _float_view(node: PatternNode) -> dict:
-    if node._floats is None:
-        prof = node.profile
-        node._floats = {
-            "long": float(node.long),
-            "perp": float(node.perp),
-            "period": float(prof.period),
-            "rho": float(node.rho),
-            "n_pairs": node.n_pairs,
-            "x_lo": [float(s.x_lo) for s in prof.stripes],
-            "x_hi": [float(s.x_hi) for s in prof.stripes],
-            "w2": [float(s.w2.mid) for s in prof.stripes],
-            "s0": [float(s.s0.mid) for s in prof.stripes],
-            "v0": [float(s.v0.mid) for s in prof.stripes],
-            "roles": [s.role for s in prof.stripes],
-            "widths": [float(s.x_hi - s.x_lo) for s in prof.stripes],
-            "eta": [
-                (float(e.lo), float(e.hi), float(e.c0), float(e.c1), float(e.c2), e.core)
-                for e in node.etas
-            ],
-        }
-    return node._floats
+class _NodeFloats:
+    """Float tables of one pattern node for `PiecewisePotential.sample`."""
 
+    def __init__(self, node: PatternNode):
+        stripes = node.profile.stripes
+        self.base = tuple(float(e.mid) for e in node.base.entries())
+        self.long, self.rho = float(node.long), float(node.rho)
+        self.ch = float(node.perp) - 2 * self.rho
+        self.period, self.last_pair = float(node.profile.period), float(node.n_pairs - 1)
+        # a point past the last boundary falls in the last stripe or ramp piece
+        self.x_hi = np.array([float(st.x_hi) for st in stripes[:-1]])
+        self.x_lo, self.width, self.w2, self.s0, self.v0 = np.array([
+            (float(st.x_lo), float(st.x_hi - st.x_lo), float(st.w2.mid), float(st.s0.mid),
+             float(st.v0.mid)) for st in stripes
+        ]).T
+        self.role = np.array([st.role for st in stripes])
+        self.hosted = np.array([st.role in node.children for st in stripes])
+        eta_hi = [float(e.hi) for e in node.etas]
+        self.eta_hi = np.array(eta_hi[: eta_hi.index(float(node.perp))])
+        self.c0, self.c1, self.c2 = np.array([(float(e.c0), float(e.c1), float(e.c2))
+                                              for e in node.etas]).T
+        self.core = np.array([e.core for e in node.etas])
 
-def _w_eval_float(f: dict, xi: float):
-    if xi >= f["long"]:
-        return 0.0, 0.0, None, 0.0
-    period = f["period"]
-    k = min(int(xi // period), f["n_pairs"] - 1)
-    xp = xi - period * k
-    idx = 5
-    for i in range(6):
-        if xp < f["x_hi"][i]:
-            idx = i
-            break
-    d = xp - f["x_lo"][idx]
-    w = f["v0"][idx] + f["s0"][idx] * d + 0.5 * f["w2"][idx] * d * d
-    dw = f["s0"][idx] + f["w2"][idx] * d
-    return w, dw, idx, period * k + f["x_lo"][idx]
-
-
-def _eta_eval_float(f: dict, up: float):
-    for lo, hi, c0, c1, c2, core in f["eta"]:
-        if up < hi or hi == f["perp"]:
-            if up >= lo or lo == 0.0:
-                return c0 + c1 * up + c2 * up * up, core
-    raise ValueError("perp coordinate outside the pattern")
+    def wave(self, xi: np.ndarray):
+        """(W, W', stripe index, stripe start) at profile coordinates xi."""
+        k = np.minimum(xi // self.period, self.last_pair)
+        xp = xi - self.period * k
+        s = np.searchsorted(self.x_hi, xp, "right")
+        d = xp - self.x_lo[s]
+        w = self.v0[s] + self.s0[s] * d + 0.5 * self.w2[s] * d * d
+        dw = self.s0[s] + self.w2[s] * d
+        beyond = xi >= self.long  # W = W' = 0 past the pattern
+        return np.where(beyond, 0.0, w), np.where(beyond, 0.0, dw), s, self.period * k + self.x_lo[s]
 
 
 # -- materialization -------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subhess.constructions import doubling_laminate
 from subhess.obstacle import (
     ObstacleInstance,
     dirichlet_energy,
@@ -29,7 +30,13 @@ from subhess.obstacle import (
     _contact_equation,
 )
 from subhess.sym2 import SymMat2
-from subhess.synthesizer import FrameCell, PiecewisePotential, realize_simple, staircase_build
+from subhess.synthesizer import (
+    FrameCell,
+    PiecewisePotential,
+    realize_laminate,
+    realize_simple,
+    staircase_build,
+)
 from subhess.verifier import min_trace
 
 UNIT = (F(0), F(0), F(1), F(1))
@@ -51,6 +58,10 @@ def band_potential():
 
 BAND = band_potential()
 STAIR2 = staircase_build(2).potential
+# split along the vertical axis with a negative-trace atom
+AXIS1 = realize_simple(
+    SymMat2.diag(1, 0), SymMat2.diag(1, -2), SymMat2.diag(1, 2), F(1, 2), UNIT, eps=F(1, 2),
+)
 
 
 def quadratic_frame_potential(domain=UNIT):
@@ -191,8 +202,12 @@ class TestSolveBasics:
                 solve(inst, omega)
         with pytest.raises(ValueError):
             solve(inst, 1.8, tol=0.0)
-        with pytest.raises(ValueError):
-            solve(inst, 1.8, check_every=0)
+
+    def test_default_relaxation_factor(self):
+        inst = radial_instance(33, pinned=True)
+        a, b = solve(inst), solve(inst, sor_factor(inst.n))
+        assert np.array_equal(a.u, b.u)
+        assert (a.iterations, a.residuals) == (b.iterations, b.residuals)
 
     def test_deterministic(self):
         a = solve(radial_instance(33), 1.8, tol=1e-11, energy_every=3)
@@ -284,13 +299,9 @@ class TestInvariants:
 
 class TestSelfObstacle:
     def test_requires_trace_certificate(self):
-        bad = realize_simple(
-            SymMat2.diag(1, 0), SymMat2.diag(1, -2), SymMat2.diag(1, 2),
-            F(1, 2), UNIT, F(1, 2),
-        )
-        assert min_trace(bad).lo < 0
+        assert min_trace(AXIS1).lo < 0
         with pytest.raises(ValueError, match="certificate"):
-            self_obstacle_check(bad, 33)
+            self_obstacle_check(AXIS1, 33)
 
     def test_quadratic_frame_full_contact(self):
         rep = self_obstacle_check(quadratic_frame_potential(), 33, tol=1e-12)
@@ -329,6 +340,21 @@ class TestSelfObstacle:
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         assert np.allclose(grid, 0.5 * (X * X + Y * Y), atol=1e-15)
         assert np.array_equal(sample_potential(pot, 9, negate=True), -grid)
+
+    @pytest.mark.parametrize("pot", [
+        BAND,
+        STAIR2,
+        AXIS1,
+        realize_laminate(doubling_laminate(F(3, 2))[0], UNIT, F(1, 20)),
+    ], ids=["band", "stair2", "axis1", "laminate"])
+    def test_sample_matches_exact_evaluator(self, pot):
+        x0, y0, w, _ = (float(v) for v in pot.domain)
+        grid = sample_potential(pot, 17)
+        for i in range(17):
+            for j in range(17):
+                x, y = x0 + w * i / 16, y0 + w * j / 16
+                exact = float(pot.eval(F(x), F(y)).mid)
+                assert abs(grid[i, j] - exact) <= 1e-13, (x, y)
 
 
 class TestDiagnostics:

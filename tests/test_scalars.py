@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -79,13 +81,14 @@ class TestIvAlgebra:
         assert Iv(0).sign() == 0
         with pytest.raises(Undecided):
             Iv(-1, 1).sign()
-        with pytest.raises(Undecided):
-            Iv(0, 2).require_le(Iv(1))
-        with pytest.raises(AssertionError):
-            Iv(2, 3).require_le(Iv(1))
 
     def test_hull(self):
         assert Iv.hull([Iv(0, 1), Iv(3), Fraction(-2)]) == Iv(-2, 3)
+
+    def test_pickle_and_deepcopy(self):
+        a = Iv(Fraction(1, 3), 2)
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert b == a and b is not a
 
 
 class TestSqrt:

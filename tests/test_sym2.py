@@ -142,7 +142,6 @@ class TestMatrixBasics:
         assert a.trace() == Iv(4)
         assert a.det() == Iv(-1)
         assert a.frob_sq() == Iv(18)
-        assert a.inner(b) == Iv(Fraction(1, 2) - 3)
 
     def test_apply(self):
         gx, gy = SymMat2.of(2, 1, 3).apply(1, Fraction(1, 2))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -514,6 +516,15 @@ class TestStaircase:
         assert abs(grad[0] - F(1, 2)).hi <= dev
         assert abs(grad[1] - F(1, 2)).hi <= dev
         assert dev <= F(1, 2)
+
+    def test_pickle_and_deepcopy(self):
+        pot = staircase_build(1).potential
+        classes = tuple(pot.cell_classes())
+        for clone in (pickle.loads(pickle.dumps(pot)), copy.deepcopy(pot)):
+            assert vars(clone) == vars(pot)
+            assert tuple(clone.cell_classes()) == classes
+        for clone in (pickle.loads(pickle.dumps(classes)), copy.deepcopy(classes)):
+            assert clone == classes
 
     def test_layer2_hosts_inside_layer1(self):
         tags = {node.tag: node for node in self.POT.nodes()}
