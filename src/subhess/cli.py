@@ -17,8 +17,9 @@ explicit lower/upper endpoint pairs, either as directed decimals
 
 Exit codes: 0 pass, 2 invalid parameters, 3 budget exhausted (a partial
 manifest is still written), 4 a verdict gate failed (an unconverged
-`obstacle solve` included), 5 could not certify (a build or a certified
-comparison could not be settled; the manifest names the exception).
+`obstacle solve` included), 5 could not certify (a build, a certified
+comparison or the wave-cone LP certificate could not be settled; the
+manifest names the exception).
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ def _validate_staircase(p: dict):
 def _validate_wavecone(p: dict):
     _require(p["n"] >= 2, "dimension must be >= 2")
     _require(p["trials"] >= 1, "need at least one trial")
-    _require(p["resolution"] >= 8, "resolution must be >= 8")
     _require(p["radius"] >= 1, "lattice radius must be >= 1")
 
 
@@ -351,11 +351,9 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
 
 def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     p = cfg.params
-    agree = agreement_suite(p["n"], p["trials"], seed=p["seed"],
-                            resolution=p["resolution"])
+    agree = agreement_suite(p["n"], p["trials"], seed=p["seed"])
     # the exhaustive lattice sweep is exponential in n; cap the dimension
-    lattice = lattice_suite(min(p["n"], 3), radius=p["radius"],
-                            resolution=p["resolution"])
+    lattice = lattice_suite(min(p["n"], 3), radius=p["radius"])
     payload = {"agreement": agree, "lattice": lattice}
     rpt = cfg.out_dir / "wavecone_report.json"
     _write_json(rpt, payload, cfg.scalar_mode, cfg.digits)
@@ -491,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default ./<command>_out)")
     parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file with parameter defaults for the subcommand")
+                        help="JSON file with parameter defaults for the subcommand "
+                             "(every key must be one of its parameters)")
     parser.add_argument("--scalar-mode", choices=SCALAR_MODES,
                         default="certified-interval")
     parser.add_argument("--digits", type=int, default=30,
@@ -525,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     wav.add_argument("--n", type=int)
     wav.add_argument("--trials", type=int)
     wav.add_argument("--seed", type=int)
-    wav.add_argument("--resolution", type=int)
     wav.add_argument("--radius", type=int, help="lattice radius")
 
     obs = sub.add_parser("obstacle", help="projected-SOR runs")
@@ -570,8 +568,7 @@ _COMMAND_SPEC: dict[str, dict] = {
     "realize": {"p": _REQUIRED, "k": Fraction(1), "eps": _REQUIRED, "q": None,
                 "budget": None},
     "staircase": {"levels": _REQUIRED, "q": Fraction(3, 2), "i": 1},
-    "wavecone": {"n": _REQUIRED, "trials": 1000, "seed": 0, "resolution": 16,
-                 "radius": 2},
+    "wavecone": {"n": _REQUIRED, "trials": 1000, "seed": 0, "radius": 2},
     "obstacle-solve": {"n": _REQUIRED, "omega": None, "tol": 1e-10,
                        "max_iter": 200_000, "obstacle": "radial"},
     "obstacle-selfcheck": {"depth": _REQUIRED, "n": [65, 129, 257],
@@ -586,6 +583,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if command == "obstacle":
         command = f"obstacle-{args.obstacle_command}"
     spec = _COMMAND_SPEC[command]
+    unknown = sorted(set(file_vals) - set(spec))
+    if unknown:
+        raise ValueError(f"config key(s) {', '.join(unknown)} not parameters of "
+                         f"{command}; expected a subset of {', '.join(spec)}")
     params = {}
     for key, fallback in spec.items():
         flag_val = getattr(args, key, None)

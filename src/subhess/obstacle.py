@@ -22,7 +22,7 @@ the truncation error, so the distance must vanish like the grid spacing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -172,7 +172,6 @@ class VISolution:
     residuals: tuple
     complementarity_min: float
     converged: bool
-    energy_trace: list = field(default_factory=list)
 
 
 def _neighbor_sum(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -192,22 +191,13 @@ def _residual_triple(u, phi, interior, scratch):
     return neg_lap, violation, comp_prod, comp_min
 
 
-def dirichlet_energy(u: np.ndarray, active: np.ndarray) -> float:
-    """Half the sum of squared differences over active-active grid edges."""
-    dx = u[1:, :] - u[:-1, :]
-    mx = active[1:, :] & active[:-1, :]
-    dy = u[:, 1:] - u[:, :-1]
-    my = active[:, 1:] & active[:, :-1]
-    return 0.5 * (float((dx[mx] ** 2).sum()) + float((dy[my] ** 2).sum()))
-
-
 def sor_factor(n: int) -> float:
     """Near-optimal over-relaxation factor for an n x n Laplace grid."""
     return 2.0 / (1.0 + math.sin(math.pi / (n - 1)))
 
 
 def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float = 1e-10,
-          max_iter: int = 200_000, energy_every: int = 0) -> VISolution:
+          max_iter: int = 200_000) -> VISolution:
     """Projected SOR: relax each node, then clip to max(., phi).
 
     omega defaults to sor_factor(instance.n).  Sweeps update the two
@@ -233,8 +223,6 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
     parity = (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2
     colors = (interior & (parity == 0), interior & (parity == 1))
     scratch = np.zeros_like(u)
-    active = instance.active
-    energy_trace: list = []
 
     iterations = 0
     converged = False
@@ -248,8 +236,6 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
             cand = (1.0 - omega) * u + (0.25 * omega) * ns
             np.maximum(cand, phi, out=cand)
             u[mask] = cand[mask]
-        if energy_every and iterations % energy_every == 0:
-            energy_trace.append(dirichlet_energy(u, active))
         if iterations % _CHECK_EVERY == 0 or iterations == max_iter:
             triple = _residual_triple(u, phi, interior, scratch)
             if max(triple[0], triple[1], triple[3]) <= tol:
@@ -263,7 +249,6 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
         residuals=(triple[0], triple[1], triple[2]),
         complementarity_min=triple[3],
         converged=converged,
-        energy_trace=energy_trace,
     )
 
 

@@ -9,11 +9,11 @@ components may vanish). `member` decides that in exact arithmetic.
 `member_bruteforce` is the independent oracle: it minimizes the pairwise
 residual max_{i<j} |xi_i^2 v_j - xi_j^2 v_i| over the frequency sphere.
 The residual depends on xi only through zeta = xi^2, and |xi| = 1 makes zeta
-range over the probability simplex, so the search runs in zeta with exact
-rational arithmetic: an exact candidate zeta = |v| / sum|v| pins members at
-residual zero, and non-members get a certified positive floor from interval
-bounds on adaptively subdivided simplex patches (never just a sampled
-minimum).
+range over the probability simplex, so the search runs in zeta: an exact
+candidate zeta = |v| / sum|v| pins members at residual zero, and a
+non-member's minimum over the simplex is a small LP whose rationalized duals
+bound it from below exactly (never just a solver-reported minimum; Neumaier
+and Shcherbina, Math. Program. 99, 2004).
 """
 
 from __future__ import annotations
@@ -22,13 +22,20 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.optimize import linprog
 
 Vec = Sequence[Fraction]
 
+# largest denominator kept when rationalizing the LP's float duals and primal
+_MAX_DEN = 10**6
+
 
 class CertificationError(RuntimeError):
-    """The patch subdivision hit its depth cap without a verdict."""
+    """The wave-cone LP failed, or its dual bound did not certify a positive
+    residual floor for a non-member."""
 
 
 def member(v: Iterable) -> bool:
@@ -62,92 +69,54 @@ class BruteForceResult:
     best_residual: Fraction
     best_zeta: tuple[Fraction, ...]
     floor: Fraction  # certified min residual over the whole sphere (0 for members)
-    patches: int
+    patches: int  # LP solves: 0 for members, 1 for non-members
 
 
-def _pair_lower(v: Vec, box) -> Fraction:
-    """Lower bound of the patch residual: max over pairs of the certain
-    distance of zeta_i v_j - zeta_j v_i from 0.
-
-    Every pair residual is affine in the free coordinates (the tail
-    coordinate is 1 - sum), so its exact range over the box is attained at
-    box corners."""
-    n = len(v)
-    corners = []
-    for choice in itertools.product(*box):
-        corners.append(tuple(choice) + (1 - sum(choice),))
-    best = Fraction(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vals = [z[i] * v[j] - z[j] * v[i] for z in corners]
-            lo, hi = min(vals), max(vals)
-            if lo > 0:
-                best = max(best, lo)
-            elif hi < 0:
-                best = max(best, -hi)
-    return best
+def _rational(x: float) -> Fraction:
+    return Fraction(float(x)).limit_denominator(_MAX_DEN)
 
 
-def _certified_floor(v: Vec, depth_cap: int) -> tuple[Fraction, int]:
-    """Certified positive lower bound of the residual over the simplex.
-
-    Adaptive bisection from the root box: refinement concentrates near the
-    zero sets of the pair residuals. Raises CertificationError when some
-    patch still straddles zero at the depth cap (cannot happen for
-    sign-inconsistent rational v with sane caps).
-    """
-    free = len(v) - 1
-    one = Fraction(1)
-    stack = [(tuple((Fraction(0), one) for _ in range(free)), 0)]
-    floor: Optional[Fraction] = None
-    patches = 0
-    while stack:
-        box, depth = stack.pop()
-        if sum(b[0] for b in box) > 1:
-            continue  # entirely outside the simplex
-        patches += 1
-        pf = _pair_lower(v, box)
-        if pf > 0:
-            floor = pf if floor is None else min(floor, pf)
-            continue
-        if depth >= depth_cap:
-            raise CertificationError(
-                f"residual floor unresolved at depth {depth} for {tuple(v)}"
-            )
-        halves = [((b[0], (b[0] + b[1]) / 2), ((b[0] + b[1]) / 2, b[1])) for b in box]
-        for choice in itertools.product(*halves):
-            stack.append((choice, depth + 1))
-    return floor if floor is not None else Fraction(0), patches
-
-
-def member_bruteforce(
-    v: Iterable, resolution: int = 16, depth_cap: int = 12
-) -> BruteForceResult:
-    """Frequency search: exact candidate plus a certified simplex scan."""
+def member_bruteforce(v: Iterable) -> BruteForceResult:
+    """Members return at their exact candidate.  For a non-member, solve the LP
+    min t s.t. +-(zeta_i v_j - zeta_j v_i) <= t, sum zeta = 1, zeta >= 0 in
+    floats on v / max|v|.  Any row duals y >= 0 bound every residual below by
+    min_k (A^T y)_k / sum y (weak duality), so the rationalized duals give an
+    exact floor; the rationalized primal is `best_zeta`.  Raises
+    CertificationError when the LP fails or that floor is not positive."""
     vs = tuple(Fraction(x) for x in v)
-    if len(vs) < 2:
+    n = len(vs)
+    if n < 2:
         raise ValueError("need dimension >= 2")
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
     cand = exact_candidate(vs)
-    best = residual(vs, cand)
-    best_zeta = cand
-    if best == 0:
-        return BruteForceResult(True, best, best_zeta, Fraction(0), 0)
+    if residual(vs, cand) == 0:
+        return BruteForceResult(True, Fraction(0), cand, Fraction(0), 0)
 
-    # grid vertices give the sampled minimum; patches certify the floor
-    free = len(vs) - 1
-    step = Fraction(1, resolution)
-    for idx in itertools.product(range(resolution + 1), repeat=free):
-        zs = [k * step for k in idx]
-        tail = 1 - sum(zs)
-        if tail < 0:
-            continue
-        r = residual(vs, tuple(zs) + (tail,))
-        if r < best:
-            best, best_zeta = r, tuple(zs) + (tail,)
-    floor, patches = _certified_floor(vs, depth_cap)
-    return BruteForceResult(floor == 0, best, best_zeta, floor, patches)
+    pairs = list(itertools.combinations(range(n), 2))
+    scale = max(abs(x) for x in vs)
+    w = [float(x / scale) for x in vs]
+    rows = np.zeros((len(pairs), n))
+    for r, (i, j) in enumerate(pairs):
+        rows[r, i], rows[r, j] = w[j], -w[i]
+    # variables (zeta, t); the first half of the rows is +pair, the second -pair
+    a_ub = np.hstack([np.vstack([rows, -rows]), -np.ones((2 * len(pairs), 1))])
+    lp = linprog(np.append(np.zeros(n), 1.0), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                 A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0], method="highs")
+    if lp.status != 0:
+        raise CertificationError(f"wave-cone LP failed for {vs}: {lp.message}")
+
+    # marginals of <= rows are <= 0 when minimizing; y is their negation
+    y = [max(-_rational(d), Fraction(0)) for d in lp.ineqlin.marginals]
+    coef = [Fraction(0)] * n
+    for (i, j), up, down in zip(pairs, y, y[len(pairs):]):
+        coef[i] += (up - down) * vs[j]
+        coef[j] -= (up - down) * vs[i]
+    floor = min(coef) / sum(y) if any(y) else Fraction(0)
+    if floor <= 0:
+        raise CertificationError(f"dual bound {floor} does not certify {vs}")
+    zeta = [max(_rational(z), Fraction(0)) for z in lp.x[:n]]
+    mass = sum(zeta)
+    best_zeta = tuple(z / mass for z in zeta)
+    return BruteForceResult(False, residual(vs, best_zeta), best_zeta, floor, 1)
 
 
 # ---- suites ---------------------------------------------------------------------------
@@ -164,9 +133,7 @@ def _random_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def agreement_suite(
-    n: int, trials: int, seed: int = 0, resolution: int = 16
-) -> dict:
+def agreement_suite(n: int, trials: int, seed: int = 0) -> dict:
     """member vs member_bruteforce on random rational vectors."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -176,7 +143,7 @@ def agreement_suite(
     for _ in range(trials):
         v = _random_vector(rng, n)
         m = member(v)
-        bf = member_bruteforce(v, resolution)
+        bf = member_bruteforce(v)
         members += m
         if bf.member != m:
             disagreements.append({"v": v, "member": m, "bruteforce": bf})
@@ -190,7 +157,7 @@ def agreement_suite(
     }
 
 
-def lattice_suite(n: int, radius: int = 2, resolution: int = 16) -> dict:
+def lattice_suite(n: int, radius: int = 2) -> dict:
     """Exhaustive oracle agreement and cone invariants on the integer lattice.
 
     Checks, for every v in {-radius..radius}^n: oracle agreement, scaling
@@ -205,7 +172,7 @@ def lattice_suite(n: int, radius: int = 2, resolution: int = 16) -> dict:
         v = tuple(Fraction(x) for x in raw)
         m = member(v)
         checked += 1
-        if member_bruteforce(v, resolution).member != m:
+        if member_bruteforce(v).member != m:
             failures.append(("oracle", v))
         if any(member(tuple(t * x for x in v)) != m for t in scales):
             failures.append(("scaling", v))

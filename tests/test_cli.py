@@ -294,6 +294,18 @@ class TestConfigFile:
                      "laminate", "--p", "1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("keys", [{"trails": 5, "n": 2}, {"resolution": 16}],
+                             ids=["misspelt", "retired"])
+    def test_unknown_keys_refused(self, tmp_path, capsys, keys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(keys))
+        code = main(["--out", str(tmp_path / "o"), "--config", str(cfg),
+                     "wavecone", "--n", "2", "--trials", "3"])
+        assert code == 2
+        unknown = next(k for k in keys if k != "n")
+        assert unknown in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "--config",
                      str(tmp_path / "nope.json"), "laminate", "--p", "1.5"])

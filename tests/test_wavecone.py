@@ -1,12 +1,17 @@
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subhess.wavecone as wavecone
+from subhess.cli import main
 from subhess.wavecone import (
     BruteForceResult,
+    CertificationError,
     agreement_suite,
     exact_candidate,
     lattice_suite,
@@ -86,15 +91,43 @@ class TestBruteForce:
         assert bf.floor == min(a, b)
         assert not bf.member
 
-    @settings(max_examples=25, deadline=None)
-    @given(v=st.lists(rationals, min_size=3, max_size=3))
-    def test_three_dim_floor_sound(self, v):
+    @settings(max_examples=40, deadline=None)
+    @given(v=st.lists(rationals, min_size=2, max_size=5))
+    def test_floor_sound(self, v):
         bf = member_bruteforce(v)
         assert bf.member == member(v)
         if bf.member:
-            assert bf.best_residual == 0
+            assert bf.best_residual == 0 and bf.patches == 0
         else:
-            assert 0 < bf.floor <= bf.best_residual
+            assert 0 < bf.floor <= bf.best_residual and bf.patches == 1
+        assert residual([F(x) for x in v], bf.best_zeta) == bf.best_residual
+        assert sum(bf.best_zeta) == 1 and min(bf.best_zeta) >= 0
+
+    def test_floor_exact_on_acceptance_inputs(self):
+        # the inputs of acceptance criterion 6: there the rationalized duals
+        # certify the exact minimum, not just a positive floor
+        for n in (2, 3):
+            rng = random.Random(0)
+            vectors = [wavecone._random_vector(rng, n) for _ in range(1000)]
+            vectors += itertools.product(range(-2, 3), repeat=n)
+            for v in vectors:
+                bf = member_bruteforce(v)
+                assert bf.member == member(v)
+                assert bf.floor == bf.best_residual
+
+    def test_equal_duals_cannot_certify(self, monkeypatch):
+        # planted fault: equal weights on the +pair and -pair rows cancel,
+        # so the dual bound is 0 and no verdict may come back
+        solve = wavecone.linprog
+
+        def flatten_duals(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.ineqlin.marginals = np.full_like(res.ineqlin.marginals, -1.0)
+            return res
+
+        monkeypatch.setattr(wavecone, "linprog", flatten_duals)
+        with pytest.raises(CertificationError):
+            member_bruteforce((F(1), F(-1)))
 
     def test_residual_definition(self):
         v = (F(2), F(-3), F(1))
@@ -112,8 +145,6 @@ class TestBruteForce:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             member_bruteforce((F(1),))
-        with pytest.raises(ValueError):
-            member_bruteforce((F(1), F(2)), resolution=4)
 
 
 class TestSuites:
@@ -141,3 +172,12 @@ class TestSuites:
         assert rep["all_ok"] and rep["vectors"] == 25
         rep3 = lattice_suite(3, radius=1)
         assert rep3["all_ok"] and rep3["vectors"] == 27
+
+    def test_gate_catches_flipped_member(self, monkeypatch, tmp_path):
+        # planted fault: `member` misjudges every vector with a zero entry
+        exact = wavecone.member
+        monkeypatch.setattr(
+            wavecone, "member", lambda v: exact(v) != any(x == 0 for x in v))
+        assert agreement_suite(2, 200, seed=5)["disagreements"]
+        argv = ["--out", str(tmp_path / "out"), "wavecone", "--n", "2", "--trials", "200"]
+        assert main(argv) == 4
