@@ -55,10 +55,9 @@ from subhess.synthesizer import BudgetExceeded, BuildError, realize_laminate, st
 from subhess.verifier import (
     area_fractions,
     boundary_check,
-    integrate_phi,
-    min_trace,
     neg_part_lq,
     potential_report,
+    tally,
     write_csv,
 )
 from subhess.wavecone import CertificationError, agreement_suite, lattice_suite
@@ -338,14 +337,14 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
             "omega_area": Iv(layer.omega_area),
             "grad_step": layer.grad_step,
             # bounded column: this level's share of the l1 mass
-            "l1_contribution": integrate_phi(pot, "l1_diag", ("level", j)),
+            "l1_contribution": tally(pot, ("l1_diag",), ("level", j)).integrals[0],
             # growing column: certified mean on the nested region
             "neg_mean_omega": neg_part_lq(pot, p["q"], p["i"], ("omega", j)),
         })
     lv_path = cfg.out_dir / "staircase_levels.csv"
     write_csv(lv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
     outputs.append(lv_path)
-    certified = min_trace(pot).lo >= 0
+    certified = next(it.value for it in items if it.name == "min_trace").lo >= 0
     return (EXIT_OK if certified else EXIT_VERDICT), outputs
 
 

@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 from subhess.scalars import Iv
-from subhess.verifier import integrate_phi, min_trace
+from subhess.verifier import tally
 
 GridData = Union[np.ndarray, Callable, float, int]
 
@@ -418,7 +418,7 @@ def self_obstacle_check(pot, n: int, tol: float = 1e-10) -> dict:
     then superharmonic, and the solution can only leave the obstacle by the
     truncation error of the 5-point stencil, i.e. by O(h).
     """
-    mt = min_trace(pot)
+    mt = tally(pot).min_trace
     if not mt.lo >= 0:
         raise ValueError(
             f"potential lacks a nonnegative trace certificate (lower bound {mt.lo})"
@@ -507,8 +507,7 @@ def hessian_negative_mass(pot) -> Iv:
     p = 1 diagnostics column of the negated potential approaches this number
     as the grid resolves the stripes.
     """
-    l1 = integrate_phi(pot, "l1_diag")
-    tr = integrate_phi(pot, "trace")
+    l1, tr = tally(pot, ("l1_diag", "trace")).integrals
     return (l1 - tr) * Iv(Fraction(1, 2))
 
 

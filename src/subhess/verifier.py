@@ -4,7 +4,8 @@ Every functional aggregates the potential's cell *classes*: exact rational
 areas and counts, Hessians that are either exact atom matrices or interval
 boxes. Results are intervals that provably bracket the true value of the
 functional for the exact piecewise-polynomial function the synthesizer
-defines; nothing here samples or approximates.
+defines; nothing here samples or approximates. `tally` makes the one walk
+over the classes; every measurement below reads what it sums.
 
 Regions select subsets of cells by construction bookkeeping:
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from subhess.laminate import PhiLike, resolve_phi
-from subhess.scalars import Iv, as_iv, rpow, sqrt_iv
+from subhess.scalars import Iv, as_iv, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import CellClass, PiecewisePotential
 
@@ -44,102 +45,88 @@ def _cell_matches(cc: CellClass, region: Region) -> bool:
     raise ValueError(f"unknown region selector: {region!r}")
 
 
-def region_cells(pot: PiecewisePotential, region: Region = None) -> Iterable[CellClass]:
+@dataclass(frozen=True)
+class Tally:
+    """Every functional of one region, summed in a single walk over its cells."""
+
+    area: Fraction
+    integrals: tuple[Iv, ...]  # per phi: integral over every cell
+    exact_integrals: tuple[Iv, ...]  # per phi: over exact-Hessian cells only
+    min_trace: Iv  # enclosure of min over the region of trace(D^2 u)
+    ball_sq_hi: Fraction  # largest certified dist^2 to an owning two-target segment
+    atom_areas: dict[str, Fraction]  # exact area per terminal atom tag
+
+    def mean(self, k: int) -> Iv:
+        return self.integrals[k] / self.area
+
+    def bracket(self, k: int) -> Iv:
+        """Two-sided mean of a nonnegative phi.
+
+        The lower endpoint uses exact-Hessian cells only (perturbation cells
+        contribute >= 0, so dropping them keeps a valid lower bound and avoids
+        the spurious negative parts an interval box would suggest); the upper
+        endpoint includes every cell through its enclosure.
+        """
+        return Iv(max(Fraction(0), (self.exact_integrals[k] / self.area).lo), self.mean(k).hi)
+
+    def trail(self) -> Iv:
+        """Upper-bounds the distance of perturbation cells to the nearest trail segment."""
+        return sqrt_iv(Iv(0, self.ball_sq_hi))
+
+
+def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = (), region: Region = None) -> Tally:
+    """Certified integrals of each phi(D^2 u), min trace, trail distance and
+    per-atom areas over the region, from one cell_classes() walk."""
+    fns = [resolve_phi(phi) for phi in phis]
+    area = Fraction(0)
+    total = [ZERO] * len(fns)
+    exact = [ZERO] * len(fns)
+    tr_lo: Optional[Fraction] = None
+    tr_hi: Optional[Fraction] = None
+    ball_sq_hi = Fraction(0)
+    atom_areas: dict[str, Fraction] = {}
     for cc in pot.cell_classes():
-        if _cell_matches(cc, region):
-            yield cc
-
-
-def region_area(pot: PiecewisePotential, region: Region = None) -> Fraction:
-    return sum((cc.area * cc.count for cc in region_cells(pot, region)), Fraction(0))
-
-
-def _cell_hess(cc: CellClass) -> SymMat2:
-    if cc.hess is not None:
-        return cc.hess
-    return SymMat2.of(*cc.h_box)
-
-
-def integrate_phi(pot: PiecewisePotential, phi: PhiLike, region: Region = None) -> Iv:
-    """Certified enclosure of the integral of phi(D^2 u) over the region."""
-    fn = resolve_phi(phi)
-    total = ZERO
-    for cc in region_cells(pot, region):
-        total = total + fn(_cell_hess(cc)) * (cc.area * cc.count)
-    return total
-
-
-def mean_phi(pot: PiecewisePotential, phi: PhiLike, region: Region = None) -> Iv:
-    area = region_area(pot, region)
-    if area == 0:
-        raise ValueError(f"region {region!r} has zero area")
-    return integrate_phi(pot, phi, region) / area
+        if not _cell_matches(cc, region):
+            continue
+        w = cc.area * cc.count
+        area += w
+        h = cc.hess if cc.hess is not None else SymMat2.of(*cc.h_box)
+        for k, fn in enumerate(fns):
+            v = fn(h)
+            if v.lo == v.hi == 0:
+                continue  # exact zeros add nothing
+            term = v * w
+            total[k] = total[k] + term
+            if cc.hess is not None:
+                exact[k] = exact[k] + term
+        tr = h.trace()
+        tr_lo = tr.lo if tr_lo is None else min(tr_lo, tr.lo)
+        tr_hi = tr.hi if tr_hi is None else min(tr_hi, tr.hi)
+        ball_sq_hi = max(ball_sq_hi, cc.ball_sq.hi)
+        if cc.kind == "atom" and cc.atom_tag is not None:
+            atom_areas[cc.atom_tag] = atom_areas.get(cc.atom_tag, Fraction(0)) + w
+    if tr_lo is None:
+        raise ValueError(f"region {region!r} has no cells")
+    return Tally(area, tuple(total), tuple(exact), Iv(tr_lo, tr_hi), ball_sq_hi, atom_areas)
 
 
 def hessian_l1(pot: PiecewisePotential, region: Region = None) -> Iv:
     """Mean over the region of |H11| + |H22|."""
-    return mean_phi(pot, "l1_diag", region)
+    return tally(pot, ("l1_diag",), region).mean(0)
 
 
-def neg_part_lq(
-    pot: PiecewisePotential,
-    q,
-    i: int,
-    region: Region = None,
-) -> Iv:
-    """Mean over the region of ((H_ii)_-)^q, bracketed two-sided.
-
-    The lower endpoint uses exact-Hessian cells only (perturbation cells
-    contribute >= 0, so dropping them keeps a valid lower bound and avoids
-    the spurious negative parts an interval box would suggest); the upper
-    endpoint includes every cell through its enclosure.
-    """
+def _neg_phi(q, i: int) -> tuple:
     qv = as_iv(q)
     if not qv.certainly_ge(1):
         raise ValueError(f"exponent must be >= 1, got {qv}")
     if i not in (0, 1):
         raise ValueError("diagonal index must be 0 or 1")
-    lower = ZERO
-    upper = ZERO
-    area = Fraction(0)
-    for cc in region_cells(pot, region):
-        area += cc.area * cc.count
-        h = _cell_hess(cc)
-        entry = h.a11 if i == 0 else h.a22
-        neg = entry.neg_part()
-        if neg.hi == 0:
-            continue
-        term = rpow(neg, qv) * (cc.area * cc.count)
-        upper = upper + term
-        if cc.hess is not None:
-            lower = lower + term
-    if area == 0:
-        raise ValueError(f"region {region!r} has zero area")
-    return Iv(max(Fraction(0), (lower / area).lo), (upper / area).hi)
+    return ("neg_pow", i, q)
 
 
-def min_trace(pot: PiecewisePotential, region: Region = None) -> Iv:
-    """Enclosure of min over the region of trace(D^2 u)."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for cc in region_cells(pot, region):
-        tr = _cell_hess(cc).trace()
-        lo = tr.lo if lo is None else min(lo, tr.lo)
-        hi = tr.hi if hi is None else min(hi, tr.hi)
-    if lo is None:
-        raise ValueError(f"region {region!r} has no cells")
-    return Iv(lo, hi)
-
-
-def trail_proximity(pot: PiecewisePotential) -> Iv:
-    """Max over perturbation cells of the certified distance to the owning
-    two-target segment (upper-bounds the distance to the nearest trail
-    segment)."""
-    worst = ZERO
-    for cc in pot.cell_classes():
-        if cc.ball_sq.hi > worst.hi:
-            worst = cc.ball_sq
-    return sqrt_iv(Iv(0, worst.hi))
+def neg_part_lq(pot: PiecewisePotential, q, i: int, region: Region = None) -> Iv:
+    """Mean over the region of ((H_ii)_-)^q, bracketed two-sided (`Tally.bracket`)."""
+    return tally(pot, (_neg_phi(q, i),), region).bracket(0)
 
 
 @dataclass(frozen=True)
@@ -158,10 +145,7 @@ def area_fractions(pot: PiecewisePotential, eps: Optional[Fraction] = None) -> l
     if eps is None:
         eps = Fraction(pot.meta.get("eps", 0))
     dom_area = pot.domain[2] * pot.domain[3]
-    got: dict[str, Fraction] = {}
-    for cc in pot.cell_classes():
-        if cc.kind == "atom" and cc.atom_tag is not None:
-            got[cc.atom_tag] = got.get(cc.atom_tag, Fraction(0)) + cc.area * cc.count
+    got = tally(pot).atom_areas
     rows = []
     for tag in sorted(pot.atoms):
         info = pot.atoms[tag]
@@ -256,17 +240,16 @@ def write_csv(path: str, rows: list[list[str]]) -> None:
 
 def potential_report(pot: PiecewisePotential, q_list: Iterable = ()) -> list[ReportItem]:
     """Standard measurement set for one realization."""
+    negs = [_neg_phi(q, i) for q in q_list for i in (0, 1)]
+    t = tally(pot, ["l1_diag", *negs])
     items = [
-        ReportItem("hessian_l1_mean", hessian_l1(pot)),
-        ReportItem("min_trace", min_trace(pot)),
-        ReportItem("trail_proximity", trail_proximity(pot)),
+        ReportItem("hessian_l1_mean", t.mean(0)),
+        ReportItem("min_trace", t.min_trace),
+        ReportItem("trail_proximity", t.trail()),
         ReportItem("grad_deviation", pot.grad_deviation()),
     ]
-    for q in q_list:
-        for i in (0, 1):
-            items.append(
-                ReportItem(f"neg_part_l{q}_i{i}", neg_part_lq(pot, q, i))
-            )
+    items += [ReportItem(f"neg_part_l{q}_i{i}", t.bracket(k))
+              for k, (_, i, q) in enumerate(negs, start=1)]
     bd = boundary_check(pot)
     items.append(
         ReportItem(

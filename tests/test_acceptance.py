@@ -37,11 +37,8 @@ from subhess.verifier import (
     area_fractions,
     boundary_check,
     hessian_l1,
-    integrate_phi,
-    mean_phi,
-    min_trace,
     neg_part_lq,
-    trail_proximity,
+    tally,
 )
 from subhess.wavecone import agreement_suite, lattice_suite
 
@@ -135,10 +132,11 @@ def test_criterion_3_realization_moment_convergence():
     for eps in (F(1, 10), F(1, 20), F(1, 40)):
         pot = realize_laminate(lam, UNIT, eps)
         ok &= boundary_check(pot)["exact"]
-        ok &= trail_proximity(pot).hi <= eps
+        t = tally(pot, devs)
+        ok &= t.trail().hi <= eps
         ok &= all(row.ok for row in area_fractions(pot, eps))
-        for phi in devs:
-            devs[phi].append(abs(mean_phi(pot, phi) - moment(lam, phi)))
+        for k, phi in enumerate(devs):
+            devs[phi].append(abs(t.mean(k) - moment(lam, phi)))
     for phi, seq in devs.items():
         ok &= seq[0].hi > seq[1].hi > seq[2].hi
     worst = max(float(seq[-1].hi) for seq in devs.values())
@@ -156,7 +154,7 @@ def test_criterion_4_bounded_hessian_unbounded_negative_part():
         lam, _ = doubling_cascade(p, m)
         pot = realize_laminate(lam, UNIT, F(1, 16), dev_cap=F(1, 2 * j))
         ok &= pot.grad_deviation().hi <= F(1, j)
-        ok &= min_trace(pot).lo >= 0
+        ok &= tally(pot).min_trace.lo >= 0
         h1 = hessian_l1(pot)
         ok &= h1.hi <= golden
         measured.append(float(h1.hi))
@@ -188,7 +186,7 @@ def test_criterion_5_staircase_divergence():
     # (c) per-level L1 contributions summable against the golden constant
     golden = F(GOLDENS["staircase_level_l1_constant"])
     for j in (1, 2, 3, 4):
-        contrib = integrate_phi(pot4, "l1_diag", ("level", j))
+        contrib = tally(pot4, ("l1_diag",), ("level", j)).integrals[0]
         ok &= contrib.hi * (j + 1) ** 2 <= golden
     # (d) negative q-mass on the first region grows with certified increments
     vals = {J: neg_part_lq(results[J].potential, q, 1, ("omega", 1))
@@ -202,7 +200,7 @@ def test_criterion_5_staircase_divergence():
         factors.append((float(factor.lo), float(factor.hi)))
         ok &= factor.lo >= F(1, 2) and factor.hi <= 2
     # (e)
-    ok &= min_trace(pot4).lo >= 0
+    ok &= tally(pot4).min_trace.lo >= 0
     _verdict(5, ok, "steps, areas, summable levels, growing negative mass "
              f"(increment factors {factors[0][1]:.2f}, {factors[1][1]:.2f}), "
              "trace >= 0", t0, 900.0)

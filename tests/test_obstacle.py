@@ -36,7 +36,7 @@ from subhess.synthesizer import (
     realize_simple,
     staircase_build,
 )
-from subhess.verifier import min_trace
+from subhess.verifier import tally
 
 UNIT = (F(0), F(0), F(1), F(1))
 
@@ -311,7 +311,7 @@ class TestInvariants:
 
 class TestSelfObstacle:
     def test_requires_trace_certificate(self):
-        assert min_trace(AXIS1).lo < 0
+        assert tally(AXIS1).min_trace.lo < 0
         with pytest.raises(ValueError, match="certificate"):
             self_obstacle_check(AXIS1, 33)
 

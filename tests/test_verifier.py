@@ -1,25 +1,28 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from subhess.cli import _report_items_rows
+from subhess.cli import _report_items_rows, main as cli_main
 from subhess.constructions import DoublingParams, doubling_cascade, doubling_laminate
 from subhess.laminate import moment
 from subhess.scalars import Iv
 from subhess.sym2 import SymMat2
-from subhess.synthesizer import realize_laminate, realize_simple, staircase_build
+from subhess.synthesizer import (
+    PiecewisePotential,
+    realize_laminate,
+    realize_simple,
+    staircase_build,
+)
 from subhess.verifier import (
     area_fractions,
     boundary_check,
     continuity_audit,
     hessian_l1,
-    integrate_phi,
-    mean_phi,
-    min_trace,
     neg_part_lq,
     potential_report,
-    region_area,
-    trail_proximity,
+    tally,
     write_csv,
     ReportItem,
 )
@@ -40,20 +43,51 @@ DOUBLING = realize_laminate(LAM, UNIT, F(1, 4))
 STAIR = staircase_build(2)
 
 
+@pytest.fixture
+def verifier_passes(monkeypatch):
+    """Count the cell_classes() walks that verifier code starts."""
+    callers = []
+    orig = PiecewisePotential.cell_classes
+
+    def counting(self):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return orig(self)
+
+    monkeypatch.setattr(PiecewisePotential, "cell_classes", counting)
+    return lambda: callers.count("subhess.verifier")
+
+
 class TestRegions:
     def test_whole_domain_area(self):
-        assert region_area(SIMPLE) == 1
-        assert region_area(DOUBLING) == 1
-        assert region_area(STAIR.potential) == 1
+        assert tally(SIMPLE).area == 1
+        assert tally(DOUBLING).area == 1
+        assert tally(STAIR.potential).area == 1
 
     def test_level_partition(self):
-        total = region_area(DOUBLING, ("level", 0)) + region_area(DOUBLING, ("level", 1))
+        total = tally(DOUBLING, region=("level", 0)).area + tally(DOUBLING, region=("level", 1)).area
         assert total == 1
+        # summing the per-level tallies reproduces the whole-domain one exactly
+        phis = ("l1_diag", ("neg_pow", 1, F(3, 2)))
+        for pot in (DOUBLING, STAIR.potential):
+            whole = tally(pot, phis)
+            levels = sorted({cc.level for cc in pot.cell_classes()})
+            parts = [tally(pot, phis, ("level", j)) for j in levels]
+            assert sum(t.area for t in parts) == whole.area
+            for k in range(len(phis)):
+                assert sum((t.integrals[k] for t in parts), Iv(0)) == whole.integrals[k]
+                assert sum((t.exact_integrals[k] for t in parts), Iv(0)) == whole.exact_integrals[k]
+            atom_areas = {}
+            for t in parts:
+                for tag, area in t.atom_areas.items():
+                    atom_areas[tag] = atom_areas.get(tag, 0) + area
+            assert atom_areas == whole.atom_areas
+            assert min(t.min_trace.lo for t in parts) == whole.min_trace.lo
+            assert min(t.min_trace.hi for t in parts) == whole.min_trace.hi
 
     def test_omega_nesting(self):
         pot = STAIR.potential
-        a1 = region_area(pot, ("omega", 1))
-        a2 = region_area(pot, ("omega", 2))
+        a1 = tally(pot, region=("omega", 1)).area
+        a2 = tally(pot, region=("omega", 2)).area
         assert a1 == STAIR.layers[0].omega_area
         assert a2 == STAIR.layers[1].omega_area
         assert 0 < a2 < a1 < 1
@@ -61,23 +95,29 @@ class TestRegions:
     def test_atom_region(self):
         rows = area_fractions(SIMPLE)
         for row in rows:
-            assert region_area(SIMPLE, ("atom", row.atom_tag)) == row.area
+            assert tally(SIMPLE, region=("atom", row.atom_tag)).area == row.area
 
     def test_bad_region(self):
         with pytest.raises(ValueError):
-            region_area(SIMPLE, ("quadrant", 3))
+            tally(SIMPLE, region=("quadrant", 3))
 
     def test_zero_area_region(self):
-        with pytest.raises(ValueError):
-            mean_phi(SIMPLE, "trace", ("level", 99))
+        empty = ("level", 99)
+        named = re.escape(repr(empty))
+        with pytest.raises(ValueError, match=named):
+            tally(SIMPLE, ("trace",), empty)
+        with pytest.raises(ValueError, match=named):
+            hessian_l1(SIMPLE, empty)
+        with pytest.raises(ValueError, match=named):
+            neg_part_lq(SIMPLE, F(3, 2), 0, empty)
 
 
 class TestMeans:
     def test_trace_identity_contained(self):
         # clamped boundary forces mean trace = trace(base) = 2
-        enc = mean_phi(SIMPLE, "trace")
+        enc = tally(SIMPLE, ("trace",)).mean(0)
         assert enc.contains(2)
-        enc2 = mean_phi(DOUBLING, "trace")
+        enc2 = tally(DOUBLING, ("trace",)).mean(0)
         assert enc2.contains(2)
 
     def test_hessian_l1_vs_moment(self):
@@ -85,7 +125,7 @@ class TestMeans:
         want = moment(LAM, "l1_diag")
         # realized mean sits within eps of the laminate moment
         assert abs(got - want).hi <= F(1, 4) * want.hi
-        assert integrate_phi(DOUBLING, "l1_diag") == got  # unit area
+        assert tally(DOUBLING, ("l1_diag",)).integrals[0] == got  # unit area
 
     def test_neg_part_two_sided(self):
         q = F(3, 2)
@@ -107,18 +147,18 @@ class TestMeans:
             neg_part_lq(SIMPLE, F(3, 2), 2)
 
     def test_min_trace_simple(self):
-        mt = min_trace(SIMPLE)
+        mt = tally(SIMPLE).min_trace
         assert mt.hi == 1  # the C atom's trace, exactly
         assert 0 < mt.lo <= 1
 
     def test_min_trace_staircase_nonnegative(self):
         # certified subharmonicity of the whole staircase
-        assert min_trace(STAIR.potential).lo >= 0
+        assert tally(STAIR.potential).min_trace.lo >= 0
 
     def test_trail_proximity_within_band(self):
         # builders budget 3 eps / 4 for the Hessian band
-        assert trail_proximity(SIMPLE).hi <= F(3, 8)
-        assert trail_proximity(DOUBLING).hi <= F(3, 16)
+        assert tally(SIMPLE).trail().hi <= F(3, 8)
+        assert tally(DOUBLING).trail().hi <= F(3, 16)
 
 
 class TestFractionsAndAudit:
@@ -150,6 +190,26 @@ class TestFractionsAndAudit:
         assert audit["max_width"] <= TINY
         assert audit["exact"] >= 3  # child handoff entries are exact
 
+    def test_dropped_atom_class_fails(self, monkeypatch, tmp_path):
+        # planted fault: the first atom class vanishes from the walk
+        orig = PiecewisePotential.cell_classes
+        dropped = []
+
+        def drop_first_atom(self):
+            classes = orig(self)
+            for cc in classes:
+                if cc.kind == "atom":
+                    dropped.append(cc.atom_tag)
+                    break
+                yield cc
+            yield from classes
+
+        monkeypatch.setattr(PiecewisePotential, "cell_classes", drop_first_atom)
+        rows = {r.atom_tag: r for r in area_fractions(DOUBLING)}
+        assert not rows[dropped[0]].ok
+        code = cli_main(["--out", str(tmp_path / "out"), "realize", "--p", "3/2", "--eps", "1/20"])
+        assert code == 4
+
     def test_cascade_depth_neg_part_floor(self):
         # the certified floor must clear c0 * m up to the ramp-area loss
         lam, params = doubling_cascade(F(13, 10), 3)
@@ -180,3 +240,25 @@ class TestReports:
         write_csv(str(p2), _report_items_rows(potential_report(SIMPLE), "certified-interval", 30))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().startswith(b"name,lower,upper,note")
+
+
+class TestSinglePass:
+    """Each measurement is one cell-class walk."""
+
+    def test_report_one_pass(self, verifier_passes):
+        potential_report(DOUBLING, q_list=[F(3, 2), F(13, 10)])
+        assert verifier_passes() == 1
+
+    @pytest.mark.parametrize("measure", [
+        area_fractions,
+        hessian_l1,
+        lambda pot: neg_part_lq(pot, F(3, 2), 1),
+    ], ids=["area_fractions", "hessian_l1", "neg_part_lq"])
+    def test_functional_one_pass(self, verifier_passes, measure):
+        measure(DOUBLING)
+        assert verifier_passes() == 1
+
+    def test_staircase_command_passes(self, verifier_passes, tmp_path):
+        # the report, then per level one l1 tally and one neg-part tally
+        assert cli_main(["--out", str(tmp_path / "out"), "staircase", "--J", "2"]) == 0
+        assert verifier_passes() == 1 + 2 * 2
