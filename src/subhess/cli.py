@@ -38,6 +38,7 @@ import numpy as np
 
 import subhess
 from subhess.constructions import (
+    DoublingParams,
     cascade_moment_table,
     doubling_laminate,
     verify_doubling,
@@ -51,12 +52,18 @@ from subhess.obstacle import (
 )
 from subhess.scalars import Iv, Undecided, fr_str, iv_dec
 from subhess.sym2 import SymMat2
-from subhess.synthesizer import BudgetExceeded, BuildError, realize_laminate, staircase_build
+from subhess.synthesizer import (
+    BudgetExceeded,
+    BuildError,
+    realize_laminate,
+    split_dyadic,
+    staircase_build,
+)
 from subhess.verifier import (
     area_fractions,
-    boundary_check,
-    neg_part_lq,
     potential_report,
+    report_items,
+    report_phis,
     tally,
     write_csv,
 )
@@ -108,6 +115,10 @@ def _validate_laminate(p: dict):
 def _validate_realize(p: dict):
     _require(p["p"] > 1, "p must be > 1")
     _require(p["k"] > 0, "scale k must be positive")
+    # the split fractions must stay inside (0, 1) after dyadic rounding
+    params = DoublingParams.make(p["p"], p["k"])
+    for t in (params.alpha, params.beta):
+        split_dyadic(t)
     _require(0 < p["eps"] < 1, "eps must lie in (0, 1)")
     _require(p["budget"] is None or p["budget"] >= 1, "budget must be positive")
     for q in p["q"]:
@@ -313,7 +324,7 @@ def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     fr_path = cfg.out_dir / "area_fractions.json"
     _write_json(fr_path, {"rows": fr, "cell_count": cells}, cfg.scalar_mode, cfg.digits)
     outputs.append(fr_path)
-    verdict = boundary_check(pot)["exact"] and all(row.ok for row in fr)
+    verdict = pot.boundary_report()["exact"] and all(row.ok for row in fr)
     return (EXIT_OK if verdict else EXIT_VERDICT), outputs
 
 
@@ -322,10 +333,13 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     result = staircase_build(p["levels"])
     pot = result.potential
     outputs = []
-    items = potential_report(pot, q_list=(p["q"],))
+    q_list = (p["q"],)
+    t = tally(pot, report_phis(q_list))
+    items = report_items(pot, t, q_list)
     rpt = cfg.out_dir / "staircase_report.csv"
     write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
     outputs.append(rpt)
+    neg = 1 + p["i"]  # report_phis order: l1_diag, neg part of H_00, of H_11
     rows = []
     for layer in result.layers:
         j = layer.j
@@ -337,15 +351,14 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
             "omega_area": Iv(layer.omega_area),
             "grad_step": layer.grad_step,
             # bounded column: this level's share of the l1 mass
-            "l1_contribution": tally(pot, ("l1_diag",), ("level", j)).integrals[0],
+            "l1_contribution": t.over(("level", j)).integrals[0],
             # growing column: certified mean on the nested region
-            "neg_mean_omega": neg_part_lq(pot, p["q"], p["i"], ("omega", j)),
+            "neg_mean_omega": t.over(("omega", j)).bracket(neg),
         })
     lv_path = cfg.out_dir / "staircase_levels.csv"
     write_csv(lv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
     outputs.append(lv_path)
-    certified = next(it.value for it in items if it.name == "min_trace").lo >= 0
-    return (EXIT_OK if certified else EXIT_VERDICT), outputs
+    return (EXIT_OK if t.min_trace.lo >= 0 else EXIT_VERDICT), outputs
 
 
 def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
@@ -557,14 +570,34 @@ def _config_defaults(path: Optional[Path]) -> dict:
     return data
 
 
-_NUMERIC_KEYS = {"p", "k", "eps", "q"}
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action for every flag of one subcommand."""
+    for name in command.split("-"):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return {action.dest: action for action in parser._actions}
+
+
+def _file_value(action: argparse.Action, key: str, val):
+    """A config-file value read by the converter of its flag, as str(value);
+    repeatable flags take a list, element by element."""
+    conv = action.type or str
+    try:
+        if isinstance(action, argparse._AppendAction):
+            return [conv(str(v)) for v in (val if isinstance(val, list) else [val])]
+        if conv is _int_list and isinstance(val, list):
+            val = ",".join(map(str, val))
+        return conv(str(val))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
 
 _REQUIRED = object()
 
 # per-command parameter names and effective defaults
 _COMMAND_SPEC: dict[str, dict] = {
-    "laminate": {"p": _REQUIRED, "k": Fraction(1), "m": 0, "q": None},
-    "realize": {"p": _REQUIRED, "k": Fraction(1), "eps": _REQUIRED, "q": None,
+    "laminate": {"p": _REQUIRED, "k": Fraction(1), "m": 0, "q": [Fraction(3, 2)]},
+    "realize": {"p": _REQUIRED, "k": Fraction(1), "eps": _REQUIRED, "q": [Fraction(3, 2)],
                 "budget": None},
     "staircase": {"levels": _REQUIRED, "q": Fraction(3, 2), "i": 1},
     "wavecone": {"n": _REQUIRED, "trials": 1000, "seed": 0, "radius": 2},
@@ -575,7 +608,8 @@ _COMMAND_SPEC: dict[str, dict] = {
 }
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+def config_from_args(args: argparse.Namespace,
+                     parser: argparse.ArgumentParser) -> ExperimentConfig:
     """Flags win over config-file values, which win over built-in defaults."""
     file_vals = _config_defaults(args.config)
     command = args.command
@@ -586,26 +620,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"config key(s) {', '.join(unknown)} not parameters of "
                          f"{command}; expected a subset of {', '.join(spec)}")
+    actions = _flag_actions(parser, command)
     params = {}
     for key, fallback in spec.items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             params[key] = flag_val
-        elif key in file_vals:
-            val = file_vals[key]
-            if key in _NUMERIC_KEYS:
-                val = ([Fraction(str(v)) for v in val] if isinstance(val, list)
-                       else Fraction(str(val)))
-            params[key] = val
+        elif file_vals.get(key) is not None:
+            params[key] = _file_value(actions[key], key, file_vals[key])
         else:
             params[key] = fallback
-    if command in ("laminate", "realize"):
-        if params["q"] is None:
-            params["q"] = [Fraction(3, 2)]
-        elif not isinstance(params["q"], list):
-            params["q"] = [params["q"]]
-    if command == "obstacle-selfcheck" and isinstance(params["n"], int):
-        params["n"] = [params["n"]]
     missing = sorted(key for key, val in params.items() if val is _REQUIRED)
     if missing:
         raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
@@ -623,7 +647,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(args, parser)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

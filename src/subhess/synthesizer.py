@@ -241,7 +241,6 @@ class ChildLink:
 class PatternNode:
     tag: str
     level: int
-    omega: int
     axis: int  # global axis the profile runs along
     long: Fraction  # extent along `axis`
     perp: Fraction
@@ -257,8 +256,6 @@ class PatternNode:
     rho: Fraction
     etas: tuple[EtaPiece, ...]
     profile: _Profile
-    eps_h: Fraction
-    eps_a: Fraction
     ball_sq: Iv  # certified sup over ramp cells of dist^2 to [B, C]
     grad_dev: Iv  # certified sup |grad psi| of this level alone
     children: dict[str, ChildLink] = field(default_factory=dict)
@@ -278,17 +275,18 @@ class PatternNode:
     def period(self) -> Fraction:
         return 2 * (self.delta + self.sigma)
 
-    def core_span(self) -> tuple[Fraction, Fraction]:
-        return self.rho, self.perp - self.rho
-
-    def stripe_width(self, s: StripeClass) -> Fraction:
-        return s.x_hi - s.x_lo
-
-    def pair_stripes(self) -> tuple[StripeClass, ...]:
-        return self.profile.stripes[:4]
-
     def atom_for_role(self, role: str) -> SymMat2:
         return self.mat_b if role == "B" else self.mat_c
+
+
+def split_dyadic(t: IvLike) -> Fraction:
+    """The stripe split fraction t_hat: t rounded to T_BITS bits, refused
+    unless it lies strictly inside (0, 1)."""
+    t_hat = dyadic_round(as_iv(t).mid, T_BITS)
+    if not 0 < t_hat < 1:
+        raise BuildError(f"split fraction {as_iv(t)} rounds to {t_hat} at "
+                         f"T_BITS = {T_BITS} bits, outside (0, 1)")
+    return t_hat
 
 
 def _seg_dist_sq_box(b: SymMat2, c: SymMat2, axis: int, h11: Iv, h12: Iv, h22: Iv) -> Iv:
@@ -349,7 +347,6 @@ def build_pattern_node(
     *,
     tag: str,
     level: int,
-    omega: int,
     base: SymMat2,
     mat_b: SymMat2,
     mat_c: SymMat2,
@@ -386,9 +383,7 @@ def build_pattern_node(
     w2_b = gamma * (1 - t_iv)
     w2_c = -(gamma * t_iv)
 
-    t_hat = dyadic_round(t_iv.mid, T_BITS)
-    if not 0 < t_hat < 1:
-        raise BuildError(f"dyadic fraction escaped (0,1): {t_hat}")
+    t_hat = split_dyadic(t_iv)
     rho = eps_a * perp / 2
     if not 0 < 2 * rho < perp:
         raise BuildError("ramp fraction too large for the rect")
@@ -439,7 +434,6 @@ def build_pattern_node(
             return PatternNode(
                 tag=tag,
                 level=level,
-                omega=omega,
                 axis=axis,
                 long=long,
                 perp=perp,
@@ -455,8 +449,6 @@ def build_pattern_node(
                 rho=rho,
                 etas=etas,
                 profile=profile,
-                eps_h=eps_h,
-                eps_a=eps_a,
                 ball_sq=ball_sq,
                 grad_dev=grad_dev,
             )
@@ -477,15 +469,13 @@ class CellClass:
     ball_sq: Iv  # certified dist^2 to the owning segment (0 for atoms)
     node_tag: str
     level: int
-    omega: int
     atom_tag: Optional[str]  # terminal atom id for fraction accounting
 
 
 def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
-    core_lo, core_hi = node.core_span()
     count = node.n_pairs * node.mult
     for stripe in node.profile.stripes:
-        w = node.stripe_width(stripe)
+        w = stripe.x_hi - stripe.x_lo
         for height, box, ball_sq in _ramp_rows(
             stripe, node.etas, node.base, node.mat_b, node.mat_c, node.axis
         ):
@@ -498,28 +488,20 @@ def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
                 ball_sq=ball_sq,
                 node_tag=node.tag,
                 level=node.level,
-                omega=node.omega,
                 atom_tag=None,
             )
         if stripe.role != "comp" and stripe.role not in node.children:
             yield CellClass(
                 kind="atom",
-                area=w * (core_hi - core_lo),
+                area=w * (node.perp - 2 * node.rho),
                 count=count,
                 hess=node.atom_for_role(stripe.role),
                 h_box=None,
                 ball_sq=ZERO,
                 node_tag=node.tag,
                 level=node.level,
-                omega=node.omega,
                 atom_tag=f"{node.tag}.{stripe.role}",
             )
-
-
-def iter_cell_classes(node: PatternNode) -> Iterator[CellClass]:
-    yield from _node_cell_classes(node)
-    for link in node.children.values():
-        yield from iter_cell_classes(link.node)
 
 
 # -- the potential --------------------------------------------------------------------
@@ -531,7 +513,6 @@ class FrameCell:
     matrix: SymMat2
     tag: str
     level: int
-    omega: int
 
 
 @dataclass(frozen=True)
@@ -584,11 +565,10 @@ class PiecewisePotential:
                 ball_sq=ZERO,
                 node_tag=fc.tag,
                 level=fc.level,
-                omega=fc.omega,
                 atom_tag=None,
             )
-        if self.root is not None:
-            yield from iter_cell_classes(self.root)
+        for node in self.nodes():
+            yield from _node_cell_classes(node)
 
     def nodes(self) -> Iterator[PatternNode]:
         def walk(n: PatternNode) -> Iterator[PatternNode]:
@@ -742,18 +722,17 @@ class PiecewisePotential:
             # descend: locate the hosting core subcell
             stripe, dxi, k = stripe_state
             cell_xi0 = node.profile.period * k + stripe.x_lo
-            core_lo, _ = node.core_span()
-            sw = node.stripe_width(stripe)
+            sw = stripe.x_hi - stripe.x_lo
             ch = node.perp - 2 * node.rho
             # subcell indices in local (xi, up)
             n_xi = link.sub_nx if node.axis == 0 else link.sub_ny
             n_up = link.sub_ny if node.axis == 0 else link.sub_nx
             i_xi = int((xi - cell_xi0) // (sw / n_xi))
             i_xi = min(i_xi, n_xi - 1)
-            i_up = int((up - core_lo) // (ch / n_up))
+            i_up = int((up - node.rho) // (ch / n_up))
             i_up = min(i_up, n_up - 1)
             sub_xi0 = cell_xi0 + (sw / n_xi) * i_xi
-            sub_up0 = core_lo + (ch / n_up) * i_up
+            sub_up0 = node.rho + (ch / n_up) * i_up
             # handoff: value and gradient of this level at the subcell corner
             w0, dw0, _ = self._w_eval(node, sub_xi0)
             lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
@@ -1006,7 +985,6 @@ def realize_simple(
     node = build_pattern_node(
         tag="0",
         level=0,
-        omega=0,
         base=base,
         mat_b=mat_b,
         mat_c=mat_c,
@@ -1056,7 +1034,6 @@ def realize_laminate(
         node = build_pattern_node(
             tag=tag,
             level=level,
-            omega=0,
             base=split.matrix,
             mat_b=split.left.matrix,
             mat_c=split.right.matrix,
@@ -1076,8 +1053,7 @@ def realize_laminate(
                 atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, child_weight, True)
                 continue
             atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, child_weight, False)
-            host = [s for s in node.pair_stripes() if s.role == role][0]
-            crw, crh = _core_cell_dims(node, host)
+            crw, crh = _core_cell_dims(node, role)
             child_node = build(child, f"{tag}.{role}", level + 1, crw, crh, child_weight)
             node.children[role] = ChildLink(child_node, 1, 1)
         return node
@@ -1094,7 +1070,9 @@ def realize_laminate(
     )
 
 
-def _core_cell_dims(node: PatternNode, stripe: StripeClass) -> tuple[Fraction, Fraction]:
+def _core_cell_dims(node: PatternNode, role: str) -> tuple[Fraction, Fraction]:
+    """(width, height) of the core cell of the first `role` stripe of a pair."""
+    stripe = next(s for s in node.profile.stripes if s.role == role)
     sw = stripe.x_hi - stripe.x_lo
     ch = node.perp - 2 * node.rho
     return (sw, ch) if node.axis == 0 else (ch, sw)
@@ -1124,7 +1102,6 @@ class StairLayerReport:
 class StaircaseResult:
     potential: PiecewisePotential
     layers: list[StairLayerReport]
-    terminal_omega_area: Fraction  # |Omega_{J+1}|
 
 
 def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResult:
@@ -1151,10 +1128,10 @@ def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResul
     inner = side - 2 * m
     domain = (Fraction(0), Fraction(0), side, side)
     frame = (
-        FrameCell((Fraction(0), Fraction(0), m, side), SymMat2.identity(1), "frame.L", 0, 0),
-        FrameCell((side - m, Fraction(0), m, side), SymMat2.identity(1), "frame.R", 0, 0),
-        FrameCell((m, Fraction(0), inner, m), SymMat2.identity(1), "frame.B", 0, 0),
-        FrameCell((m, side - m, inner, m), SymMat2.identity(1), "frame.T", 0, 0),
+        FrameCell((Fraction(0), Fraction(0), m, side), SymMat2.identity(1), "frame.L", 0),
+        FrameCell((side - m, Fraction(0), m, side), SymMat2.identity(1), "frame.R", 0),
+        FrameCell((m, Fraction(0), inner, m), SymMat2.identity(1), "frame.B", 0),
+        FrameCell((m, side - m, inner, m), SymMat2.identity(1), "frame.T", 0),
     )
 
     atoms: dict[str, AtomInfo] = {}
@@ -1172,7 +1149,6 @@ def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResul
         node_a = build_pattern_node(
             tag=f"{tag}.a",
             level=j,
-            omega=j,
             base=params.mat_id,
             mat_b=params.mat_a,
             mat_c=params.mat_m,
@@ -1184,13 +1160,11 @@ def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResul
             dev_cap=dev_cap,
         )
         atoms[f"{tag}.a.B"] = AtomInfo(params.mat_a, weight * params.alpha, True)
-        host_a = [s for s in node_a.pair_stripes() if s.role == "C"][0]
-        arw, arh = _core_cell_dims(node_a, host_a)
+        arw, arh = _core_cell_dims(node_a, "C")
         w_mid = weight * (1 - params.alpha)
         node_b = build_pattern_node(
             tag=f"{tag}.b",
             level=j,
-            omega=j,
             base=params.mat_m,
             mat_b=params.mat_2id,
             mat_c=params.mat_b,
@@ -1208,8 +1182,7 @@ def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResul
         w_dbl = w_mid * params.beta
         grad_step = node_a.grad_dev + node_b.grad_dev
 
-        host_b = [s for s in node_b.pair_stripes() if s.role == "B"][0]
-        brw, brh = _core_cell_dims(node_b, host_b)
+        brw, brh = _core_cell_dims(node_b, "B")
         if idx + 1 < len(schedule):
             atoms[f"{tag}.b.B"] = AtomInfo(params.mat_2id, w_dbl, False)
             nxt = schedule[idx + 1]
@@ -1236,21 +1209,16 @@ def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResul
         meta={"kind": "staircase", "levels": len(schedule), "margin": m},
     )
 
-    # per-layer reports: omega areas are exact sums over level-j node rects
-    area_by_omega: dict[int, Fraction] = {}
+    # per-layer reports: Omega_j areas are exact sums over level-j node rects
+    area_by_level: dict[int, Fraction] = {}
     grads: dict[int, Iv] = {}
     for node in pot.nodes():
         if node.tag.endswith(".a"):
-            area_by_omega[node.omega] = (
-                area_by_omega.get(node.omega, Fraction(0))
+            area_by_level[node.level] = (
+                area_by_level.get(node.level, Fraction(0))
                 + node.mult * node.rect_w * node.rect_h
             )
-        grads[node.omega] = grads.get(node.omega, ZERO) + node.grad_dev
-
-    terminal = Fraction(0)
-    for cc in pot.cell_classes():
-        if cc.kind == "atom" and cc.atom_tag and cc.atom_tag.endswith(".b.B"):
-            terminal += cc.area * cc.count
+        grads[node.level] = grads.get(node.level, ZERO) + node.grad_dev
 
     for lvl in schedule:
         layers.append(
@@ -1259,9 +1227,9 @@ def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResul
                 p=lvl.p,
                 k=lvl.k,
                 eps=lvl.eps,
-                omega_area=area_by_omega.get(lvl.j, Fraction(0)),
+                omega_area=area_by_level.get(lvl.j, Fraction(0)),
                 grad_step=grads.get(lvl.j, ZERO),
                 node_tags=tags_by_level[lvl.j],
             )
         )
-    return StaircaseResult(potential=pot, layers=layers, terminal_omega_area=terminal)
+    return StaircaseResult(potential=pot, layers=layers)

@@ -5,19 +5,19 @@ areas and counts, Hessians that are either exact atom matrices or interval
 boxes. Results are intervals that provably bracket the true value of the
 functional for the exact piecewise-polynomial function the synthesizer
 defines; nothing here samples or approximates. `tally` makes the one walk
-over the classes; every measurement below reads what it sums.
-
-Regions select subsets of cells by construction bookkeeping:
+over the classes and sums each construction level; every measurement below
+reads what it sums. `Tally.over(region)` folds the levels a region selects:
 
 * None: the whole domain;
-* ("omega", j): cells inside the j-th nested construction region;
-* ("level", j): cells created by construction level j only;
-* ("atom", tag): the exact-Hessian cells of one terminal atom.
+* ("level", j): cells built at construction level j;
+* ("omega", j): cells built at level j or deeper, the nested region
+  Omega_j of a staircase.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -25,24 +25,11 @@ from typing import Iterable, Optional
 from subhess.laminate import PhiLike, resolve_phi
 from subhess.scalars import Iv, as_iv, sqrt_iv
 from subhess.sym2 import SymMat2
-from subhess.synthesizer import CellClass, PiecewisePotential
+from subhess.synthesizer import PiecewisePotential
 
 Region = Optional[tuple]
 
 ZERO = Iv(0)
-
-
-def _cell_matches(cc: CellClass, region: Region) -> bool:
-    if region is None:
-        return True
-    kind, arg = region
-    if kind == "omega":
-        return cc.omega >= arg
-    if kind == "level":
-        return cc.level == arg
-    if kind == "atom":
-        return cc.atom_tag == arg
-    raise ValueError(f"unknown region selector: {region!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +42,7 @@ class Tally:
     min_trace: Iv  # enclosure of min over the region of trace(D^2 u)
     ball_sq_hi: Fraction  # largest certified dist^2 to an owning two-target segment
     atom_areas: dict[str, Fraction]  # exact area per terminal atom tag
+    levels: dict[int, "Tally"] = dataclasses.field(default_factory=dict)  # per level
 
     def mean(self, k: int) -> Iv:
         return self.integrals[k] / self.area
@@ -73,46 +61,83 @@ class Tally:
         """Upper-bounds the distance of perturbation cells to the nearest trail segment."""
         return sqrt_iv(Iv(0, self.ball_sq_hi))
 
+    def over(self, region: Region) -> "Tally":
+        """The tally of a region: the fold of the levels it selects."""
+        if region is None:
+            return self
+        kind, j = region
+        if kind not in ("level", "omega"):
+            raise ValueError(f"unknown region selector: {region!r}")
+        parts = [t for lv, t in self.levels.items() if lv == j or (kind == "omega" and lv > j)]
+        if not parts:
+            raise ValueError(f"region {region!r} has no cells")
+        return _fold(parts)
 
-def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = (), region: Region = None) -> Tally:
-    """Certified integrals of each phi(D^2 u), min trace, trail distance and
-    per-atom areas over the region, from one cell_classes() walk."""
-    fns = [resolve_phi(phi) for phi in phis]
-    area = Fraction(0)
-    total = [ZERO] * len(fns)
-    exact = [ZERO] * len(fns)
-    tr_lo: Optional[Fraction] = None
-    tr_hi: Optional[Fraction] = None
-    ball_sq_hi = Fraction(0)
+
+def _fold(parts: list[Tally]) -> Tally:
+    """One tally from disjoint parts; exact sums do not depend on the order."""
     atom_areas: dict[str, Fraction] = {}
+    for t in parts:
+        for tag, area in t.atom_areas.items():
+            atom_areas[tag] = atom_areas.get(tag, Fraction(0)) + area
+    return Tally(
+        sum((t.area for t in parts), Fraction(0)),
+        tuple(sum(col, ZERO) for col in zip(*(t.integrals for t in parts))),
+        tuple(sum(col, ZERO) for col in zip(*(t.exact_integrals for t in parts))),
+        Iv(min(t.min_trace.lo for t in parts), min(t.min_trace.hi for t in parts)),
+        max(t.ball_sq_hi for t in parts),
+        atom_areas,
+    )
+
+
+class _LevelSums:
+    """Running sums of one construction level during the walk."""
+
+    def __init__(self, n_phis: int):
+        self.area = Fraction(0)
+        self.total = [ZERO] * n_phis
+        self.exact = [ZERO] * n_phis
+        self.ball_sq_hi = Fraction(0)
+        self.trace: Optional[Iv] = None  # min of lo and of hi over the cells
+        self.atom_areas: dict[str, Fraction] = {}
+
+
+def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
+    """Certified integrals of each phi(D^2 u), min trace, trail distance and
+    per-atom areas, per construction level and over the whole domain, from
+    one cell_classes() walk."""
+    fns = [resolve_phi(phi) for phi in phis]
+    sums: dict[int, _LevelSums] = {}
     for cc in pot.cell_classes():
-        if not _cell_matches(cc, region):
-            continue
+        s = sums.get(cc.level)
+        if s is None:
+            s = sums[cc.level] = _LevelSums(len(fns))
         w = cc.area * cc.count
-        area += w
+        s.area += w
         h = cc.hess if cc.hess is not None else SymMat2.of(*cc.h_box)
         for k, fn in enumerate(fns):
             v = fn(h)
             if v.lo == v.hi == 0:
                 continue  # exact zeros add nothing
             term = v * w
-            total[k] = total[k] + term
+            s.total[k] = s.total[k] + term
             if cc.hess is not None:
-                exact[k] = exact[k] + term
+                s.exact[k] = s.exact[k] + term
         tr = h.trace()
-        tr_lo = tr.lo if tr_lo is None else min(tr_lo, tr.lo)
-        tr_hi = tr.hi if tr_hi is None else min(tr_hi, tr.hi)
-        ball_sq_hi = max(ball_sq_hi, cc.ball_sq.hi)
+        s.trace = tr if s.trace is None else Iv(min(s.trace.lo, tr.lo), min(s.trace.hi, tr.hi))
+        s.ball_sq_hi = max(s.ball_sq_hi, cc.ball_sq.hi)
         if cc.kind == "atom" and cc.atom_tag is not None:
-            atom_areas[cc.atom_tag] = atom_areas.get(cc.atom_tag, Fraction(0)) + w
-    if tr_lo is None:
-        raise ValueError(f"region {region!r} has no cells")
-    return Tally(area, tuple(total), tuple(exact), Iv(tr_lo, tr_hi), ball_sq_hi, atom_areas)
+            s.atom_areas[cc.atom_tag] = s.atom_areas.get(cc.atom_tag, Fraction(0)) + w
+    if not sums:
+        raise ValueError("potential has no cells")
+    levels = {lv: Tally(s.area, tuple(s.total), tuple(s.exact), s.trace, s.ball_sq_hi,
+                        s.atom_areas) for lv, s in sums.items()}
+    return dataclasses.replace(_fold(list(levels.values())), levels=levels)
 
 
 def hessian_l1(pot: PiecewisePotential, region: Region = None) -> Iv:
     """Mean over the region of |H11| + |H22|."""
-    return tally(pot, ("l1_diag",), region).mean(0)
+    return tally(pot, ("l1_diag",)).over(region).mean(0)
 
 
 def _neg_phi(q, i: int) -> tuple:
@@ -126,7 +151,7 @@ def _neg_phi(q, i: int) -> tuple:
 
 def neg_part_lq(pot: PiecewisePotential, q, i: int, region: Region = None) -> Iv:
     """Mean over the region of ((H_ii)_-)^q, bracketed two-sided (`Tally.bracket`)."""
-    return tally(pot, (_neg_phi(q, i),), region).bracket(0)
+    return tally(pot, (_neg_phi(q, i),)).over(region).bracket(0)
 
 
 @dataclass(frozen=True)
@@ -166,10 +191,6 @@ def area_fractions(pot: PiecewisePotential, eps: Optional[Fraction] = None) -> l
             )
         )
     return rows
-
-
-def boundary_check(pot: PiecewisePotential) -> dict:
-    return pot.boundary_report()
 
 
 def continuity_audit(pot: PiecewisePotential) -> dict:
@@ -238,10 +259,13 @@ def write_csv(path: str, rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def potential_report(pot: PiecewisePotential, q_list: Iterable = ()) -> list[ReportItem]:
-    """Standard measurement set for one realization."""
-    negs = [_neg_phi(q, i) for q in q_list for i in (0, 1)]
-    t = tally(pot, ["l1_diag", *negs])
+def report_phis(q_list: Iterable = ()) -> list:
+    """What `report_items` reads: l1_diag, then neg parts of H_00, H_11 per q."""
+    return ["l1_diag", *(_neg_phi(q, i) for q in q_list for i in (0, 1))]
+
+
+def report_items(pot: PiecewisePotential, t: Tally, q_list: Iterable = ()) -> list[ReportItem]:
+    """Standard measurement set from a tally of `report_phis(q_list)`."""
     items = [
         ReportItem("hessian_l1_mean", t.mean(0)),
         ReportItem("min_trace", t.min_trace),
@@ -249,8 +273,8 @@ def potential_report(pot: PiecewisePotential, q_list: Iterable = ()) -> list[Rep
         ReportItem("grad_deviation", pot.grad_deviation()),
     ]
     items += [ReportItem(f"neg_part_l{q}_i{i}", t.bracket(k))
-              for k, (_, i, q) in enumerate(negs, start=1)]
-    bd = boundary_check(pot)
+              for k, (_, i, q) in enumerate(report_phis(q_list)[1:], start=1)]
+    bd = pot.boundary_report()
     items.append(
         ReportItem(
             "boundary_deviation",
@@ -268,3 +292,9 @@ def potential_report(pot: PiecewisePotential, q_list: Iterable = ()) -> list[Rep
         )
     )
     return items
+
+
+def potential_report(pot: PiecewisePotential, q_list: Iterable = ()) -> list[ReportItem]:
+    """Standard measurement set for one realization."""
+    q_list = list(q_list)
+    return report_items(pot, tally(pot, report_phis(q_list)), q_list)

@@ -35,7 +35,6 @@ from subhess.scalars import Iv, log2_iv, pow2
 from subhess.synthesizer import realize_laminate, staircase_build
 from subhess.verifier import (
     area_fractions,
-    boundary_check,
     hessian_l1,
     neg_part_lq,
     tally,
@@ -131,7 +130,7 @@ def test_criterion_3_realization_moment_convergence():
     devs = {phi: [] for phi in ("trace", "l1_diag", "frobenius")}
     for eps in (F(1, 10), F(1, 20), F(1, 40)):
         pot = realize_laminate(lam, UNIT, eps)
-        ok &= boundary_check(pot)["exact"]
+        ok &= pot.boundary_report()["exact"]
         t = tally(pot, devs)
         ok &= t.trail().hi <= eps
         ok &= all(row.ok for row in area_fractions(pot, eps))
@@ -178,7 +177,9 @@ def test_criterion_5_staircase_divergence():
     ok &= all(lay.grad_step.hi <= F(1, 2**lay.j) for lay in layers)
     # (b) nested-region areas inside the two-sided product bounds
     ok &= (1 - layers[0].eps) <= layers[0].omega_area <= 1
-    areas = [lay.omega_area for lay in layers] + [r4.terminal_omega_area]
+    t4 = tally(pot4, ("l1_diag",))
+    (terminal,) = [a for tag, a in t4.atom_areas.items() if tag.endswith(".b.B")]
+    areas = [lay.omega_area for lay in layers] + [terminal]
     for idx in range(1, 5):
         ratio = areas[idx] / areas[idx - 1]
         weight = pow2(-layers[idx - 1].p)
@@ -186,7 +187,7 @@ def test_criterion_5_staircase_divergence():
     # (c) per-level L1 contributions summable against the golden constant
     golden = F(GOLDENS["staircase_level_l1_constant"])
     for j in (1, 2, 3, 4):
-        contrib = tally(pot4, ("l1_diag",), ("level", j)).integrals[0]
+        contrib = t4.over(("level", j)).integrals[0]
         ok &= contrib.hi * (j + 1) ** 2 <= golden
     # (d) negative q-mass on the first region grows with certified increments
     vals = {J: neg_part_lq(results[J].potential, q, 1, ("omega", 1))
@@ -200,7 +201,7 @@ def test_criterion_5_staircase_divergence():
         factors.append((float(factor.lo), float(factor.hi)))
         ok &= factor.lo >= F(1, 2) and factor.hi <= 2
     # (e)
-    ok &= tally(pot4).min_trace.lo >= 0
+    ok &= t4.min_trace.lo >= 0
     _verdict(5, ok, "steps, areas, summable levels, growing negative mass "
              f"(increment factors {factors[0][1]:.2f}, {factors[1][1]:.2f}), "
              "trace >= 0", t0, 900.0)

@@ -117,6 +117,19 @@ class TestValidation:
         assert main(["--out", str(tmp_path / "o"), "--digits", "0",
                      "laminate", "--p", "1.5"]) == 2
 
+    @pytest.mark.parametrize("p", ["82", "83", "100"])
+    def test_p_beyond_t_bits_refused(self, tmp_path, capsys, p):
+        # alpha = (2^p - 1)/(2^p + 1) rounds to 1 at T_BITS = 80 bits
+        code, out = run(tmp_path, "realize", "--p", p, "--eps", "1/10")
+        assert code == 2
+        assert "T_BITS = 80 bits, outside (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_p_within_t_bits_accepted(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["realize", "--p", "81", "--eps", "1/10"])
+        assert cli.config_from_args(args, parser).params["p"] == 81
+
     def test_unparseable_fraction_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path / "o"), "laminate", "--p", "abc"])
@@ -252,10 +265,15 @@ LOG2_3_110 = ("1.584962500721156181453738943947816508759814407692481060455752654
 
 class TestCouldNotCertify:
     @pytest.mark.parametrize("argv, exc_name", [
-        (["realize", "--p", "100", "--eps", "1/10"], "BuildError"),
+        (["realize", "--p", "3/2", "--eps", "1/10"], "BuildError"),
         (["laminate", "--p", LOG2_3_110], "Undecided"),
     ], ids=["build-error", "undecided"])
-    def test_exits_5_with_manifest_note(self, tmp_path, capsys, argv, exc_name):
+    def test_exits_5_with_manifest_note(self, tmp_path, capsys, monkeypatch, argv, exc_name):
+        def no_convergence(*args, **kwargs):
+            raise cli.BuildError("certification did not converge for node 0")
+
+        # planted: the validator refuses every realize input known to fail its build
+        monkeypatch.setattr(cli, "realize_laminate", no_convergence)
         code, out = run(tmp_path, *argv)
         assert code == 5
         man = json.loads((out / "manifest.json").read_text())
@@ -305,6 +323,33 @@ class TestConfigFile:
         unknown = next(k for k in keys if k != "n")
         assert unknown in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, keys", [
+        (["wavecone", "--trials", "3"], {"n": 40.0}),
+        (["staircase"], {"levels": 2.5}),
+        (["realize", "--p", "3/2"], {"eps": [0.1]}),
+    ], ids=["wavecone-n-float", "staircase-levels-float", "realize-eps-list"])
+    def test_mistyped_values_refused(self, tmp_path, capsys, command, keys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(keys))
+        code = main(["--out", str(tmp_path / "o"), "--config", str(cfg), *command])
+        assert code == 2
+        (key,) = keys
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_string_value_read_like_its_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "3"}))
+        code = main(["--out", str(tmp_path / "o"), "--config", str(cfg),
+                     "wavecone", "--trials", "3"])
+        assert code == 0
+        flag = main(["--out", str(tmp_path / "f"), "wavecone", "--n", "3", "--trials", "3"])
+        assert flag == 0
+        man, man_flag = (json.loads((tmp_path / d / "manifest.json").read_text())
+                         for d in ("o", "f"))
+        assert man["config"]["params"]["n"] == 3
+        assert man["config_sha256"] == man_flag["config_sha256"]
 
     def test_missing_config_file(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "--config",

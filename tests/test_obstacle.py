@@ -66,7 +66,7 @@ AXIS1 = realize_simple(
 def quadratic_frame_potential(domain=UNIT):
     x0, y0, w, h = domain
     ident = SymMat2.diag(1, 1)
-    frame = FrameCell((x0, y0, w, h), ident, "F", 0, 0)
+    frame = FrameCell((x0, y0, w, h), ident, "F", 0)
     return PiecewisePotential(domain, ident, None, frame_cells=(frame,))
 
 

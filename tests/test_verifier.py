@@ -17,7 +17,6 @@ from subhess.synthesizer import (
 )
 from subhess.verifier import (
     area_fractions,
-    boundary_check,
     continuity_audit,
     hessian_l1,
     neg_part_lq,
@@ -44,8 +43,8 @@ STAIR = staircase_build(2)
 
 
 @pytest.fixture
-def verifier_passes(monkeypatch):
-    """Count the cell_classes() walks that verifier code starts."""
+def class_walks(monkeypatch):
+    """Names the module of every caller that starts a cell_classes() walk."""
     callers = []
     orig = PiecewisePotential.cell_classes
 
@@ -54,7 +53,13 @@ def verifier_passes(monkeypatch):
         return orig(self)
 
     monkeypatch.setattr(PiecewisePotential, "cell_classes", counting)
-    return lambda: callers.count("subhess.verifier")
+    return callers
+
+
+@pytest.fixture
+def verifier_passes(class_walks):
+    """Count the cell_classes() walks that verifier code starts."""
+    return lambda: class_walks.count("subhess.verifier")
 
 
 class TestRegions:
@@ -62,16 +67,18 @@ class TestRegions:
         assert tally(SIMPLE).area == 1
         assert tally(DOUBLING).area == 1
         assert tally(STAIR.potential).area == 1
+        t = tally(DOUBLING)
+        assert t.over(None) is t
 
     def test_level_partition(self):
-        total = tally(DOUBLING, region=("level", 0)).area + tally(DOUBLING, region=("level", 1)).area
+        total = tally(DOUBLING).over(("level", 0)).area + tally(DOUBLING).over(("level", 1)).area
         assert total == 1
         # summing the per-level tallies reproduces the whole-domain one exactly
         phis = ("l1_diag", ("neg_pow", 1, F(3, 2)))
         for pot in (DOUBLING, STAIR.potential):
             whole = tally(pot, phis)
             levels = sorted({cc.level for cc in pot.cell_classes()})
-            parts = [tally(pot, phis, ("level", j)) for j in levels]
+            parts = [whole.over(("level", j)) for j in levels]
             assert sum(t.area for t in parts) == whole.area
             for k in range(len(phis)):
                 assert sum((t.integrals[k] for t in parts), Iv(0)) == whole.integrals[k]
@@ -86,26 +93,29 @@ class TestRegions:
 
     def test_omega_nesting(self):
         pot = STAIR.potential
-        a1 = tally(pot, region=("omega", 1)).area
-        a2 = tally(pot, region=("omega", 2)).area
+        a1 = tally(pot).over(("omega", 1)).area
+        a2 = tally(pot).over(("omega", 2)).area
         assert a1 == STAIR.layers[0].omega_area
         assert a2 == STAIR.layers[1].omega_area
         assert 0 < a2 < a1 < 1
+        # a laminate's region Omega_1 is its levels >= 1
+        t = tally(DOUBLING)
+        assert t.over(("omega", 1)).area == t.over(("level", 1)).area < 1
 
     def test_atom_region(self):
         rows = area_fractions(SIMPLE)
         for row in rows:
-            assert tally(SIMPLE, region=("atom", row.atom_tag)).area == row.area
+            assert tally(SIMPLE).atom_areas[row.atom_tag] == row.area
 
     def test_bad_region(self):
         with pytest.raises(ValueError):
-            tally(SIMPLE, region=("quadrant", 3))
+            tally(SIMPLE).over(("quadrant", 3))
 
     def test_zero_area_region(self):
         empty = ("level", 99)
         named = re.escape(repr(empty))
         with pytest.raises(ValueError, match=named):
-            tally(SIMPLE, ("trace",), empty)
+            tally(SIMPLE, ("trace",)).over(empty)
         with pytest.raises(ValueError, match=named):
             hessian_l1(SIMPLE, empty)
         with pytest.raises(ValueError, match=named):
@@ -174,10 +184,13 @@ class TestFractionsAndAudit:
         rows = area_fractions(STAIR.potential)
         terminal = [r for r in rows if r.atom_tag.endswith(".b.B")]
         assert len(terminal) == 1
-        assert terminal[0].area == STAIR.terminal_omega_area
+        # |Omega_{J+1}| summed straight from the classes
+        direct = sum(cc.area * cc.count for cc in STAIR.potential.cell_classes()
+                     if cc.kind == "atom" and cc.atom_tag.endswith(".b.B"))
+        assert terminal[0].area == direct
 
-    def test_boundary_check_passthrough(self):
-        rep = boundary_check(SIMPLE)
+    def test_boundary_report(self):
+        rep = SIMPLE.boundary_report()
         assert rep["exact"] and rep["closure_width"] == 0
 
     def test_continuity_audit_rational_exact(self):
@@ -258,7 +271,20 @@ class TestSinglePass:
         measure(DOUBLING)
         assert verifier_passes() == 1
 
-    def test_staircase_command_passes(self, verifier_passes, tmp_path):
-        # the report, then per level one l1 tally and one neg-part tally
-        assert cli_main(["--out", str(tmp_path / "out"), "staircase", "--J", "2"]) == 0
-        assert verifier_passes() == 1 + 2 * 2
+    def test_staircase_command_passes(self, class_walks, tmp_path):
+        # the report and every per-level column read one tally
+        for levels in (1, 2, 3, 4):
+            class_walks.clear()
+            out = tmp_path / f"J{levels}"
+            assert cli_main(["--out", str(out), "staircase", "--J", str(levels)]) == 0
+            assert class_walks == ["subhess.verifier"]
+
+    def test_staircase_build_walks_none(self, class_walks):
+        staircase_build(3)
+        assert class_walks == []
+
+    def test_realize_command_passes(self, class_walks, tmp_path):
+        # the report, then the area fractions
+        out = tmp_path / "out"
+        assert cli_main(["--out", str(out), "realize", "--p", "3/2", "--eps", "1/10"]) == 0
+        assert class_walks == ["subhess.verifier"] * 2
