@@ -55,13 +55,13 @@ from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
     BudgetExceeded,
     BuildError,
+    T_BITS,
     realize_laminate,
     split_dyadic,
     staircase_build,
 )
 from subhess.verifier import (
     area_fractions,
-    potential_report,
     report_items,
     report_phis,
     tally,
@@ -115,7 +115,10 @@ def _validate_laminate(p: dict):
 def _validate_realize(p: dict):
     _require(p["p"] > 1, "p must be > 1")
     _require(p["k"] > 0, "scale k must be positive")
-    # the split fractions must stay inside (0, 1) after dyadic rounding
+    # the split fractions must stay inside (0, 1) after dyadic rounding;
+    # 1 - alpha < 2^(1-p) rounds away once p >= T_BITS + 2: refuse before 2^p
+    _require(p["p"] < T_BITS + 2, f"p = {p['p']} >= T_BITS + 2: the split fraction "
+             f"alpha rounds to 1 at T_BITS = {T_BITS} bits, outside (0, 1)")
     params = DoublingParams.make(p["p"], p["k"])
     for t in (params.alpha, params.beta):
         split_dyadic(t)
@@ -316,11 +319,13 @@ def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     lam_path = cfg.out_dir / "laminate.json"
     lam_path.write_text(laminate_dumps(lam, indent=2) + "\n")
     outputs.append(lam_path)
-    items = potential_report(pot, q_list=p["q"])
+    # the report and the area fractions read one tally
+    t = tally(pot, report_phis(p["q"]))
+    items = report_items(pot, t, p["q"])
     rpt = cfg.out_dir / "realize_report.csv"
     write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
     outputs.append(rpt)
-    fr = area_fractions(pot)
+    fr = area_fractions(pot, t=t)
     fr_path = cfg.out_dir / "area_fractions.json"
     _write_json(fr_path, {"rows": fr, "cell_count": cells}, cfg.scalar_mode, cfg.digits)
     outputs.append(fr_path)

@@ -22,10 +22,12 @@ Two exactness devices make the symbolic representation certified:
 * the split fraction t is irrational in general, so stripe widths use a
   dyadic rounding t_hat with |t_hat - t| <= 2^-T_BITS; each pair then fails
   to close by a tiny drift, which two compensator stripes of width
-  sigma = delta * 2^-SIGMA_BITS at the end of that same pair cancel exactly
+  sigma = delta * 2^-bits at the end of that same pair cancel exactly
   (their second-derivative offsets solve the 2x2 closure system), so
   W = W' = 0 at every pair boundary is an algebraic identity, every pair is
-  an identical closed module, and no drift accumulates across the pattern;
+  an identical closed module, and no drift accumulates across the pattern
+  (bits is SIGMA_BITS, raised for tiny ramp fractions so that compensators
+  take at most half the area the ramps take);
 * every numeric claim (Hessian boxes, segment distances, gradient
   deviations) is an interval computed from exact rational endpoints.
 """
@@ -43,7 +45,7 @@ from subhess.scalars import Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, sq
 from subhess.sym2 import SymMat2, rank_one_connected
 
 T_BITS = 80
-SIGMA_BITS = 20  # compensator width sigma = delta / 2^SIGMA_BITS
+SIGMA_BITS = 20  # compensator width sigma = delta / 2^SIGMA_BITS at the least
 DELTA_FLOOR_BITS = 20  # materialization guard: never enumerate finer stripes
 DEFAULT_BUDGET = 10**7
 
@@ -314,12 +316,10 @@ def _ramp_rows(
     stripe: StripeClass,
     etas: tuple[EtaPiece, ...],
     base: SymMat2,
-    mat_b: SymMat2,
-    mat_c: SymMat2,
     axis: int,
-) -> Iterator[tuple[Fraction, tuple[Iv, Iv, Iv], Iv]]:
-    """(row height, global Hessian box, certified dist^2 to [B, C]) for every
-    ramp row of one stripe, then for its core row if it is a compensator.
+) -> Iterator[tuple[Fraction, tuple[Iv, Iv, Iv]]]:
+    """(row height, global Hessian box) for every ramp row of one stripe,
+    then for its core row if it is a compensator.
 
     Ramp rows add eta*W'' along the axis, eta'*W' mixed and eta''*W across
     it; a compensator core row (eta = 1) sits within |c_i| of the base.
@@ -339,8 +339,14 @@ def _ramp_rows(
         rows.append((core.hi - core.lo, stripe.w2.union(ZERO), ZERO, ZERO))
     for height, h_long2, h_mixed, h_perp2 in rows:
         h11, h22 = (h_long2, h_perp2) if axis == 0 else (h_perp2, h_long2)
-        box = (base.a11 + h11, base.a12 + h_mixed, base.a22 + h22)
-        yield height, box, Iv(0, _seg_dist_sq_box(mat_b, mat_c, axis, *box).hi)
+        yield height, (base.a11 + h11, base.a12 + h_mixed, base.a22 + h22)
+
+
+def _sigma_bits(eps_a: Fraction) -> int:
+    """Compensator width exponent: SIGMA_BITS, or more when eps_a is tiny, so
+    that the compensators' share 2^-bits of a period stays within eps_a / 2
+    and a level loses less atom area to them than to its ramps (eps_a)."""
+    return max(SIGMA_BITS, (_ceil_div(Fraction(1), eps_a) - 1).bit_length() + 1)
 
 
 def build_pattern_node(
@@ -397,8 +403,9 @@ def build_pattern_node(
     if dev_cap is not None:
         caps.append(Fraction(dev_cap) / (2 * m_hi * g_hi))
     delta_cap = min(caps)
-    # period = 2*delta*(1 + 2^-SIGMA_BITS) and n_pairs * period = long exactly
-    pscale = 2 * (1 + Fraction(1, 1 << SIGMA_BITS))
+    bits = _sigma_bits(eps_a)
+    # period = 2*delta*(1 + 2^-bits) and n_pairs * period = long exactly
+    pscale = 2 * (1 + Fraction(1, 1 << bits))
     n_pairs = max(1, _ceil_div(long, delta_cap * pscale))
 
     eps_h_sq = Iv(eps_h * eps_h)
@@ -406,7 +413,7 @@ def build_pattern_node(
     for _attempt in range(64):
         period = long / n_pairs
         delta = period / pscale
-        sigma = delta / (1 << SIGMA_BITS)
+        sigma = delta / (1 << bits)
         profile = _build_profile(delta, sigma, t_hat, w2_b, w2_c)
 
         # on-segment check for compensator offsets
@@ -414,11 +421,12 @@ def build_pattern_node(
             abs(ci).certainly_le(abs(w2_b)) and abs(ci).certainly_le(abs(w2_c))
             for ci in (profile.c1, profile.c2)
         )
-        # ramp-cell certification: every ramp-row Hessian box within eps_h of [B, C]
+        # ramp-cell certification: every ramp-row Hessian box within eps_h of
+        # [B, C]; the only place a box's segment distance is computed
         ball_sq = Iv(0, max(
-            d_sq.hi
+            _seg_dist_sq_box(mat_b, mat_c, axis, *box).hi
             for stripe in profile.stripes
-            for _, _, d_sq in _ramp_rows(stripe, etas, base, mat_b, mat_c, axis)
+            for _, box in _ramp_rows(stripe, etas, base, axis)
         ))
 
         grad_long = profile.dw_sup
@@ -461,12 +469,15 @@ def build_pattern_node(
 
 @dataclass(frozen=True)
 class CellClass:
+    """All translates of one cell shape in a pattern node, or one frame cell.
+    It carries no trail distance: the build certifies that once per node
+    (`PatternNode.ball_sq`) and the verifier reads it from the nodes."""
+
     kind: str  # 'atom' | 'ramp' | 'frame'
     area: Fraction  # of one cell
     count: int  # across the whole potential
     hess: Optional[SymMat2]  # exact Hessian ('atom'/'frame')
     h_box: Optional[tuple[Iv, Iv, Iv]]  # global entry enclosures ('ramp')
-    ball_sq: Iv  # certified dist^2 to the owning segment (0 for atoms)
     node_tag: str
     level: int
     atom_tag: Optional[str]  # terminal atom id for fraction accounting
@@ -476,16 +487,13 @@ def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
     count = node.n_pairs * node.mult
     for stripe in node.profile.stripes:
         w = stripe.x_hi - stripe.x_lo
-        for height, box, ball_sq in _ramp_rows(
-            stripe, node.etas, node.base, node.mat_b, node.mat_c, node.axis
-        ):
+        for height, box in _ramp_rows(stripe, node.etas, node.base, node.axis):
             yield CellClass(
                 kind="ramp",
                 area=w * height,
                 count=count,
                 hess=None,
                 h_box=box,
-                ball_sq=ball_sq,
                 node_tag=node.tag,
                 level=node.level,
                 atom_tag=None,
@@ -497,7 +505,6 @@ def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
                 count=count,
                 hess=node.atom_for_role(stripe.role),
                 h_box=None,
-                ball_sq=ZERO,
                 node_tag=node.tag,
                 level=node.level,
                 atom_tag=f"{node.tag}.{stripe.role}",
@@ -562,7 +569,6 @@ class PiecewisePotential:
                 count=1,
                 hess=fc.matrix,
                 h_box=None,
-                ball_sq=ZERO,
                 node_tag=fc.tag,
                 level=fc.level,
                 atom_tag=None,

@@ -40,7 +40,9 @@ class Tally:
     integrals: tuple[Iv, ...]  # per phi: integral over every cell
     exact_integrals: tuple[Iv, ...]  # per phi: over exact-Hessian cells only
     min_trace: Iv  # enclosure of min over the region of trace(D^2 u)
-    ball_sq_hi: Fraction  # largest certified dist^2 to an owning two-target segment
+    # largest certified dist^2 to a node's two-target segment: node.ball_sq,
+    # certified once per node at build time; 0 on a frame-only level
+    ball_sq_hi: Fraction
     atom_areas: dict[str, Fraction]  # exact area per terminal atom tag
     levels: dict[int, "Tally"] = dataclasses.field(default_factory=dict)  # per level
 
@@ -97,7 +99,6 @@ class _LevelSums:
         self.area = Fraction(0)
         self.total = [ZERO] * n_phis
         self.exact = [ZERO] * n_phis
-        self.ball_sq_hi = Fraction(0)
         self.trace: Optional[Iv] = None  # min of lo and of hi over the cells
         self.atom_areas: dict[str, Fraction] = {}
 
@@ -105,7 +106,8 @@ class _LevelSums:
 def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
     """Certified integrals of each phi(D^2 u), min trace, trail distance and
     per-atom areas, per construction level and over the whole domain, from
-    one cell_classes() walk."""
+    one cell_classes() walk. The trail distance is each level's largest
+    node certificate `node.ball_sq`, not re-derived from the classes."""
     fns = [resolve_phi(phi) for phi in phis]
     sums: dict[int, _LevelSums] = {}
     for cc in pot.cell_classes():
@@ -125,12 +127,14 @@ def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
                 s.exact[k] = s.exact[k] + term
         tr = h.trace()
         s.trace = tr if s.trace is None else Iv(min(s.trace.lo, tr.lo), min(s.trace.hi, tr.hi))
-        s.ball_sq_hi = max(s.ball_sq_hi, cc.ball_sq.hi)
         if cc.kind == "atom" and cc.atom_tag is not None:
             s.atom_areas[cc.atom_tag] = s.atom_areas.get(cc.atom_tag, Fraction(0)) + w
     if not sums:
         raise ValueError("potential has no cells")
-    levels = {lv: Tally(s.area, tuple(s.total), tuple(s.exact), s.trace, s.ball_sq_hi,
+    ball_sq_hi = dict.fromkeys(sums, Fraction(0))
+    for node in pot.nodes():
+        ball_sq_hi[node.level] = max(ball_sq_hi[node.level], node.ball_sq.hi)
+    levels = {lv: Tally(s.area, tuple(s.total), tuple(s.exact), s.trace, ball_sq_hi[lv],
                         s.atom_areas) for lv, s in sums.items()}
     return dataclasses.replace(_fold(list(levels.values())), levels=levels)
 
@@ -165,12 +169,14 @@ class FractionRow:
     ok: bool
 
 
-def area_fractions(pot: PiecewisePotential, eps: Optional[Fraction] = None) -> list[FractionRow]:
-    """Exact per-atom area fractions with the (1-eps) * weight floor check."""
+def area_fractions(pot: PiecewisePotential, eps: Optional[Fraction] = None,
+                   t: Optional[Tally] = None) -> list[FractionRow]:
+    """Exact per-atom area fractions with the (1-eps) * weight floor check,
+    read from the tally `t` of `pot` when one is given (else one walk)."""
     if eps is None:
         eps = Fraction(pot.meta.get("eps", 0))
     dom_area = pot.domain[2] * pot.domain[3]
-    got = tally(pot).atom_areas
+    got = (t if t is not None else tally(pot)).atom_areas
     rows = []
     for tag in sorted(pot.atoms):
         info = pot.atoms[tag]

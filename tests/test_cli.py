@@ -7,6 +7,7 @@ the goal is the contract (artifacts, determinism, exit codes), not depth.
 
 import csv
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,15 @@ class TestValidation:
         assert "T_BITS = 80 bits, outside (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_p_refused_from_p_alone(self, tmp_path, capsys):
+        # no 2^p is formed: the refusal costs what parsing costs
+        start = time.perf_counter()
+        code, out = run(tmp_path, "realize", "--p", "10000000", "--eps", "1/10")
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert "T_BITS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_within_t_bits_accepted(self):
         parser = cli.build_parser()
         args = parser.parse_args(["realize", "--p", "81", "--eps", "1/10"])
@@ -161,6 +171,13 @@ class TestRealizeCommand:
         names = [r[0] for r in rows[1:]]
         assert "hessian_l1_mean" in names and "min_trace" in names
         assert "neg_part_l3/2_i1" in names
+
+    def test_tiny_eps_passes_its_area_gate(self, tmp_path):
+        # compensators narrow with eps, so they never eat the eps allowance
+        code, out = run(tmp_path, "realize", "--p", "3/2", "--eps", "1/1000000")
+        assert code == 0
+        fr = json.loads((out / "area_fractions.json").read_text())
+        assert fr["rows"] and all(row["ok"] for row in fr["rows"])
 
 
 class TestStaircaseCommand:

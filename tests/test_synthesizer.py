@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subhess.constructions import DoublingParams, doubling_cascade, doubling_laminate
+from subhess.constructions import (
+    DoublingParams,
+    doubling_cascade,
+    doubling_laminate,
+    staircase_params,
+)
 from subhess.laminate import moment
 from subhess.scalars import Iv, pow2
 from subhess.sym2 import SymMat2
@@ -17,6 +22,9 @@ from subhess.synthesizer import (
     FrameCell,
     NonAxisRankOne,
     PiecewisePotential,
+    SIGMA_BITS,
+    _seg_dist_sq_box,
+    _sigma_bits,
     iter_cells,
     realize_laminate,
     realize_simple,
@@ -345,10 +353,11 @@ class TestRampClassesMatchCells:
 
     @pytest.mark.parametrize("case", RATIONAL_CASES, ids=lambda c: c.__name__)
     def test_node_ball_is_max_over_its_ramp_classes(self, case):
+        # the node certificate covers every ramp class the verifier sums
         classes = list(case.POT.cell_classes())
         for node in case.POT.nodes():
-            balls = [cc.ball_sq.hi for cc in classes
-                     if cc.kind == "ramp" and cc.node_tag == node.tag]
+            balls = [_seg_dist_sq_box(node.mat_b, node.mat_c, node.axis, *cc.h_box).hi
+                     for cc in classes if cc.kind == "ramp" and cc.node_tag == node.tag]
             assert balls and node.ball_sq.hi == max(balls)
 
 
@@ -541,6 +550,23 @@ class TestStaircase:
         assert set(self.RESULT.layers[1].node_tags) <= set(tags)
         deep = tags[self.RESULT.layers[1].node_tags[0]]
         assert deep.level == 2
+
+
+class TestCompensatorBits:
+    def test_floor_kept_on_documented_ranges(self):
+        # staircase levels use eps_a = eps_j / 8, realize eps_a = eps / (2 depth)
+        for levels in range(1, 9):
+            assert all(_sigma_bits(lvl.eps / 8) == SIGMA_BITS
+                       for lvl in staircase_params(levels))
+        for eps in (F(1, 40), F(1, 10), F(1, 100000)):
+            assert _sigma_bits(eps / 4) == SIGMA_BITS
+
+    @pytest.mark.parametrize("eps_a", [F(1, 2**19), F(1, 2**19 + 1), F(1, 4 * 10**6),
+                                       F(3, 10**9), F(1, 2**40)])
+    def test_compensators_within_half_the_ramp_share(self, eps_a):
+        bits = _sigma_bits(eps_a)
+        assert F(1, 2**bits) <= eps_a / 2
+        assert bits == SIGMA_BITS or F(1, 2**(bits - 1)) > eps_a / 2
 
 
 class TestErrors:

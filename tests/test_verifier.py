@@ -170,6 +170,26 @@ class TestMeans:
         assert tally(SIMPLE).trail().hi <= F(3, 8)
         assert tally(DOUBLING).trail().hi <= F(3, 16)
 
+    @pytest.mark.parametrize("build", [
+        lambda: staircase_build(3).potential,
+        lambda: realize_laminate(doubling_cascade(F(13, 10), 10)[0], UNIT, F(1, 16),
+                                 dev_cap=F(1, 2)),
+    ], ids=["staircase-J3", "cascade-m10"])
+    def test_level_ball_is_max_over_its_nodes(self, build):
+        # each level reads the build certificates of its own pattern nodes
+        pot = build()
+        t = tally(pot)
+        want: dict = {}
+        for node in pot.nodes():
+            want[node.level] = max(want.get(node.level, F(0)), node.ball_sq.hi)
+        assert want
+        for lv, part in t.levels.items():
+            assert part.ball_sq_hi == want.get(lv, 0)
+        assert t.ball_sq_hi == max(want.values())
+        if pot.frame_cells:
+            # the staircase's level 0 holds frame cells only
+            assert 0 not in want and t.levels[0].ball_sq_hi == 0
+
 
 class TestFractionsAndAudit:
     def test_fraction_rows_certified(self):
@@ -284,7 +304,14 @@ class TestSinglePass:
         assert class_walks == []
 
     def test_realize_command_passes(self, class_walks, tmp_path):
-        # the report, then the area fractions
+        # the report and the area fractions read one tally
         out = tmp_path / "out"
         assert cli_main(["--out", str(out), "realize", "--p", "3/2", "--eps", "1/10"]) == 0
-        assert class_walks == ["subhess.verifier"] * 2
+        assert class_walks == ["subhess.verifier"]
+
+    def test_fractions_from_a_given_tally_walk_none(self, class_walks):
+        rows = area_fractions(DOUBLING)
+        t = tally(DOUBLING)
+        class_walks.clear()
+        assert area_fractions(DOUBLING, t=t) == rows
+        assert class_walks == []
