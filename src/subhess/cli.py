@@ -38,7 +38,6 @@ import numpy as np
 
 import subhess
 from subhess.constructions import (
-    DoublingParams,
     cascade_moment_table,
     doubling_laminate,
     verify_doubling,
@@ -56,8 +55,8 @@ from subhess.synthesizer import (
     BudgetExceeded,
     BuildError,
     T_BITS,
+    check_compensators,
     realize_laminate,
-    split_dyadic,
     staircase_build,
 )
 from subhess.verifier import (
@@ -119,10 +118,10 @@ def _validate_realize(p: dict):
     # 1 - alpha < 2^(1-p) rounds away once p >= T_BITS + 2: refuse before 2^p
     _require(p["p"] < T_BITS + 2, f"p = {p['p']} >= T_BITS + 2: the split fraction "
              f"alpha rounds to 1 at T_BITS = {T_BITS} bits, outside (0, 1)")
-    params = DoublingParams.make(p["p"], p["k"])
-    for t in (params.alpha, params.beta):
-        split_dyadic(t)
     _require(0 < p["eps"] < 1, "eps must lie in (0, 1)")
+    # both split fractions must round inside (0, 1) at T_BITS, and a tiny eps
+    # must not need compensators too narrow to cancel that rounding's drift
+    check_compensators(doubling_laminate(p["p"], p["k"])[0], p["eps"])
     _require(p["budget"] is None or p["budget"] >= 1, "budget must be positive")
     for q in p["q"]:
         _require(q >= 1, f"moment exponent {q} must be >= 1")

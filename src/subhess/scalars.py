@@ -6,6 +6,12 @@ created only where an irrational function enters (2^p, x^q, sqrt, log); those
 enter through outward enclosures and never silently. An exact rational is a
 zero-width interval.
 
+Width also enters through `round_out`, which widens a derived enclosure
+outward to endpoints of `ENCLOSURE_BITS` significant bits (as a binary
+interval library rounds at a fixed precision), so that long sums of boxes do
+not pay for endpoints thousands of bits long. An exact interval is never
+rounded.
+
 Comparisons are certified: `certainly_*` returns True only when the claim
 holds for every point of both intervals, and the query helpers raise
 `Undecided` when the enclosures overlap, instead of guessing.
@@ -20,6 +26,7 @@ from typing import Iterable, Union
 import mpmath
 
 DEFAULT_PREC = 120
+ENCLOSURE_BITS = 256  # significant bits of an endpoint `round_out` leaves
 
 RationalLike = Union[int, str, Fraction]
 IvLike = Union["Iv", int, str, Fraction]
@@ -250,6 +257,33 @@ def as_iv(x: IvLike) -> Iv:
 
 
 ZERO = Iv(0)
+
+
+def _round_endpoint(f: Fraction, up: bool) -> Fraction:
+    """f rounded toward +inf (up) or -inf to a dyadic of at most
+    ENCLOSURE_BITS significant bits; f itself when its numerator and
+    denominator both fit in ENCLOSURE_BITS bits."""
+    n, d = f.numerator, f.denominator
+    nb, db = n.bit_length(), d.bit_length()
+    if nb <= ENCLOSURE_BITS and db <= ENCLOSURE_BITS:
+        return f
+    # 2^(nb-db-1) < |f| < 2^(nb-db+1), so |f| * 2^shift < 2^ENCLOSURE_BITS
+    shift = ENCLOSURE_BITS - 1 - (nb - db)
+    q, r = divmod(n << shift, d) if shift >= 0 else divmod(n, d << -shift)
+    if up and r:
+        q += 1
+    return Fraction(q, 1 << shift) if shift >= 0 else Fraction(q << -shift)
+
+
+def round_out(x: Iv) -> Iv:
+    """Outward rounding of x to endpoints of ENCLOSURE_BITS significant bits;
+    x itself when it is exact or when no endpoint needs rounding."""
+    if x.lo == x.hi:
+        return x
+    lo, hi = _round_endpoint(x.lo, False), _round_endpoint(x.hi, True)
+    if lo is x.lo and hi is x.hi:
+        return x
+    return Iv(lo, hi)
 
 
 # -- integer-sqrt based square roots (directed, exact rational bounds) --------

@@ -29,7 +29,11 @@ Two exactness devices make the symbolic representation certified:
   (bits is SIGMA_BITS, raised for tiny ramp fractions so that compensators
   take at most half the area the ramps take);
 * every numeric claim (Hessian boxes, segment distances, gradient
-  deviations) is an interval computed from exact rational endpoints.
+  deviations) is an interval computed from exact rational endpoints; each
+  ramp Hessian box is rounded outward once (`round_out`), certified by the
+  build and kept on its node as `PatternNode.ramp_rows`, so every
+  measurement sums the very boxes the build certified. Geometry, areas,
+  seams and closure residuals stay exact.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from subhess.laminate import Laminate, SplitNode
-from subhess.scalars import Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, sqrt_iv
+from subhess.scalars import Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, round_out, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
 
 T_BITS = 80
@@ -259,6 +263,8 @@ class PatternNode:
     etas: tuple[EtaPiece, ...]
     profile: _Profile
     ball_sq: Iv  # certified sup over ramp cells of dist^2 to [B, C]
+    # per stripe: the (row height, global Hessian box) rows ball_sq certifies
+    ramp_rows: tuple[tuple[tuple[Fraction, tuple[Iv, Iv, Iv]], ...], ...]
     grad_dev: Iv  # certified sup |grad psi| of this level alone
     children: dict[str, ChildLink] = field(default_factory=dict)
     mult: int = 1
@@ -319,7 +325,8 @@ def _ramp_rows(
     axis: int,
 ) -> Iterator[tuple[Fraction, tuple[Iv, Iv, Iv]]]:
     """(row height, global Hessian box) for every ramp row of one stripe,
-    then for its core row if it is a compensator.
+    then for its core row if it is a compensator; each box entry is rounded
+    outward (`round_out`).
 
     Ramp rows add eta*W'' along the axis, eta'*W' mixed and eta''*W across
     it; a compensator core row (eta = 1) sits within |c_i| of the base.
@@ -339,7 +346,8 @@ def _ramp_rows(
         rows.append((core.hi - core.lo, stripe.w2.union(ZERO), ZERO, ZERO))
     for height, h_long2, h_mixed, h_perp2 in rows:
         h11, h22 = (h_long2, h_perp2) if axis == 0 else (h_perp2, h_long2)
-        yield height, (base.a11 + h11, base.a12 + h_mixed, base.a22 + h22)
+        yield height, (round_out(base.a11 + h11), round_out(base.a12 + h_mixed),
+                       round_out(base.a22 + h22))
 
 
 def _sigma_bits(eps_a: Fraction) -> int:
@@ -347,6 +355,35 @@ def _sigma_bits(eps_a: Fraction) -> int:
     that the compensators' share 2^-bits of a period stays within eps_a / 2
     and a level loses less atom area to them than to its ramps (eps_a)."""
     return max(SIGMA_BITS, (_ceil_div(Fraction(1), eps_a) - 1).bit_length() + 1)
+
+
+def _split_waves(mat_b: SymMat2, mat_c: SymMat2, t: Iv) -> tuple[int, Iv, Iv, Iv]:
+    """(axis, gamma, W'' on B, W'' on C) of a split: B - C is supported on
+    (axis, axis) with entry gamma, and W'' averages to 0 at fraction t."""
+    conn = rank_one_connected(mat_b, mat_c)
+    if conn is None:
+        raise BuildError("targets are not rank-one connected")
+    if conn.axis is None:
+        raise NonAxisRankOne("only axis-aligned rank-one directions are realizable")
+    diff = mat_b - mat_c
+    gamma = diff.a11 if conn.axis == 0 else diff.a22
+    return conn.axis, gamma, gamma * (1 - t), -(gamma * t)
+
+
+def _check_compensators(profile: _Profile, w2_b: Iv, w2_c: Iv, t: Iv, bits: int) -> None:
+    """Raise BuildError unless both compensator offsets stay within |W''| of
+    each stripe, which keeps the compensator core rows on [B, C].
+
+    The offsets cancel the drift of t_hat against t, up to 2^-T_BITS, so they
+    grow like 2^(2*bits - T_BITS). They do not depend on delta (the drift and
+    sigma^2 both scale like delta^2): a split that fails at one n_pairs fails
+    at every n_pairs."""
+    if not all(abs(ci).certainly_le(abs(w2_b)) and abs(ci).certainly_le(abs(w2_c))
+               for ci in (profile.c1, profile.c2)):
+        raise BuildError(
+            f"compensators 2^-{bits} of a period wide cannot cancel the drift of "
+            f"split fraction {t} rounded to T_BITS = {T_BITS} bits: their offsets "
+            "leave the segment [B, C]")
 
 
 def build_pattern_node(
@@ -375,19 +412,9 @@ def build_pattern_node(
     for entry in recon.entries():
         if not entry.contains(0):
             raise BuildError(f"base is not the t-average of the targets: residual {entry}")
-    conn = rank_one_connected(mat_b, mat_c)
-    if conn is None:
-        raise BuildError("targets are not rank-one connected")
-    if conn.axis is None:
-        raise NonAxisRankOne("only axis-aligned rank-one directions are realizable")
-    axis = conn.axis
+    axis, gamma, w2_b, w2_c = _split_waves(mat_b, mat_c, t_iv)
     long = rect_w if axis == 0 else rect_h
     perp = rect_h if axis == 0 else rect_w
-
-    diff = mat_b - mat_c
-    gamma = diff.a11 if axis == 0 else diff.a22  # (B - C)[axis, axis]
-    w2_b = gamma * (1 - t_iv)
-    w2_c = -(gamma * t_iv)
 
     t_hat = split_dyadic(t_iv)
     rho = eps_a * perp / 2
@@ -415,18 +442,17 @@ def build_pattern_node(
         delta = period / pscale
         sigma = delta / (1 << bits)
         profile = _build_profile(delta, sigma, t_hat, w2_b, w2_c)
+        _check_compensators(profile, w2_b, w2_c, t_iv, bits)
 
-        # on-segment check for compensator offsets
-        comp_ok = all(
-            abs(ci).certainly_le(abs(w2_b)) and abs(ci).certainly_le(abs(w2_c))
-            for ci in (profile.c1, profile.c2)
-        )
         # ramp-cell certification: every ramp-row Hessian box within eps_h of
-        # [B, C]; the only place a box's segment distance is computed
+        # [B, C]; the only place a box is derived or its segment distance
+        # computed
+        ramp_rows = tuple(tuple(_ramp_rows(stripe, etas, base, axis))
+                          for stripe in profile.stripes)
         ball_sq = Iv(0, max(
             _seg_dist_sq_box(mat_b, mat_c, axis, *box).hi
-            for stripe in profile.stripes
-            for _, box in _ramp_rows(stripe, etas, base, axis)
+            for rows in ramp_rows
+            for _, box in rows
         ))
 
         grad_long = profile.dw_sup
@@ -435,7 +461,7 @@ def build_pattern_node(
             0, sqrt_iv(grad_long.sq() + grad_perp.sq()).hi
         )  # Euclidean sup bound
 
-        ok = comp_ok and ball_sq.certainly_le(eps_h_sq)
+        ok = ball_sq.certainly_le(eps_h_sq)
         if dev_cap is not None:
             ok = ok and grad_dev.certainly_le(Iv(Fraction(dev_cap)))
         if ok:
@@ -458,6 +484,7 @@ def build_pattern_node(
                 etas=etas,
                 profile=profile,
                 ball_sq=ball_sq,
+                ramp_rows=ramp_rows,
                 grad_dev=grad_dev,
             )
         n_pairs *= 2
@@ -470,8 +497,10 @@ def build_pattern_node(
 @dataclass(frozen=True)
 class CellClass:
     """All translates of one cell shape in a pattern node, or one frame cell.
-    It carries no trail distance: the build certifies that once per node
-    (`PatternNode.ball_sq`) and the verifier reads it from the nodes."""
+    A ramp class's `h_box` is a box the build certified and stored
+    (`PatternNode.ramp_rows`), not derived again. It carries no trail
+    distance: the build certifies that once per node (`PatternNode.ball_sq`)
+    and the verifier reads it from the nodes."""
 
     kind: str  # 'atom' | 'ramp' | 'frame'
     area: Fraction  # of one cell
@@ -485,9 +514,9 @@ class CellClass:
 
 def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
     count = node.n_pairs * node.mult
-    for stripe in node.profile.stripes:
+    for stripe, rows in zip(node.profile.stripes, node.ramp_rows):
         w = stripe.x_hi - stripe.x_lo
-        for height, box in _ramp_rows(stripe, node.etas, node.base, node.axis):
+        for height, box in rows:
             yield CellClass(
                 kind="ramp",
                 area=w * height,
@@ -1016,6 +1045,32 @@ def realize_simple(
     )
 
 
+def _ramp_fraction(lam: Laminate, eps: Fraction) -> Fraction:
+    """eps_a of every level of `realize_laminate`: the ramps of all levels
+    together take at most eps / 2 of the area."""
+    return eps / (2 * lam.depth())
+
+
+def check_compensators(lam: Laminate, eps: Fraction) -> None:
+    """Raise BuildError, before any build, when a split of `lam` cannot be
+    realized at `eps` by `realize_laminate`: its fraction rounds out of (0, 1)
+    at T_BITS, or its compensators cannot cancel that rounding's drift."""
+    bits = _sigma_bits(_ramp_fraction(lam, Fraction(eps)))
+
+    def walk(split: SplitNode) -> None:
+        if split.is_leaf():
+            return
+        _, _, w2_b, w2_c = _split_waves(split.left.matrix, split.right.matrix, split.s)
+        # offsets do not depend on delta: check them at delta = 1
+        profile = _build_profile(Fraction(1), Fraction(1, 1 << bits),
+                                 split_dyadic(split.s), w2_b, w2_c)
+        _check_compensators(profile, w2_b, w2_c, split.s, bits)
+        walk(split.left)
+        walk(split.right)
+
+    walk(lam.root)
+
+
 def realize_laminate(
     lam: Laminate,
     rect: tuple[Fraction, Fraction, Fraction, Fraction],
@@ -1032,7 +1087,7 @@ def realize_laminate(
         raise BuildError("laminate has no splits to realize")
     depth = lam.depth()
     eps_h = eps * Fraction(3, 4)
-    eps_a = eps / (2 * depth)
+    eps_a = _ramp_fraction(lam, eps)
     total_dev = Fraction(dev_cap) if dev_cap is not None else eps
     atoms: dict[str, AtomInfo] = {}
 

@@ -6,7 +6,11 @@ boxes. Results are intervals that provably bracket the true value of the
 functional for the exact piecewise-polynomial function the synthesizer
 defines; nothing here samples or approximates. `tally` makes the one walk
 over the classes and sums each construction level; every measurement below
-reads what it sums. `Tally.over(region)` folds the levels a region selects:
+reads what it sums. Within a level, each term and running sum of an
+integral is rounded outward to `ENCLOSURE_BITS` significant bits
+(`round_out`), so it still brackets the true value. Exact sums, areas and
+the fold of the levels are not rounded, so the levels add up to the whole
+exactly. `Tally.over(region)` folds the levels a region selects:
 
 * None: the whole domain;
 * ("level", j): cells built at construction level j;
@@ -23,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from subhess.laminate import PhiLike, resolve_phi
-from subhess.scalars import Iv, as_iv, sqrt_iv
+from subhess.scalars import Iv, as_iv, round_out, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import PiecewisePotential
 
@@ -121,10 +125,10 @@ def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
             v = fn(h)
             if v.lo == v.hi == 0:
                 continue  # exact zeros add nothing
-            term = v * w
-            s.total[k] = s.total[k] + term
+            term = round_out(v * w)
+            s.total[k] = round_out(s.total[k] + term)
             if cc.hess is not None:
-                s.exact[k] = s.exact[k] + term
+                s.exact[k] = round_out(s.exact[k] + term)
         tr = h.trace()
         s.trace = tr if s.trace is None else Iv(min(s.trace.lo, tr.lo), min(s.trace.hi, tr.hi))
         if cc.kind == "atom" and cc.atom_tag is not None:

@@ -135,6 +135,25 @@ class TestValidation:
         assert "T_BITS" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["1/137438953472", "1/100000000000", "1/1000000000000"])
+    def test_eps_beyond_compensator_bits_refused(self, tmp_path, capsys, eps):
+        # compensator offsets grow like 2^(2*bits - T_BITS): refused before any build
+        start = time.perf_counter()
+        code, out = run(tmp_path, "realize", "--p", "3/2", "--eps", eps)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        assert "T_BITS = 80 bits" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p, eps", [
+        ("3/2", "1/10000000000"),
+        # 40 compensator bits, past p = 3/2's cutoff: 22/7 rounds close enough
+        ("22/7", "1/137438953472"),
+    ])
+    def test_eps_within_compensator_bits_runs(self, tmp_path, p, eps):
+        code, _ = run(tmp_path, "realize", "--p", p, "--eps", eps)
+        assert code == 0
+
     def test_p_within_t_bits_accepted(self):
         parser = cli.build_parser()
         args = parser.parse_args(["realize", "--p", "81", "--eps", "1/10"])

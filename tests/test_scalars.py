@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subhess.scalars import (
+    ENCLOSURE_BITS,
     Iv,
     Undecided,
     as_iv,
@@ -20,6 +21,7 @@ from subhess.scalars import (
     ln_iv,
     log2_iv,
     pow2,
+    round_out,
     rpow,
     sqrt_iv,
 )
@@ -207,6 +209,58 @@ class TestDyadics:
         r = dyadic_floor_iv(v, bits)
         assert r <= v.lo
         assert v.lo - r < Fraction(1, 2**bits)
+
+
+@st.composite
+def long_fractions(draw) -> Fraction:
+    """Signed fractions of 1 to 20,000 bits, below and above 1."""
+    num_bits = draw(st.integers(min_value=1, max_value=20_000))
+    den_bits = draw(st.integers(min_value=1, max_value=20_000))
+    n = draw(st.integers(min_value=1 << (num_bits - 1), max_value=(1 << num_bits) - 1))
+    d = draw(st.integers(min_value=1 << (den_bits - 1), max_value=(1 << den_bits) - 1))
+    return Fraction(draw(st.sampled_from((1, -1))) * n, d)
+
+
+long_ivs = st.builds(make_iv, long_fractions(), long_fractions())
+
+
+class TestRoundOut:
+    @settings(max_examples=200, deadline=None)
+    @given(long_ivs)
+    def test_contains_input_at_bounded_bits(self, significant_bits, v):
+        r = round_out(v)
+        assert r.contains_iv(v)
+        if v.is_exact():
+            assert r is v  # an exact interval is never rounded
+            return
+        for got, was in ((r.lo, v.lo), (r.hi, v.hi)):
+            assert significant_bits(got) <= ENCLOSURE_BITS
+            # one unit in the last of ENCLOSURE_BITS - 1 places at most
+            assert abs(got - was) <= abs(was) / 2 ** (ENCLOSURE_BITS - 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_ivs)
+    def test_idempotent(self, v):
+        once = round_out(v)
+        assert round_out(once) == once
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_fractions())
+    def test_exact_input_is_returned(self, f):
+        v = Iv(f)
+        assert round_out(v) is v
+
+    @given(ivs)
+    def test_short_endpoints_untouched(self, v):
+        assert round_out(v) is v
+
+    def test_directed_at_the_last_bit(self):
+        third = Fraction(1, 3)
+        lo, hi = third - Fraction(1, 2**400), third + Fraction(1, 2**400)
+        r = round_out(Iv(lo, hi))
+        assert r.lo < lo and hi < r.hi
+        assert r.hi - r.lo <= Fraction(1, 2**(ENCLOSURE_BITS - 1))
+        assert round_out(Iv(-hi, -lo)) == -r
 
 
 def test_as_iv_rejects_float():

@@ -14,7 +14,8 @@ from subhess.constructions import (
     staircase_params,
 )
 from subhess.laminate import moment
-from subhess.scalars import Iv, pow2
+from subhess import synthesizer
+from subhess.scalars import ENCLOSURE_BITS, Iv, pow2
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
     BudgetExceeded,
@@ -23,6 +24,7 @@ from subhess.synthesizer import (
     NonAxisRankOne,
     PiecewisePotential,
     SIGMA_BITS,
+    _ramp_rows,
     _seg_dist_sq_box,
     _sigma_bits,
     iter_cells,
@@ -30,7 +32,7 @@ from subhess.synthesizer import (
     realize_simple,
     staircase_build,
 )
-from subhess.verifier import tally
+from subhess.verifier import report_phis, tally
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -333,23 +335,34 @@ class TestAxisSwap:
 RATIONAL_CASES = (TestSimpleRational, TestCompensatedRational, TestAxisSwap)
 
 
+def assert_ramp_cells_inside_class_boxes(pot, cells):
+    boxes: dict = {}
+    for cc in pot.cell_classes():
+        if cc.kind == "ramp":
+            boxes.setdefault((cc.node_tag, cc.area), []).append(cc.h_box)
+    ramp_cells = [mc for mc in cells if mc.kind == "ramp"]
+    assert ramp_cells
+    for mc in ramp_cells:
+        w, h = mc.rect[2], mc.rect[3]
+        points = ((0, 0), (w, 0), (0, h), (w, h), (w / 2, h / 2))
+        hessians = [poly_hess(mc.coeffs, F(dx), F(dy)) for dx, dy in points]
+        assert any(
+            all(b.contains_iv(e) for hess in hessians for b, e in zip(box, hess))
+            for box in boxes.get((mc.node_tag, w * h), ())
+        ), (mc.node_tag, mc.rect)
+
+
+def assert_stored_rows_rederive(pot):
+    for node in pot.nodes():
+        fresh = tuple(tuple(_ramp_rows(stripe, node.etas, node.base, node.axis))
+                      for stripe in node.profile.stripes)
+        assert node.ramp_rows == fresh, node.tag
+
+
 class TestRampClassesMatchCells:
     @pytest.mark.parametrize("case", RATIONAL_CASES, ids=lambda c: c.__name__)
     def test_ramp_cell_hessians_inside_class_boxes(self, case):
-        boxes: dict = {}
-        for cc in case.POT.cell_classes():
-            if cc.kind == "ramp":
-                boxes.setdefault((cc.node_tag, cc.area), []).append(cc.h_box)
-        ramp_cells = [mc for mc in case.CELLS if mc.kind == "ramp"]
-        assert ramp_cells
-        for mc in ramp_cells:
-            w, h = mc.rect[2], mc.rect[3]
-            points = ((0, 0), (w, 0), (0, h), (w, h), (w / 2, h / 2))
-            hessians = [poly_hess(mc.coeffs, F(dx), F(dy)) for dx, dy in points]
-            assert any(
-                all(b.contains_iv(e) for hess in hessians for b, e in zip(box, hess))
-                for box in boxes.get((mc.node_tag, w * h), ())
-            ), (mc.node_tag, mc.rect)
+        assert_ramp_cells_inside_class_boxes(case.POT, case.CELLS)
 
     @pytest.mark.parametrize("case", RATIONAL_CASES, ids=lambda c: c.__name__)
     def test_node_ball_is_max_over_its_ramp_classes(self, case):
@@ -359,6 +372,76 @@ class TestRampClassesMatchCells:
             balls = [_seg_dist_sq_box(node.mat_b, node.mat_c, node.axis, *cc.h_box).hi
                      for cc in classes if cc.kind == "ramp" and cc.node_tag == node.tag]
             assert balls and node.ball_sq.hi == max(balls)
+
+
+def cascade_pot(m: int) -> PiecewisePotential:
+    # criterion 4's realization of the p = 13/10 cascade of length m
+    cascade, _ = doubling_cascade(F(13, 10), m)
+    return realize_laminate(cascade, UNIT, F(1, 16), dev_cap=F(1, 2 * (m // 10)))
+
+
+class TestStoredRampRows:
+    """Each ramp box is derived once, by the build that certifies it."""
+
+    @pytest.fixture(scope="class")
+    def cascade10(self):
+        return cascade_pot(10)
+
+    @pytest.fixture
+    def ramp_row_calls(self, monkeypatch):
+        calls = []
+        orig = synthesizer._ramp_rows
+
+        def counting(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(synthesizer, "_ramp_rows", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", RATIONAL_CASES, ids=lambda c: c.__name__)
+    def test_rows_rederive_rational(self, case):
+        assert_stored_rows_rederive(case.POT)
+
+    def test_rows_rederive_deep(self, cascade10):
+        assert_stored_rows_rederive(cascade10)
+        assert_stored_rows_rederive(TestDoublingLaminate.POT)
+        assert_stored_rows_rederive(staircase_build(3).potential)
+
+    def test_walks_derive_no_box(self, cascade10, ramp_row_calls):
+        stair = staircase_build(3).potential
+        # the build derives every box once per stripe of its accepted attempt
+        assert len(ramp_row_calls) >= sum(len(n.profile.stripes) for n in stair.nodes())
+        ramp_row_calls.clear()
+        for pot in (cascade10, stair):
+            assert sum(cc.kind == "ramp" for cc in pot.cell_classes()) > 0
+        assert ramp_row_calls == []
+
+    def test_planted_shrunk_box_is_caught(self, monkeypatch):
+        # a stored box shrunk to its midpoint no longer encloses its cells
+        pot = TestCompensatedRational.POT
+        node = pot.root
+        (height, box), *rest = node.ramp_rows[0]
+        point = tuple(Iv(entry.mid) for entry in box)
+        assert point != box
+        monkeypatch.setattr(node, "ramp_rows",
+                            (((height, point), *rest), *node.ramp_rows[1:]))
+        with pytest.raises(AssertionError):
+            assert_stored_rows_rederive(pot)
+        with pytest.raises(AssertionError):
+            assert_ramp_cells_inside_class_boxes(pot, TestCompensatedRational.CELLS)
+
+    def test_enclosures_bounded_at_m20(self, significant_bits):
+        pot = cascade_pot(20)
+        bits = [significant_bits(e) for cc in pot.cell_classes() if cc.kind == "ramp"
+                for entry in cc.h_box for e in (entry.lo, entry.hi)]
+        assert bits and max(bits) <= ENCLOSURE_BITS
+        # each level's sums are rounded; their fold into the whole stays exact
+        t = tally(pot, report_phis([F(13, 10)]))
+        sums = [v for part in t.levels.values()
+                for v in (*part.integrals, *part.exact_integrals) if not v.is_exact()]
+        assert sums
+        assert max(significant_bits(e) for v in sums for e in (v.lo, v.hi)) <= ENCLOSURE_BITS
 
 
 class TestIrrationalFraction:
