@@ -17,9 +17,9 @@ explicit lower/upper endpoint pairs, either as directed decimals
 
 Exit codes: 0 pass, 2 invalid parameters, 3 budget exhausted (a partial
 manifest is still written), 4 a verdict gate failed (an unconverged
-`obstacle solve` included), 5 could not certify (a build, a certified
-comparison or the wave-cone LP certificate could not be settled; the
-manifest names the exception).
+`obstacle solve` and a disjoint direct/recursion pair in `laminate`'s moment
+table included), 5 could not certify (a build, a certified comparison or the
+wave-cone LP certificate could not be settled; the manifest names the exception).
 """
 
 from __future__ import annotations
@@ -294,16 +294,23 @@ def _run_laminate(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     q_list = p["q"]
     lam, params = doubling_laminate(p["p"], p["k"])
     report = verify_doubling(lam, params, q_list)
-    outputs = []
+    ok = report["ok"]
     rpt = cfg.out_dir / "doubling_report.json"
     _write_json(rpt, report, cfg.scalar_mode, cfg.digits)
-    outputs.append(rpt)
+    outputs = [rpt]
     if p["m"] >= 1:
         rows = cascade_moment_table(p["p"], q_list, p["m"])
         csv_path = cfg.out_dir / "moment_table.csv"
         write_csv(csv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
         outputs.append(csv_path)
-    return (EXIT_OK if report["ok"] else EXIT_VERDICT), outputs
+        # every direct moment's enclosure must meet its recursion's
+        for row in rows:
+            for direct, rec in ((c, c.replace("_direct", "_rec")) for c in row if "_direct" in c):
+                if not (row[direct] - row[rec]).contains(0):
+                    print(f"{csv_path.name} row m={row['m']}: {direct} and {rec} are disjoint",
+                          file=sys.stderr)
+                    ok = False
+    return (EXIT_OK if ok else EXIT_VERDICT), outputs
 
 
 def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:

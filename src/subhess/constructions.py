@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from subhess.laminate import Laminate, elementary_split, moment
+from subhess.laminate import Laminate, barycenter, elementary_split, moment, phi_l1_diag, phi_neg_pow
 from subhess.scalars import (
     DEFAULT_PREC,
     Iv,
@@ -105,12 +105,15 @@ def doubling_laminate(
     prec: int = DEFAULT_PREC,
 ) -> tuple[Laminate, DoublingParams]:
     params = DoublingParams.make(p, k, two_p, prec)
-    lam = Laminate.dirac(params.mat_id)
+    return _double(Laminate.dirac(params.mat_id), 0, params), params
+
+
+def _double(lam: Laminate, idx: int, params: DoublingParams) -> Laminate:
+    """One doubling round on atom `idx`, the matrix k*Id."""
     # split along e1: k*Id = alpha * kA + (1-alpha) * kM
-    lam = elementary_split(lam, 0, params.alpha, params.mat_a, params.mat_m)
+    lam = elementary_split(lam, idx, params.alpha, params.mat_a, params.mat_m)
     # split along e2: k*M = beta * 2k*Id + (1-beta) * kB
-    lam = elementary_split(lam, 1, params.beta, params.mat_2id, params.mat_b)
-    return lam, params
+    return elementary_split(lam, idx + 1, params.beta, params.mat_2id, params.mat_b)
 
 
 def l1_growth_constant(params: DoublingParams) -> Iv:
@@ -173,20 +176,11 @@ def verify_doubling(
     k = Iv(params.k)
 
     atoms = lam.atoms
-    bc_resid_entries = []
-    from subhess.laminate import barycenter  # local to avoid cycle at import time
+    resid = list((barycenter(lam) - SymMat2.diag(k, k)).entries())
+    ok = all(entry.contains(0) and entry.width <= width_tol for entry in resid)
+    report["barycenter"] = {"ok": ok, "residual": resid}
 
-    bc = barycenter(lam)
-    target = SymMat2.diag(k, k)
-    ok = True
-    for entry in (bc - target).entries():
-        bc_resid_entries.append(entry)
-        ok = ok and entry.contains(0) and entry.width <= width_tol
-    report["barycenter"] = {"ok": ok, "residual": bc_resid_entries}
-
-    mass = Iv(0)
-    for atom in atoms:
-        mass = mass + atom.weight
+    mass = sum((atom.weight for atom in atoms), Iv(0))
     report["mass"] = {"ok": mass.contains(1) and mass.width <= width_tol, "mass": mass}
 
     # the doubling atom is the unique one equal to 2k*Id
@@ -220,41 +214,50 @@ def verify_doubling(
         "measured": measured,
     }
 
+    def neg_item(i: int, qv: Iv) -> dict:
+        c = neg_moment_constant(params, qv, i, prec)
+        measured = moment(lam, ("neg_pow", i, qv)) / rpow(k, qv, prec)
+        ok = c.certainly_gt(0) and (measured - c).contains(0)
+        return {"applicable": True, "ok": ok, "constant": c, "measured": measured}
+
     thresh = p_threshold(prec)
     for q in q_list:
         qv = as_iv(q)
-        key = f"neg_moment_q={qv.mid}"
-        row: dict = {}
         if params.p.certainly_lt(thresh):
-            c0 = neg_moment_constant(params, qv, 0, prec)
-            m0 = moment(lam, ("neg_pow", 0, qv)) / rpow(k, qv, prec)
-            row["i0"] = {
-                "applicable": True,
-                "ok": c0.certainly_gt(0) and (m0 - c0).contains(0),
-                "constant": c0,
-                "measured": m0,
-            }
+            i0 = neg_item(0, qv)
         elif params.p.certainly_gt(thresh):
             m0 = moment(lam, ("neg_pow", 0, qv))
-            row["i0"] = {"applicable": False, "ok": m0 == Iv(0), "measured": m0}
+            i0 = {"applicable": False, "ok": m0 == Iv(0), "measured": m0}
         else:
             raise Undecided(f"p vs log2(3) undecided: {params.p}")
-        c1 = neg_moment_constant(params, qv, 1, prec)
-        m1 = moment(lam, ("neg_pow", 1, qv)) / rpow(k, qv, prec)
-        row["i1"] = {
-            "applicable": True,
-            "ok": c1.certainly_gt(0) and (m1 - c1).contains(0),
-            "constant": c1,
-            "measured": m1,
-        }
-        row["ok"] = row["i1"]["ok"] and row["i0"]["ok"]
-        report[key] = row
+        i1 = neg_item(1, qv)
+        report[f"neg_moment_q={qv.mid}"] = {"i0": i0, "i1": i1, "ok": i1["ok"] and i0["ok"]}
 
     report["ok"] = all(v["ok"] for v in report.values() if isinstance(v, dict))
     return report
 
 
 # -- the cascade -------------------------------------------------------------------
+
+
+def _cascade_rounds(
+    p: IvLike,
+    m: int,
+    two_p: Optional[IvLike] = None,
+    prec: int = DEFAULT_PREC,
+) -> Iterator[tuple[Laminate, DoublingParams]]:
+    """(laminate, params) after each of m doubling rounds from delta_Id.
+
+    Round j splits atom j, the weight-(2^-p)^j atom at 2^j * Id, into the
+    A-atom at j, the doubled atom at j + 1 and the B-atom at j + 2. 2^p is
+    computed in round 0 only.
+    """
+    lam = Laminate.dirac(SymMat2.identity(1))
+    for j in range(m):
+        params = DoublingParams.make(p, Fraction(2**j), two_p, prec)
+        two_p = params.two_p
+        lam = _double(lam, j, params)
+        yield lam, params
 
 
 def doubling_cascade(
@@ -265,20 +268,12 @@ def doubling_cascade(
 ) -> tuple[Laminate, list[DoublingParams]]:
     """m rounds of doubling starting from delta_Id; scale doubles each round.
 
-    Returns the final laminate and the per-round params. Round j (0-based)
-    splits the weight-(2^-p)^j atom at matrix 2^j * Id; the doubled atom's
-    flat index after a round at index i is i + 1.
+    Returns the final laminate and the per-round params (`_cascade_rounds`).
     """
     if m < 0:
         raise ValueError("cascade length must be >= 0")
-    lam = Laminate.dirac(SymMat2.identity(1))
-    rounds: list[DoublingParams] = []
-    idx = 0
-    for j in range(m):
-        params = DoublingParams.make(p, Fraction(2**j), two_p, prec)
-        lam = elementary_split(lam, idx, params.alpha, params.mat_a, params.mat_m)
-        lam = elementary_split(lam, idx + 1, params.beta, params.mat_2id, params.mat_b)
-        idx += 1
+    lam, rounds = Laminate.dirac(SymMat2.identity(1)), []
+    for lam, params in _cascade_rounds(p, m, two_p, prec):
         rounds.append(params)
     return lam, rounds
 
@@ -296,41 +291,42 @@ def cascade_moment_table(
     recursion values. The recursions are
         a_m = a_{m-1} + (C-2) * 2^((1-p)(m-1)),
         b_{m,i} = b_{m-1,i} + c_i * 2^((q-p)(m-1)),
-    seeded at a_0 = 2, b_{0,i} = 0.
+    seeded at a_0 = 2, b_{0,i} = 0. A direct value is the sum of one term
+    weight * phi(matrix) per atom, each formed once, when its atom appears;
+    exact `Iv` sums make it equal `moment(lam, phi)`.
     """
     params0 = DoublingParams.make(p, Fraction(1), two_p, prec)
-    c_const = l1_growth_constant(params0)
     lam_w = 1 / params0.two_p
     q_vals = [as_iv(q) for q in q_list]
-    c_i = {(i, qi): neg_moment_constant(params0, qv, i, prec) for qi, qv in enumerate(q_vals) for i in (0, 1)}
+    # per functional: its CSV column stem, phi, and the unit-scale constant of
+    # its recursion step, which scales by 2^m (l1) or (2^m)^q (negative parts)
+    cols = {"a": ("a_{}", phi_l1_diag, l1_growth_constant(params0) - 2)}
+    for qi, qv in enumerate(q_vals):
+        for i in (0, 1):
+            cols[(i, qi)] = (f"b{i}_{{}}_q{qi}", phi_neg_pow(i, qv),
+                             neg_moment_constant(params0, qv, i, prec))
+    # m = 0 is delta_Id: one atom of weight 1
+    terms = {key: [phi(SymMat2.identity(1))] for key, (_, phi, _) in cols.items()}
+    recs = {key: Iv(2) if key == "a" else Iv(0) for key in cols}
 
     rows: list[dict] = []
-    a_rec = Iv(2)
-    b_rec = {(i, qi): Iv(0) for qi in range(len(q_vals)) for i in (0, 1)}
-    lam = Laminate.dirac(SymMat2.identity(1))
-    idx = 0
+    rounds = _cascade_rounds(p, m_max, params0.two_p, prec)
     for m in range(m_max + 1):
         row: dict = {"m": m}
-        row["a_direct"] = moment(lam, "l1_diag")
-        row["a_rec"] = a_rec
-        for qi, qv in enumerate(q_vals):
-            for i in (0, 1):
-                row[f"b{i}_direct_q{qi}"] = moment(lam, ("neg_pow", i, qv))
-                row[f"b{i}_rec_q{qi}"] = b_rec[(i, qi)]
+        for key, (stem, _, _) in cols.items():
+            row[stem.format("direct")] = sum(terms[key], Iv(0))
+            row[stem.format("rec")] = recs[key]
         rows.append(row)
         if m == m_max:
             break
-        # advance: split the doubling atom, update recursions
-        params = DoublingParams.make(p, Fraction(2**m), two_p, prec)
-        lam = elementary_split(lam, idx, params.alpha, params.mat_a, params.mat_m)
-        lam = elementary_split(lam, idx + 1, params.beta, params.mat_2id, params.mat_b)
-        idx += 1
-        growth = lam_w.pow_int(m) * Iv(2).pow_int(m)  # 2^((1-p)m)
-        a_rec = a_rec + (c_const - 2) * growth
-        for qi, qv in enumerate(q_vals):
-            scale_q = rpow(Iv(2).pow_int(m), qv, prec)  # (2^m)^q
-            for i in (0, 1):
-                b_rec[(i, qi)] = b_rec[(i, qi)] + c_i[(i, qi)] * lam_w.pow_int(m) * scale_q
+        # advance: the doubling atom's term gives way to its three children's
+        lam, _params = next(rounds)
+        two_m = Iv(2).pow_int(m)
+        scales = [rpow(two_m, qv, prec) for qv in q_vals]  # (2^m)^q
+        for key, (_, phi, const) in cols.items():
+            terms[key][m:m + 1] = [a.weight * phi(a.matrix) for a in lam.atoms[m:m + 3]]
+            scale = two_m if key == "a" else scales[key[1]]
+            recs[key] = recs[key] + const * lam_w.pow_int(m) * scale
     return rows
 
 

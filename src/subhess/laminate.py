@@ -37,11 +37,6 @@ class SplitNode:
     def is_leaf(self) -> bool:
         return self.s is None
 
-    def leaf_count(self) -> int:
-        if self.is_leaf():
-            return 1
-        return self.left.leaf_count() + self.right.leaf_count()
-
     def depth(self) -> int:
         if self.is_leaf():
             return 0
@@ -57,9 +52,10 @@ class Atom:
 class Laminate:
     """Immutable laminate; construct via `dirac` and `elementary_split`."""
 
-    def __init__(self, root: SplitNode):
+    def __init__(self, root: SplitNode, atoms: Optional[tuple[Atom, ...]] = None):
+        # `atoms` is seeded only by `elementary_split`; `validate` never reads it
         self.root = root
-        self._atoms: Optional[tuple[Atom, ...]] = None
+        self._atoms = atoms
 
     @staticmethod
     def dirac(matrix: SymMat2) -> "Laminate":
@@ -100,7 +96,7 @@ class Laminate:
         return self.root.depth()
 
     def __len__(self) -> int:
-        return self.root.leaf_count()
+        return len(self.atoms)
 
 
 def elementary_split(
@@ -114,7 +110,9 @@ def elementary_split(
 
     Certifies s in (0,1), M = s*B + (1-s)*C, and that B - C is rank one
     before rebuilding the tree. Raises ValueError on violations and
-    Undecided when enclosures are too wide to certify.
+    Undecided when enclosures are too wide to certify. The child's atoms are
+    the parent's with the split atom's weight w replaced by w*s and w*(1-s),
+    the products a fresh tree walk forms, so no later call re-walks the tree.
     """
     sv = as_iv(s)
     if not (sv.certainly_gt(0) and sv.certainly_lt(1)):
@@ -125,20 +123,19 @@ def elementary_split(
     if rank_one_connected(b, c) is None:
         raise ValueError("split endpoints are not rank-one connected")
 
-    target = lam.atoms[atom_index].matrix
+    atoms = lam.atoms
+    target, w = atoms[atom_index].matrix, atoms[atom_index].weight
     recon = b.scale(sv) + c.scale(1 - sv)
     resid = recon - target
     for entry in resid.entries():
         if not entry.contains(0):
             raise ValueError(f"barycenter identity fails: residual {entry}")
 
-    counter = [0]
+    leaf_ids = iter(range(n))  # depth-first leaf order is atom order
 
     def rebuild(node: SplitNode) -> SplitNode:
         if node.is_leaf():
-            i = counter[0]
-            counter[0] += 1
-            if i == atom_index:
+            if next(leaf_ids) == atom_index:
                 return SplitNode(node.matrix, sv, SplitNode(b), SplitNode(c))
             return node
         left = rebuild(node.left)
@@ -147,7 +144,8 @@ def elementary_split(
             return node
         return SplitNode(node.matrix, node.s, left, right)
 
-    return Laminate(rebuild(lam.root))
+    leaves = (Atom(b, w * sv), Atom(c, w * (1 - sv)))
+    return Laminate(rebuild(lam.root), atoms[:atom_index] + leaves + atoms[atom_index + 1:])
 
 
 def barycenter(lam: Laminate) -> SymMat2:
@@ -201,10 +199,7 @@ def resolve_phi(phi: PhiLike) -> Callable[[SymMat2], Iv]:
 
 def moment(lam: Laminate, phi: PhiLike) -> Iv:
     fn = resolve_phi(phi)
-    total = Iv(0)
-    for atom in lam.atoms:
-        total = total + atom.weight * fn(atom.matrix)
-    return total
+    return sum((atom.weight * fn(atom.matrix) for atom in lam.atoms), Iv(0))
 
 
 # -- validation --------------------------------------------------------------------
@@ -218,9 +213,11 @@ def validate(lam: Laminate, width_tol: Fraction = Fraction(1, 10**9)) -> dict:
     identities, rank-one connections, fraction ranges.
     """
     problems: list[str] = []
+    # weights from a fresh walk of the tree, never from atoms a split seeded
+    walked = Laminate(lam.root)
 
     mass = Iv(0)
-    for atom in lam.atoms:
+    for atom in walked.atoms:
         mass = mass + atom.weight
         if not atom.weight.certainly_gt(0):
             problems.append(f"weight not certainly positive: {atom.weight}")
@@ -229,7 +226,7 @@ def validate(lam: Laminate, width_tol: Fraction = Fraction(1, 10**9)) -> dict:
     if mass.width > width_tol:
         problems.append(f"total mass enclosure too wide: {mass.width}")
 
-    bc = barycenter(lam)
+    bc = barycenter(walked)
     resid = bc - lam.root.matrix
     for entry in resid.entries():
         if not entry.contains(0):
@@ -261,7 +258,7 @@ def validate(lam: Laminate, width_tol: Fraction = Fraction(1, 10**9)) -> dict:
     return {
         "ok": not problems,
         "problems": problems,
-        "atoms": len(lam),
+        "atoms": len(walked),
         "splits": splits,
         "depth": lam.depth(),
         "mass": mass,

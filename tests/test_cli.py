@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import subhess.cli as cli
+import subhess.constructions as constructions
 from subhess.cli import main
 from subhess.constructions import cascade_moment_table
 from subhess.laminate import loads as laminate_loads
@@ -274,6 +275,34 @@ class TestVerdictGate:
         # report and manifest still written for inspection
         assert (out / "doubling_report.json").exists()
         assert (out / "manifest.json").exists()
+
+    def test_shifted_moment_constant_fails_table_gate(self, tmp_path, monkeypatch, capsys):
+        # planted fault: the recursion's unit-scale constant c_i(p, q) is off
+        real = constructions.neg_moment_constant
+        monkeypatch.setattr(constructions, "neg_moment_constant",
+                            lambda *args: real(*args) + F(1, 10**6))
+        code, out = run(tmp_path, "laminate", "--p", "3/2", "--m", "3", "--q", "3/2")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "moment_table.csv row m=1: b1_direct_q0 and b1_rec_q0 are disjoint" in err
+        assert (out / "moment_table.csv").exists() and (out / "manifest.json").exists()
+
+    def test_table_gate_alone_decides_exit(self, tmp_path, monkeypatch, capsys):
+        code, out = run(tmp_path, "laminate", "--p", "3/2", "--m", "3", "--q", "3/2")
+        assert code == 0 and capsys.readouterr().err == ""
+        real = cli.cascade_moment_table
+
+        def shifted(*args):
+            rows = real(*args)
+            rows[-1]["a_rec"] = rows[-1]["a_rec"] + 1
+            return rows
+
+        monkeypatch.setattr(cli, "cascade_moment_table", shifted)
+        code, out = run(tmp_path, "laminate", "--p", "3/2", "--m", "3", "--q", "3/2")
+        assert code == 4
+        assert json.loads((out / "doubling_report.json").read_text())["ok"] is True
+        err = capsys.readouterr().err
+        assert err == "moment_table.csv row m=3: a_direct and a_rec are disjoint\n"
 
     def test_failed_selfcheck_gate_exits_4(self, tmp_path, monkeypatch):
         fake = {"rows": [{"n": 17, "h": 1 / 16, "sup_dev": 0.5}],

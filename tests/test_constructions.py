@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subhess.constructions as constructions
 from subhess.constructions import (
     DoublingParams,
     cascade_moment_table,
@@ -16,8 +17,9 @@ from subhess.constructions import (
     staircase_params,
     verify_doubling,
 )
-from subhess.laminate import barycenter, moment, validate
+from subhess.laminate import Laminate, barycenter, dumps, elementary_split, moment, validate
 from subhess.scalars import Iv, pow2
+from subhess.sym2 import SymMat2
 
 P13 = Fraction(13, 10)
 TOL9 = Fraction(1, 10**9)
@@ -197,6 +199,41 @@ class TestCascade:
         ]
         for s in slopes:
             assert abs(s - float(q - P13)) < 0.02 * float(q - P13) + 1e-9
+
+    @pytest.mark.parametrize("p", [P13, Fraction(8, 5)])  # either side of log2(3)
+    def test_direct_columns_equal_moment_of_cascade(self, p):
+        qs = [Fraction(3, 2), Fraction(6, 5)]
+        rows = cascade_moment_table(p, qs, 8)
+        phis = {"a_direct": "l1_diag"}
+        for qi, q in enumerate(qs):
+            for i in (0, 1):
+                phis[f"b{i}_direct_q{qi}"] = ("neg_pow", i, q)
+        for m, row in enumerate(rows):
+            lam = doubling_cascade(p, m)[0]
+            for col, phi in phis.items():
+                ref = moment(lam, phi)
+                assert (row[col].lo, row[col].hi) == (ref.lo, ref.hi), (m, col)
+
+    def test_cascade_matches_round_by_round_splits(self):
+        # reference: each round rebuilt from scratch, 2^p recomputed every round
+        lam, rounds = doubling_cascade(P13, 5)
+        ref = Laminate.dirac(SymMat2.identity(1))
+        for j in range(5):
+            params = DoublingParams.make(P13, Fraction(2**j))
+            ref = elementary_split(ref, j, params.alpha, params.mat_a, params.mat_m)
+            ref = elementary_split(ref, j + 1, params.beta, params.mat_2id, params.mat_b)
+            assert rounds[j] == params
+        assert dumps(lam) == dumps(ref)
+        assert lam.atoms == Laminate(ref.root).atoms
+
+    def test_two_to_the_p_computed_once(self, monkeypatch):
+        calls = []
+        real = constructions.pow2
+        monkeypatch.setattr(constructions, "pow2", lambda *args: calls.append(args) or real(*args))
+        doubling_cascade(P13, 6)
+        assert len(calls) == 1
+        cascade_moment_table(P13, [Fraction(3, 2)], 6)
+        assert len(calls) == 2
 
     def test_empty_and_bad(self):
         lam, rounds = doubling_cascade(P13, 0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subhess.laminate import (
+    Atom,
     Laminate,
     barycenter,
     dumps,
@@ -87,6 +88,48 @@ class TestSplitting:
         rep = validate(lam)
         assert rep["ok"], rep["problems"]
         assert barycenter(lam).a11 == Iv(1)
+
+
+def split_e1(lam: Laminate, i: int, s) -> Laminate:
+    """Split atom i along e1 into M + (1-s) e1e1 and M - s e1e1."""
+    m = lam.atoms[i].matrix
+    return elementary_split(lam, i, s, m + SymMat2.diag(1 - s, 0), m - SymMat2.diag(s, 0))
+
+
+def assert_seeded_atoms_match_walk(lam: Laminate):
+    seeded = lam._atoms
+    assert seeded is not None  # elementary_split seeded them; no walk ran
+    walked = Laminate(lam.root).atoms
+    assert [a.matrix for a in seeded] == [a.matrix for a in walked]
+    assert [(a.weight.lo, a.weight.hi) for a in seeded] == [
+        (a.weight.lo, a.weight.hi) for a in walked
+    ]
+
+
+class TestSeededAtoms:
+    S = pow2(Fraction(1, 3)) / 2  # an irrational split fraction, as an enclosure
+
+    @pytest.mark.parametrize("i", [0, 1, 2])  # first, middle and last atom
+    def test_split_of_each_position(self, i):
+        lam = split_e1(two_level(), i, self.S)
+        assert len(lam) == 4
+        assert_seeded_atoms_match_walk(lam)
+
+    def test_three_deep_sequence(self):
+        lam = Laminate.dirac(SymMat2.diag(1, 1))
+        for i, s in ((0, self.S), (1, Fraction(2, 5)), (1, 1 - self.S)):
+            lam = split_e1(lam, i, s)
+            assert_seeded_atoms_match_walk(lam)
+        assert lam.depth() == 3 and len(lam) == 4
+
+    def test_validate_ignores_seeded_atoms(self):
+        lam = two_level()
+        lam._atoms = tuple(Atom(a.matrix + SymMat2.diag(1, 0), a.weight * 2) for a in lam.atoms)
+        assert moment(lam, lambda m: Iv(1)) == Iv(2)  # the planted tuple is read elsewhere
+        rep = validate(lam)
+        # mass and barycenter are those of the tree
+        assert rep["ok"], rep["problems"]
+        assert rep["mass"] == Iv(1) and rep["atoms"] == 3
 
 
 class TestMoments:
