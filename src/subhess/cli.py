@@ -133,10 +133,29 @@ def _validate_staircase(p: dict):
     _require(p["i"] in (0, 1), "diagonal index must be 0 or 1")
 
 
+# size caps, refused before any allocation; each message names what its cap
+# protects (tracemalloc: 11.3 n x n float arrays for a solve and 12.5 for a
+# selfcheck grid at n = 257; 8 MB for one brute-force LP at n = 64)
+MAX_GRID_N = 2049
+MAX_CONE_N = 64
+MAX_LATTICE_RADIUS = 8
+
+
+def _require_grid_cap(n: int):
+    _require(n <= MAX_GRID_N, f"grid size n = {n} exceeds the cap of {MAX_GRID_N}: "
+             f"a run holds about twelve n x n float arrays, about 400 MB at the cap")
+
+
 def _validate_wavecone(p: dict):
     _require(p["n"] >= 2, "dimension must be >= 2")
+    _require(p["n"] <= MAX_CONE_N, f"dimension n = {p['n']} exceeds the cap of "
+             f"{MAX_CONE_N}: each brute-force LP is a dense n(n-1) x (n+1) matrix, "
+             f"about 8 MB at the cap and growing like n^3")
     _require(p["trials"] >= 1, "need at least one trial")
     _require(p["radius"] >= 1, "lattice radius must be >= 1")
+    _require(p["radius"] <= MAX_LATTICE_RADIUS, f"lattice radius {p['radius']} exceeds "
+             f"the cap of {MAX_LATTICE_RADIUS}: the lattice suite visits "
+             f"(2r+1)^min(n,3) vectors, 4,913 at the cap")
 
 
 _OBSTACLE_BUILTINS = ("radial", "radial-flat", "cup", "bowl", "harmonic")
@@ -144,6 +163,7 @@ _OBSTACLE_BUILTINS = ("radial", "radial-flat", "cup", "bowl", "harmonic")
 
 def _validate_obstacle_solve(p: dict):
     _require(p["n"] >= 8, "grid size must be >= 8")
+    _require_grid_cap(p["n"])
     _require(p["omega"] is None or 0 < p["omega"] < 2, "relaxation factor must lie in (0, 2)")
     _require(p["tol"] > 0, "tol must be positive")
     _require(p["max_iter"] >= 1, "max_iter must be positive")
@@ -155,6 +175,8 @@ def _validate_obstacle_solve(p: dict):
 def _validate_obstacle_selfcheck(p: dict):
     _require(p["depth"] >= 1, "staircase depth must be >= 1")
     _require(all(n >= 8 for n in p["n"]), "grid sizes must be >= 8")
+    for n in p["n"]:
+        _require_grid_cap(n)
     _require(p["tol"] > 0, "tol must be positive")
     _require(p["gate_c"] >= 0, "gate constant must be nonnegative")
 

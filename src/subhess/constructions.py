@@ -292,8 +292,10 @@ def cascade_moment_table(
         a_m = a_{m-1} + (C-2) * 2^((1-p)(m-1)),
         b_{m,i} = b_{m-1,i} + c_i * 2^((q-p)(m-1)),
     seeded at a_0 = 2, b_{0,i} = 0. A direct value is the sum of one term
-    weight * phi(matrix) per atom, each formed once, when its atom appears;
-    exact `Iv` sums make it equal `moment(lam, phi)`.
+    weight * phi(matrix) per atom, each formed once, when its atom appears.
+    Its endpoints are running sums (interval subtraction would widen): each
+    round subtracts the split atom's lo and hi and adds its three children's,
+    and exact Fraction steps keep every row equal to `moment(lam, phi)`.
     """
     params0 = DoublingParams.make(p, Fraction(1), two_p, prec)
     lam_w = 1 / params0.two_p
@@ -307,6 +309,7 @@ def cascade_moment_table(
                              neg_moment_constant(params0, qv, i, prec))
     # m = 0 is delta_Id: one atom of weight 1
     terms = {key: [phi(SymMat2.identity(1))] for key, (_, phi, _) in cols.items()}
+    sums = {key: (t[0].lo, t[0].hi) for key, t in terms.items()}
     recs = {key: Iv(2) if key == "a" else Iv(0) for key in cols}
 
     rows: list[dict] = []
@@ -314,7 +317,7 @@ def cascade_moment_table(
     for m in range(m_max + 1):
         row: dict = {"m": m}
         for key, (stem, _, _) in cols.items():
-            row[stem.format("direct")] = sum(terms[key], Iv(0))
+            row[stem.format("direct")] = Iv(*sums[key])
             row[stem.format("rec")] = recs[key]
         rows.append(row)
         if m == m_max:
@@ -324,7 +327,12 @@ def cascade_moment_table(
         two_m = Iv(2).pow_int(m)
         scales = [rpow(two_m, qv, prec) for qv in q_vals]  # (2^m)^q
         for key, (_, phi, const) in cols.items():
-            terms[key][m:m + 1] = [a.weight * phi(a.matrix) for a in lam.atoms[m:m + 3]]
+            children = [a.weight * phi(a.matrix) for a in lam.atoms[m:m + 3]]
+            gone = terms[key][m]
+            terms[key][m:m + 1] = children
+            lo, hi = sums[key]
+            sums[key] = (lo - gone.lo + sum(c.lo for c in children),
+                         hi - gone.hi + sum(c.hi for c in children))
             scale = two_m if key == "a" else scales[key[1]]
             recs[key] = recs[key] + const * lam_w.pow_int(m) * scale
     return rows

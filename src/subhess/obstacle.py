@@ -1,7 +1,7 @@
 """Finite-difference obstacle solver on the square and the disk.
 
-Projected successive over-relaxation (red-black sweeps) for the discrete
-variational inequality
+Projected successive over-relaxation (red-black sweeps over strided
+sublattice views) for the discrete variational inequality
 
     u >= phi,   -L_h u >= 0,   min(u - phi, -L_h u) = 0   at interior nodes,
 
@@ -196,15 +196,40 @@ def sor_factor(n: int) -> float:
     return 2.0 / (1.0 + math.sin(math.pi / (n - 1)))
 
 
+def _sweep_plan(u, phi, interior) -> list:
+    """Strided views of the four sublattices of the block [1, n-1)^2.
+
+    Red is row/column offsets (1, 1) and (2, 2), black (1, 2) and (2, 1);
+    red comes first.  Each entry holds the node view of u, its four
+    neighbour views in the order of `_neighbor_sum`, the matching slices of
+    phi and interior, and two work buffers.  Nodes of one colour never read
+    each other, so relaxing a colour view by view gives the same iterate as
+    relaxing the whole colour at once.
+    """
+    n = u.shape[0]
+
+    def lane(a, shift=0):
+        return slice(a + shift, n - 1 + shift, 2)
+
+    plan = []
+    for a, b in ((1, 1), (2, 2), (1, 2), (2, 1)):
+        r, c = lane(a), lane(b)
+        node = u[r, c]
+        nbrs = (u[lane(a, -1), c], u[lane(a, 1), c], u[r, lane(b, -1)], u[r, lane(b, 1)])
+        plan.append((node, nbrs, phi[r, c], interior[r, c],
+                     np.empty(node.shape), np.empty(node.shape)))
+    return plan
+
+
 def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float = 1e-10,
           max_iter: int = 200_000) -> VISolution:
     """Projected SOR: relax each node, then clip to max(., phi).
 
-    omega defaults to sor_factor(instance.n).  Sweeps update the two
-    checkerboard colors in a fixed order, so the result is deterministic.
-    Terminates once the positive 5-point sum, the obstacle violation and the
-    min-form complementarity residual are all at most tol; hitting max_iter
-    is reported, not raised.
+    omega defaults to sor_factor(instance.n).  A sweep updates the four
+    strided sublattices of `_sweep_plan` in a fixed order, red then black,
+    so the result is deterministic.  Terminates once the positive 5-point
+    sum, the obstacle violation and the min-form complementarity residual
+    are all at most tol; hitting max_iter is reported, not raised.
     """
     if omega is None:
         omega = sor_factor(instance.n)
@@ -220,8 +245,8 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
     u[interior] = phi[interior]
     u[boundary] = instance.g[boundary]
 
-    parity = (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2
-    colors = (interior & (parity == 0), interior & (parity == 1))
+    plan = _sweep_plan(u, phi, interior)
+    keep, pull = 1.0 - omega, 0.25 * omega
     scratch = np.zeros_like(u)
 
     iterations = 0
@@ -231,11 +256,17 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
         converged = True
     while not converged and iterations < max_iter:
         iterations += 1
-        for mask in colors:
-            ns = _neighbor_sum(u, scratch)
-            cand = (1.0 - omega) * u + (0.25 * omega) * ns
-            np.maximum(cand, phi, out=cand)
-            u[mask] = cand[mask]
+        for node, (up, dn, lf, rt), phi_v, interior_v, ns, cand in plan:
+            # (1 - omega) u + (omega / 4) (up + dn + lf + rt) with the operand
+            # order of a whole-array update, so every iterate is bit-identical
+            np.add(up, dn, out=ns)
+            ns += lf
+            ns += rt
+            np.multiply(node, keep, out=cand)
+            ns *= pull
+            cand += ns
+            np.maximum(cand, phi_v, out=cand)
+            np.copyto(node, cand, where=interior_v)
         if iterations % _CHECK_EVERY == 0 or iterations == max_iter:
             triple = _residual_triple(u, phi, interior, scratch)
             if max(triple[0], triple[1], triple[3]) <= tol:

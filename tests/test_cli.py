@@ -160,6 +160,45 @@ class TestValidation:
         args = parser.parse_args(["realize", "--p", "81", "--eps", "1/10"])
         assert cli.config_from_args(args, parser).params["p"] == 81
 
+    @pytest.mark.parametrize("argv, bound", [
+        (["obstacle", "solve", "--n", "2050"], "cap of 2049"),
+        (["obstacle", "selfcheck", "--depth", "1", "--n", "65,2050"], "cap of 2049"),
+        (["wavecone", "--n", "65"], "cap of 64"),
+        (["wavecone", "--n", "3", "--radius", "9"], "cap of 8"),
+    ], ids=["solve-n", "selfcheck-n", "wavecone-n", "lattice-radius"])
+    def test_sizes_above_cap_refused(self, tmp_path, capsys, argv, bound):
+        # refused by the validator, before any grid, LP or lattice is built
+        start = time.perf_counter()
+        code, out = run(tmp_path, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        err = capsys.readouterr().err
+        assert bound in err and ("MB" in err or "4,913" in err)
+        assert not out.exists()
+
+    def test_size_caps_in_validators(self):
+        parser = cli.build_parser()
+
+        def config(argv):
+            return cli.config_from_args(parser.parse_args(argv), parser)
+
+        at_cap = [
+            ["obstacle", "solve", "--n", "2049"],
+            ["obstacle", "selfcheck", "--depth", "3", "--n", "65,129,257,2049"],
+            ["wavecone", "--n", "64", "--radius", "8"],
+        ]
+        for argv in at_cap:
+            config(argv).validated()
+        above = [
+            (["obstacle", "solve", "--n", "2050"], "grid size n = 2050"),
+            (["obstacle", "selfcheck", "--depth", "1", "--n", "2050"], "grid size n = 2050"),
+            (["wavecone", "--n", "65"], "dimension n = 65"),
+            (["wavecone", "--n", "2", "--radius", "9"], "lattice radius 9"),
+        ]
+        for argv, message in above:
+            with pytest.raises(ValueError, match=message):
+                config(argv).validated()
+
     def test_unparseable_fraction_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path / "o"), "laminate", "--p", "abc"])

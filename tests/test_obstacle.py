@@ -27,6 +27,8 @@ from subhess.obstacle import (
     sor_factor,
     square_instance,
     _contact_equation,
+    _neighbor_sum,
+    _residual_triple,
 )
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
@@ -307,6 +309,67 @@ class TestInvariants:
         ext = harmonic_extension(inst)
         assert float((sol.u - ext)[inst.interior].min()) >= -1e-9
         assert sol.complementarity_min <= 1e-11
+
+
+def masked_sweep_solve(instance, omega, tol, max_iter):
+    """Reference projected SOR: each colour relaxes the whole array, then a
+    boolean-mask scatter keeps that colour's interior nodes.  Test oracle for
+    the strided sweep of `solve`, which must reproduce it bit for bit."""
+    phi, interior, boundary = instance.phi, instance.interior, instance.boundary
+    n = instance.n
+    u = np.zeros((n, n))
+    u[interior] = phi[interior]
+    u[boundary] = instance.g[boundary]
+    parity = (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2
+    colors = (interior & (parity == 0), interior & (parity == 1))
+    scratch = np.zeros_like(u)
+    iterations = 0
+    triple = _residual_triple(u, phi, interior, scratch)
+    converged = max(triple[0], triple[1], triple[3]) <= tol
+    while not converged and iterations < max_iter:
+        iterations += 1
+        for mask in colors:
+            ns = _neighbor_sum(u, scratch)
+            cand = (1.0 - omega) * u + (0.25 * omega) * ns
+            np.maximum(cand, phi, out=cand)
+            u[mask] = cand[mask]
+        if iterations % 4 == 0 or iterations == max_iter:
+            triple = _residual_triple(u, phi, interior, scratch)
+            converged = max(triple[0], triple[1], triple[3]) <= tol
+    if iterations % 4 != 0 and iterations != max_iter:
+        triple = _residual_triple(u, phi, interior, scratch)
+    return u, iterations, triple[:3], triple[3], converged
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("shape", ["square", "disk"])
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
+    def test_bit_identical_to_masked_sweeps(self, shape, n):
+        rng = np.random.default_rng(1000 * n + len(shape))
+        g = rng.uniform(-1, 1, (n, n))
+        phi = np.minimum(rng.uniform(-1.5, 0.5, (n, n)), g - 1e-6)
+        make = square_instance if shape == "square" else disk_instance
+        inst = make(n, phi, g)
+        for omega in (sor_factor(n), 1.3, 1.9):
+            for max_iter in (1, 5, 200_000):
+                sol = solve(inst, omega, tol=1e-11, max_iter=max_iter)
+                u, iterations, residuals, comp_min, converged = masked_sweep_solve(
+                    inst, omega, 1e-11, max_iter)
+                assert np.array_equal(sol.u, u), (omega, max_iter)
+                assert sol.iterations == iterations
+                assert sol.residuals == residuals
+                assert sol.complementarity_min == comp_min
+                assert sol.converged == converged
+                assert converged == (max_iter == 200_000)
+
+    def test_radial_reference_instance(self):
+        inst = radial_instance(65)
+        sol = solve(inst, tol=1e-10)
+        u, iterations, residuals, comp_min, converged = masked_sweep_solve(
+            inst, sor_factor(65), 1e-10, 200_000)
+        assert np.array_equal(sol.u, u)
+        assert (sol.iterations, sol.residuals, sol.complementarity_min, sol.converged) \
+            == (iterations, residuals, comp_min, converged)
 
 
 class TestSelfObstacle:
