@@ -25,7 +25,6 @@ from typing import Iterator, Optional, Sequence
 
 from subhess.laminate import Laminate, barycenter, elementary_split, moment, phi_l1_diag, phi_neg_pow
 from subhess.scalars import (
-    DEFAULT_PREC,
     Iv,
     IvLike,
     Undecided,
@@ -37,6 +36,8 @@ from subhess.scalars import (
     rpow,
 )
 from subhess.sym2 import SymMat2
+
+WIDTH_TOL = Fraction(1, 10**9)  # widest enclosure verify_doubling accepts as exact
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,11 @@ class DoublingParams:
         p: IvLike,
         k: Fraction = Fraction(1),
         two_p: Optional[IvLike] = None,
-        prec: int = DEFAULT_PREC,
     ) -> "DoublingParams":
         pv = as_iv(p)
         if not pv.certainly_gt(1):
             raise ValueError(f"exponent must be certainly > 1, got {pv}")
-        s = as_iv(two_p) if two_p is not None else pow2(pv, prec)
+        s = as_iv(two_p) if two_p is not None else pow2(pv)
         if not s.certainly_gt(2):
             raise ValueError(f"2^p must be certainly > 2, got {s}")
         alpha = (s - 1) / (s + 1)
@@ -83,28 +83,18 @@ class DoublingParams:
             mat_2id=SymMat2.diag(2 * kk, 2 * kk),
         )
 
-    @property
-    def weights(self) -> tuple[Iv, Iv, Iv]:
-        """(A-atom, doubling atom, B-atom) weights; middle one is 2^-p."""
-        return (
-            self.alpha,
-            self.beta * (1 - self.alpha),
-            (1 - self.beta) * (1 - self.alpha),
-        )
 
-
-def p_threshold(prec: int = DEFAULT_PREC) -> Iv:
+def p_threshold() -> Iv:
     """Exponent below which the A-atom's first diagonal entry is negative."""
-    return log2_iv(3, prec)
+    return log2_iv(3)
 
 
 def doubling_laminate(
     p: IvLike,
     k: Fraction = Fraction(1),
     two_p: Optional[IvLike] = None,
-    prec: int = DEFAULT_PREC,
 ) -> tuple[Laminate, DoublingParams]:
-    params = DoublingParams.make(p, k, two_p, prec)
+    params = DoublingParams.make(p, k, two_p)
     return _double(Laminate.dirac(params.mat_id), 0, params), params
 
 
@@ -131,7 +121,7 @@ def l1_growth_constant(params: DoublingParams) -> Iv:
     return alpha * (a11_abs + 1) + w_mid * 4 + w_b * (2 + 2 / (s - 1))
 
 
-def neg_moment_constant(params: DoublingParams, q: IvLike, i: int, prec: int = DEFAULT_PREC) -> Iv:
+def neg_moment_constant(params: DoublingParams, q: IvLike, i: int) -> Iv:
     """c_i(p, q): q-th negative-part moment of diagonal entry i, unit scale.
 
     i = 0 is zero (not just small) when p >= log2(3); i = 1 is positive for
@@ -143,28 +133,17 @@ def neg_moment_constant(params: DoublingParams, q: IvLike, i: int, prec: int = D
         neg = ((s - 3) / (s - 1)).neg_part()
         if neg.hi == 0:
             return Iv(0)
-        return params.alpha * rpow(neg, qv, prec)
+        return params.alpha * rpow(neg, qv)
     if i == 1:
         w_b = (1 - params.beta) * (1 - params.alpha)
-        return w_b * rpow(2 / (s - 1), qv, prec)
+        return w_b * rpow(2 / (s - 1), qv)
     raise ValueError(f"diagonal index must be 0 or 1, got {i}")
-
-
-def l1_limit_constant(params: DoublingParams, prec: int = DEFAULT_PREC) -> Iv:
-    """a_inf = 2 + (C-2)/(1 - 2^(1-p)): the cascade's l1-diagonal ceiling."""
-    c = l1_growth_constant(params)
-    lam_half = 2 / params.two_p  # 2^(1-p)
-    if not lam_half.certainly_lt(1):
-        raise Undecided(f"2^(1-p) not certainly < 1: {lam_half}")
-    return 2 + (c - 2) / (1 - lam_half)
 
 
 def verify_doubling(
     lam: Laminate,
     params: DoublingParams,
     q_list: Sequence[IvLike] = (),
-    width_tol: Fraction = Fraction(1, 10**9),
-    prec: int = DEFAULT_PREC,
 ) -> dict:
     """Certified item-by-item report on a doubling laminate.
 
@@ -177,18 +156,18 @@ def verify_doubling(
 
     atoms = lam.atoms
     resid = list((barycenter(lam) - SymMat2.diag(k, k)).entries())
-    ok = all(entry.contains(0) and entry.width <= width_tol for entry in resid)
+    ok = all(entry.contains(0) and entry.width <= WIDTH_TOL for entry in resid)
     report["barycenter"] = {"ok": ok, "residual": resid}
 
     mass = sum((atom.weight for atom in atoms), Iv(0))
-    report["mass"] = {"ok": mass.contains(1) and mass.width <= width_tol, "mass": mass}
+    report["mass"] = {"ok": mass.contains(1) and mass.width <= WIDTH_TOL, "mass": mass}
 
     # the doubling atom is the unique one equal to 2k*Id
     mid = atoms[1]
     lam_weight = 1 / params.two_p
     diff = mid.weight - lam_weight
     report["doubling_weight"] = {
-        "ok": diff.contains(0) and diff.width <= width_tol,
+        "ok": diff.contains(0) and diff.width <= WIDTH_TOL,
         "weight": mid.weight,
         "target": lam_weight,
     }
@@ -209,18 +188,18 @@ def verify_doubling(
     report["l1_moment"] = {
         "ok": c_val.certainly_gt(2)
         and (measured - c_val).contains(0)
-        and measured.width <= width_tol,
+        and measured.width <= WIDTH_TOL,
         "constant": c_val,
         "measured": measured,
     }
 
     def neg_item(i: int, qv: Iv) -> dict:
-        c = neg_moment_constant(params, qv, i, prec)
-        measured = moment(lam, ("neg_pow", i, qv)) / rpow(k, qv, prec)
+        c = neg_moment_constant(params, qv, i)
+        measured = moment(lam, ("neg_pow", i, qv)) / rpow(k, qv)
         ok = c.certainly_gt(0) and (measured - c).contains(0)
         return {"applicable": True, "ok": ok, "constant": c, "measured": measured}
 
-    thresh = p_threshold(prec)
+    thresh = p_threshold()
     for q in q_list:
         qv = as_iv(q)
         if params.p.certainly_lt(thresh):
@@ -244,7 +223,6 @@ def _cascade_rounds(
     p: IvLike,
     m: int,
     two_p: Optional[IvLike] = None,
-    prec: int = DEFAULT_PREC,
 ) -> Iterator[tuple[Laminate, DoublingParams]]:
     """(laminate, params) after each of m doubling rounds from delta_Id.
 
@@ -254,7 +232,7 @@ def _cascade_rounds(
     """
     lam = Laminate.dirac(SymMat2.identity(1))
     for j in range(m):
-        params = DoublingParams.make(p, Fraction(2**j), two_p, prec)
+        params = DoublingParams.make(p, Fraction(2**j), two_p)
         two_p = params.two_p
         lam = _double(lam, j, params)
         yield lam, params
@@ -264,7 +242,6 @@ def doubling_cascade(
     p: IvLike,
     m: int,
     two_p: Optional[IvLike] = None,
-    prec: int = DEFAULT_PREC,
 ) -> tuple[Laminate, list[DoublingParams]]:
     """m rounds of doubling starting from delta_Id; scale doubles each round.
 
@@ -273,7 +250,7 @@ def doubling_cascade(
     if m < 0:
         raise ValueError("cascade length must be >= 0")
     lam, rounds = Laminate.dirac(SymMat2.identity(1)), []
-    for lam, params in _cascade_rounds(p, m, two_p, prec):
+    for lam, params in _cascade_rounds(p, m, two_p):
         rounds.append(params)
     return lam, rounds
 
@@ -283,7 +260,6 @@ def cascade_moment_table(
     q_list: Sequence[IvLike],
     m_max: int,
     two_p: Optional[IvLike] = None,
-    prec: int = DEFAULT_PREC,
 ) -> list[dict]:
     """Direct vs recursion values of the cascade moments, m = 0..m_max.
 
@@ -297,7 +273,7 @@ def cascade_moment_table(
     round subtracts the split atom's lo and hi and adds its three children's,
     and exact Fraction steps keep every row equal to `moment(lam, phi)`.
     """
-    params0 = DoublingParams.make(p, Fraction(1), two_p, prec)
+    params0 = DoublingParams.make(p, Fraction(1), two_p)
     lam_w = 1 / params0.two_p
     q_vals = [as_iv(q) for q in q_list]
     # per functional: its CSV column stem, phi, and the unit-scale constant of
@@ -306,14 +282,14 @@ def cascade_moment_table(
     for qi, qv in enumerate(q_vals):
         for i in (0, 1):
             cols[(i, qi)] = (f"b{i}_{{}}_q{qi}", phi_neg_pow(i, qv),
-                             neg_moment_constant(params0, qv, i, prec))
+                             neg_moment_constant(params0, qv, i))
     # m = 0 is delta_Id: one atom of weight 1
     terms = {key: [phi(SymMat2.identity(1))] for key, (_, phi, _) in cols.items()}
     sums = {key: (t[0].lo, t[0].hi) for key, t in terms.items()}
     recs = {key: Iv(2) if key == "a" else Iv(0) for key in cols}
 
     rows: list[dict] = []
-    rounds = _cascade_rounds(p, m_max, params0.two_p, prec)
+    rounds = _cascade_rounds(p, m_max, params0.two_p)
     for m in range(m_max + 1):
         row: dict = {"m": m}
         for key, (stem, _, _) in cols.items():
@@ -325,7 +301,7 @@ def cascade_moment_table(
         # advance: the doubling atom's term gives way to its three children's
         lam, _params = next(rounds)
         two_m = Iv(2).pow_int(m)
-        scales = [rpow(two_m, qv, prec) for qv in q_vals]  # (2^m)^q
+        scales = [rpow(two_m, qv) for qv in q_vals]  # (2^m)^q
         for key, (_, phi, const) in cols.items():
             children = [a.weight * phi(a.matrix) for a in lam.atoms[m:m + 3]]
             gone = terms[key][m]
@@ -349,26 +325,22 @@ class StairLevel:
     eps: Fraction
 
 
-def staircase_params(
-    levels: int,
-    prec: int = DEFAULT_PREC,
-    eps_bits: int = 30,
-) -> list[StairLevel]:
+def staircase_params(levels: int) -> list[StairLevel]:
     """Level schedule: p_j = 1 + kappa/j (kappa = 2/ln 2), k_j = 2^(j-1),
-    eps_j = dyadic floor of min(4^-j, 2^-p_j).
+    eps_j = dyadic floor of min(4^-j, 2^-p_j) to 30 bits.
 
     The eps_j <= 2^-p_j strengthening keeps the level-area two-sided bounds
     inside a factor-2 corridor of prod 2^-p_m.
     """
     if levels < 1:
         raise ValueError("need at least one level")
-    kappa = 2 / ln_iv(2, prec)
+    kappa = 2 / ln_iv(2)
     out: list[StairLevel] = []
     for j in range(1, levels + 1):
         pj = 1 + kappa / j
-        cap = Iv.hull([pow2(-pj, prec)])
+        cap = Iv.hull([pow2(-pj)])
         eps_cap = min(Fraction(1, 4**j), cap.lo)
-        eps = dyadic_floor_iv(Iv(eps_cap), eps_bits)
+        eps = dyadic_floor_iv(Iv(eps_cap), 30)
         if eps <= 0:
             raise ValueError(f"level {j} epsilon underflow")
         out.append(StairLevel(j=j, p=pj, k=Fraction(2 ** (j - 1)), eps=eps))

@@ -7,16 +7,15 @@ order are the atoms. The tree is the object the synthesizer walks — the flat
 atom list forgets the order of splits, which is exactly the data a nested
 stripe construction needs.
 
-All scalars are certified intervals; `validate` re-derives every invariant
-(mass, positivity, barycenter identities, rank-one connections) instead of
-trusting construction-time checks.
+All scalars are certified intervals. `elementary_split` certifies each
+split (fraction range, barycenter identity, rank-one connection) as it is
+made; `dumps` writes the tree as the `laminate.json` artifact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from subhess.scalars import Iv, IvLike, as_iv, fr_str, rpow
@@ -53,7 +52,7 @@ class Laminate:
     """Immutable laminate; construct via `dirac` and `elementary_split`."""
 
     def __init__(self, root: SplitNode, atoms: Optional[tuple[Atom, ...]] = None):
-        # `atoms` is seeded only by `elementary_split`; `validate` never reads it
+        # `atoms` is seeded only by `elementary_split`
         self.root = root
         self._atoms = atoms
 
@@ -76,21 +75,6 @@ class Laminate:
             walk(self.root, Iv(1))
             self._atoms = tuple(out)
         return self._atoms
-
-    @property
-    def trail(self) -> tuple[tuple[SymMat2, SymMat2], ...]:
-        """(B, C) pairs of every split, depth-first."""
-        out: list[tuple[SymMat2, SymMat2]] = []
-
-        def walk(node: SplitNode):
-            if node.is_leaf():
-                return
-            out.append((node.left.matrix, node.right.matrix))
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
-        return tuple(out)
 
     def depth(self) -> int:
         return self.root.depth()
@@ -132,14 +116,17 @@ def elementary_split(
             raise ValueError(f"barycenter identity fails: residual {entry}")
 
     leaf_ids = iter(range(n))  # depth-first leaf order is atom order
+    done = False  # set once the split leaf is replaced: the rest is untouched
 
     def rebuild(node: SplitNode) -> SplitNode:
+        nonlocal done
         if node.is_leaf():
             if next(leaf_ids) == atom_index:
+                done = True
                 return SplitNode(node.matrix, sv, SplitNode(b), SplitNode(c))
             return node
         left = rebuild(node.left)
-        right = rebuild(node.right)
+        right = node.right if done else rebuild(node.right)
         if left is node.left and right is node.right:
             return node
         return SplitNode(node.matrix, node.s, left, right)
@@ -202,69 +189,6 @@ def moment(lam: Laminate, phi: PhiLike) -> Iv:
     return sum((atom.weight * fn(atom.matrix) for atom in lam.atoms), Iv(0))
 
 
-# -- validation --------------------------------------------------------------------
-
-
-def validate(lam: Laminate, width_tol: Fraction = Fraction(1, 10**9)) -> dict:
-    """Re-derive every laminate invariant; returns a report dict.
-
-    report['ok'] is True only if all checks are certified. Splits are checked
-    at the tree (not the flat view): weight bookkeeping, barycenter
-    identities, rank-one connections, fraction ranges.
-    """
-    problems: list[str] = []
-    # weights from a fresh walk of the tree, never from atoms a split seeded
-    walked = Laminate(lam.root)
-
-    mass = Iv(0)
-    for atom in walked.atoms:
-        mass = mass + atom.weight
-        if not atom.weight.certainly_gt(0):
-            problems.append(f"weight not certainly positive: {atom.weight}")
-    if not mass.contains(1):
-        problems.append(f"total mass does not contain 1: {mass}")
-    if mass.width > width_tol:
-        problems.append(f"total mass enclosure too wide: {mass.width}")
-
-    bc = barycenter(walked)
-    resid = bc - lam.root.matrix
-    for entry in resid.entries():
-        if not entry.contains(0):
-            problems.append(f"barycenter drifted from root: {entry}")
-
-    splits = 0
-
-    def walk(node: SplitNode):
-        nonlocal splits
-        if node.is_leaf():
-            return
-        splits += 1
-        if not (node.s.certainly_gt(0) and node.s.certainly_lt(1)):
-            problems.append(f"split fraction not in (0,1): {node.s}")
-        recon = node.left.matrix.scale(node.s) + node.right.matrix.scale(1 - node.s)
-        for entry in (recon - node.matrix).entries():
-            if not entry.contains(0):
-                problems.append(f"split identity residual off zero: {entry}")
-            if entry.width > width_tol:
-                problems.append(f"split identity residual too wide: {entry.width}")
-        conn = rank_one_connected(node.left.matrix, node.right.matrix)
-        if conn is None:
-            problems.append("split endpoints not rank-one connected")
-        walk(node.left)
-        walk(node.right)
-
-    walk(lam.root)
-
-    return {
-        "ok": not problems,
-        "problems": problems,
-        "atoms": len(walked),
-        "splits": splits,
-        "depth": lam.depth(),
-        "mass": mass,
-    }
-
-
 # -- serialization -----------------------------------------------------------------
 
 
@@ -274,18 +198,8 @@ def _iv_jsonable(v: Iv):
     return {"lo": fr_str(v.lo), "hi": fr_str(v.hi)}
 
 
-def _iv_parse(obj) -> Iv:
-    if isinstance(obj, str):
-        return Iv(Fraction(obj))
-    return Iv(Fraction(obj["lo"]), Fraction(obj["hi"]))
-
-
 def _mat_jsonable(m: SymMat2):
     return [_iv_jsonable(m.a11), _iv_jsonable(m.a12), _iv_jsonable(m.a22)]
-
-
-def _mat_parse(obj) -> SymMat2:
-    return SymMat2(_iv_parse(obj[0]), _iv_parse(obj[1]), _iv_parse(obj[2]))
 
 
 def _node_jsonable(node: SplitNode):
@@ -299,30 +213,9 @@ def _node_jsonable(node: SplitNode):
     }
 
 
-def _node_parse(obj) -> SplitNode:
-    if "s" not in obj:
-        return SplitNode(_mat_parse(obj["matrix"]))
-    return SplitNode(
-        _mat_parse(obj["matrix"]),
-        _iv_parse(obj["s"]),
-        _node_parse(obj["left"]),
-        _node_parse(obj["right"]),
-    )
-
-
 def to_jsonable(lam: Laminate) -> dict:
     return {"kind": "laminate", "tree": _node_jsonable(lam.root)}
 
 
-def from_jsonable(obj: dict) -> Laminate:
-    if obj.get("kind") != "laminate":
-        raise ValueError("not a laminate payload")
-    return Laminate(_node_parse(obj["tree"]))
-
-
 def dumps(lam: Laminate, indent: Optional[int] = None) -> str:
     return json.dumps(to_jsonable(lam), indent=indent, sort_keys=True)
-
-
-def loads(payload: str) -> Laminate:
-    return from_jsonable(json.loads(payload))

@@ -23,15 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import brentq
-from scipy.sparse.linalg import spsolve
 
-from subhess.scalars import Iv
 from subhess.verifier import tally
 
 GridData = Union[np.ndarray, Callable, float, int]
@@ -180,14 +176,24 @@ def _neighbor_sum(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _residual_triple(u, phi, interior, scratch):
-    ns = _neighbor_sum(u, scratch)
-    s = ns[interior] - 4.0 * u[interior]
+    """(positive 5-point sum, obstacle violation, complementarity product,
+    complementarity min) over the interior, as `VISolution` reports them.
+
+    Gathers u, phi and the neighbour sum once each, then works in place;
+    `scratch` holds the neighbour sum and then serves as the work buffer.
+    phi - u and u - phi stay two subtractions: negating one would turn +0.0
+    into -0.0 at contact nodes.
+    """
+    u_i, phi_i = u[interior], phi[interior]
+    s = _neighbor_sum(u, scratch)[interior]
+    work = scratch.reshape(-1)[:s.size]
+    s -= np.multiply(u_i, 4.0, out=work)
     neg_lap = max(float(s.max(initial=0.0)), 0.0)
-    violation = max(float((phi[interior] - u[interior]).max(initial=0.0)), 0.0)
-    slack = u[interior] - phi[interior]
-    ell = np.maximum(-s, 0.0)
-    comp_prod = float((np.maximum(slack, 0.0) * ell).max(initial=0.0))
-    comp_min = float(np.minimum(np.maximum(slack, 0.0), ell).max(initial=0.0))
+    violation = max(float(np.subtract(phi_i, u_i, out=work).max(initial=0.0)), 0.0)
+    slack = np.maximum(np.subtract(u_i, phi_i, out=work), 0.0, out=work)
+    ell = np.maximum(np.negative(s, out=s), 0.0, out=s)
+    comp_prod = float(np.multiply(slack, ell, out=u_i).max(initial=0.0))
+    comp_min = float(np.minimum(slack, ell, out=phi_i).max(initial=0.0))
     return neg_lap, violation, comp_prod, comp_min
 
 
@@ -283,37 +289,6 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
     )
 
 
-def harmonic_extension(instance: ObstacleInstance) -> np.ndarray:
-    """Unconstrained 5-point solve with the instance's boundary data."""
-    n = instance.n
-    interior, boundary = instance.interior, instance.boundary
-    idx = -np.ones((n, n), dtype=np.int64)
-    k = int(interior.sum())
-    idx[interior] = np.arange(k)
-    rows = [idx[interior]]
-    cols = [idx[interior]]
-    vals = [np.full(k, 4.0)]
-    b = np.zeros(k)
-    ii, jj = np.nonzero(interior)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ni, nj = ii + di, jj + dj
-        nb_int = interior[ni, nj]
-        rows.append(idx[ii[nb_int], jj[nb_int]])
-        cols.append(idx[ni[nb_int], nj[nb_int]])
-        vals.append(np.full(int(nb_int.sum()), -1.0))
-        nb_bd = boundary[ni, nj]
-        np.add.at(b, idx[ii[nb_bd], jj[nb_bd]], instance.g[ni[nb_bd], nj[nb_bd]])
-    mat = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(k, k),
-    )
-    sol = spsolve(mat, b)
-    out = np.zeros((n, n))
-    out[boundary] = instance.g[boundary]
-    out[interior] = sol
-    return out
-
-
 # ---------------------------------------------------------------------------
 # radial reference on the disk (obstacle 1 - 2|x|^2)
 
@@ -325,36 +300,6 @@ def _contact_equation(c: float) -> float:
 
 def radial_contact_radius() -> float:
     return float(brentq(_contact_equation, 0.05, 0.95, xtol=1e-15, rtol=8.9e-16))
-
-
-def _shoot_tail(c: float, steps: int) -> float:
-    """RK4 integration of u'' = -u'/r from r = c with the C^1 contact data;
-    returns u(1)."""
-    r, u, v = c, 1.0 - 2.0 * c * c, -4.0 * c
-    dr = (1.0 - c) / steps
-    for _ in range(steps):
-        k1u, k1v = v, -v / r
-        k2u, k2v = v + 0.5 * dr * k1v, -(v + 0.5 * dr * k1v) / (r + 0.5 * dr)
-        k3u, k3v = v + 0.5 * dr * k2v, -(v + 0.5 * dr * k2v) / (r + 0.5 * dr)
-        k4u, k4v = v + dr * k3v, -(v + dr * k3v) / (r + dr)
-        u += dr * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
-        v += dr * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-        r += dr
-    return u
-
-
-def radial_contact_radius_shooting(steps: int = 4096, iters: int = 60) -> float:
-    """Bisection on the shot boundary value; independent of the closed form."""
-    lo, hi = 0.05, 0.95
-    f_lo = _shoot_tail(lo, steps)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = _shoot_tail(mid, steps)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def radial_profile(r, rstar: float):
@@ -383,48 +328,6 @@ def radial_instance(n: int, pinned: bool = True) -> ObstacleInstance:
     else:
         g = None
     return disk_instance(n, phi, g)
-
-
-def radial_order_study(n_list: Sequence[int] = (65, 129, 257),
-                       tol: float = 1e-12) -> dict:
-    """Sup-norm error against the radial reference across refinements.
-
-    The contact radius is cross-checked between the closed-form root and the
-    shooting bisection before any grid work.
-    """
-    rstar = radial_contact_radius()
-    rstar_shoot = radial_contact_radius_shooting()
-    if abs(rstar - rstar_shoot) > 1e-10:
-        raise RuntimeError(
-            f"contact radius mismatch: {rstar} (root) vs {rstar_shoot} (shooting)"
-        )
-    rows = []
-    for n in n_list:
-        inst = radial_instance(n, pinned=True)
-        sol = solve(inst, tol=tol)
-        R = np.sqrt(inst.xs[:, None] ** 2 + inst.ys[None, :] ** 2)
-        ref = radial_profile(R, rstar)
-        err = float(np.abs((sol.u - ref)[inst.interior]).max())
-        rows.append({
-            "n": n,
-            "h": inst.h,
-            "error": err,
-            "iterations": sol.iterations,
-            "converged": sol.converged,
-        })
-    orders = []
-    for a, b in zip(rows, rows[1:]):
-        orders.append(math.log2(a["error"] / b["error"])
-                      / math.log2(a["h"] / b["h"]))
-    overall = (math.log2(rows[0]["error"] / rows[-1]["error"])
-               / math.log2(rows[0]["h"] / rows[-1]["h"]))
-    return {
-        "rstar": rstar,
-        "rstar_shooting": rstar_shoot,
-        "rows": rows,
-        "orders": orders,
-        "order": overall,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -495,80 +398,4 @@ def self_obstacle_suite(pot, n_list: Sequence[int] = (65, 129, 257),
         "fitted_c": fitted_c,
         "shrinking": shrinking,
         "suggestion": suggestion,
-    }
-
-
-# ---------------------------------------------------------------------------
-# positive-part diagnostics of discrete Hessians
-
-
-def hessian_plus_diagnostics(u: np.ndarray, h: float,
-                             p_list: Sequence[float] = (1.0, 1.5),
-                             mask: Optional[np.ndarray] = None) -> list:
-    """Grid L^p norms of the positive parts of the pure second differences.
-
-    Returns one row per exponent: {"p": p, "lp_sum": (sum over nodes of
-    ((u_xx)_+^p + (u_yy)_+^p) h^2)^(1/p)}.  For a function whose Hessian
-    positive part is integrable but not p-integrable the p > 1 rows keep
-    growing under refinement while p = 1 stabilizes.
-    """
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("expected a square nodal array")
-    uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / (h * h)
-    uyy = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / (h * h)
-    if mask is not None:
-        inner = mask[1:-1, 1:-1]
-        uxx = uxx[inner]
-        uyy = uyy[inner]
-    px = np.maximum(uxx, 0.0)
-    py = np.maximum(uyy, 0.0)
-    rows = []
-    for p in p_list:
-        if p < 1:
-            raise ValueError(f"exponent {p} below 1")
-        total = float((px ** p).sum() + (py ** p).sum()) * h * h
-        rows.append({"p": float(p), "lp_sum": total ** (1.0 / p)})
-    return rows
-
-
-def hessian_negative_mass(pot) -> Iv:
-    """Certified integral of (u_xx)_- + (u_yy)_- over the domain.
-
-    Equals half the gap between the diagonal-l1 and trace integrals; the
-    p = 1 diagnostics column of the negated potential approaches this number
-    as the grid resolves the stripes.
-    """
-    l1, tr = tally(pot, ("l1_diag", "trace")).integrals
-    return (l1 - tr) * Iv(Fraction(1, 2))
-
-
-def refinement_diagnostics(pot, n_list: Sequence[int] = (65, 129, 257, 513),
-                           p_list: Sequence[float] = (1.0, 1.5),
-                           solve_tol: Optional[float] = None) -> dict:
-    """Diagnostics columns for the negated potential across refinements.
-
-    With solve_tol set, each grid is run through the obstacle solver first
-    (self-obstacle data) and the diagnostics are taken on the discrete
-    solution; otherwise they are taken on the sampled obstacle directly.
-    """
-    columns = {float(p): [] for p in p_list}
-    rows = []
-    for n in n_list:
-        phi = sample_potential(pot, n, negate=True)
-        if solve_tol is not None:
-            inst = square_instance(n, phi)
-            u = solve(inst, tol=solve_tol).u
-        else:
-            u = phi
-        h = float(pot.domain[2]) / (n - 1)
-        diag = hessian_plus_diagnostics(u, h, p_list)
-        rows.append({"n": n, "rows": diag})
-        for entry in diag:
-            columns[entry["p"]].append(entry["lp_sum"])
-    ref = hessian_negative_mass(pot)
-    return {
-        "n_list": list(n_list),
-        "columns": {p: vals for p, vals in columns.items()},
-        "negative_mass": (float(ref.lo), float(ref.hi)),
-        "rows": rows,
     }

@@ -67,10 +67,6 @@ class Iv:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def exact(x: RationalLike) -> "Iv":
-        return Iv(_fr(x))
-
-    @staticmethod
     def hull(items: Iterable[IvLike]) -> "Iv":
         lo = None
         hi = None

@@ -14,8 +14,8 @@ Cells whose Hessian equals an atom exactly host the next pattern level
 through an exact affine handoff. The potential is stored symbolically: one
 `PatternNode` per level with O(1) cell *classes* (all stripes of a class are
 translates), so measurement is closed-form per class times multiplicity and
-the object stays small even when the geometric cell count is astronomical.
-Materializing actual cells is lazy and budget-capped.
+the object stays small even when the geometric cell count is astronomical:
+nothing here enumerates geometric cells.
 
 Two exactness devices make the symbolic representation certified:
 
@@ -50,8 +50,6 @@ from subhess.sym2 import SymMat2, rank_one_connected
 
 T_BITS = 80
 SIGMA_BITS = 20  # compensator width sigma = delta / 2^SIGMA_BITS at the least
-DELTA_FLOOR_BITS = 20  # materialization guard: never enumerate finer stripes
-DEFAULT_BUDGET = 10**7
 
 ZERO = Iv(0)
 HALF = Fraction(1, 2)
@@ -398,9 +396,10 @@ def build_pattern_node(
     rect_h: Fraction,
     eps_h: Fraction,
     eps_a: Fraction,
-    dev_cap: Optional[Fraction] = None,
+    dev_cap: Fraction,
 ) -> PatternNode:
-    """One certified pattern level on a rect of the given size.
+    """One certified pattern level on a rect of the given size, whose
+    gradient deviates from the base affine map by at most dev_cap.
 
     Raises NonAxisRankOne when B - C is not supported on a coordinate axis,
     BuildError when the barycenter identity or any certification fails.
@@ -425,11 +424,8 @@ def build_pattern_node(
     m_hi = (t_iv * (1 - t_iv)).hi
     if g_hi == 0:
         raise BuildError("degenerate split: targets coincide on the axis")
-    delta_ball = rho * eps_h / (4 * m_hi * g_hi)
-    caps = [delta_ball, rho]
-    if dev_cap is not None:
-        caps.append(Fraction(dev_cap) / (2 * m_hi * g_hi))
-    delta_cap = min(caps)
+    dev_cap = Fraction(dev_cap)
+    delta_cap = min(rho * eps_h / (4 * m_hi * g_hi), rho, dev_cap / (2 * m_hi * g_hi))
     bits = _sigma_bits(eps_a)
     # period = 2*delta*(1 + 2^-bits) and n_pairs * period = long exactly
     pscale = 2 * (1 + Fraction(1, 1 << bits))
@@ -461,10 +457,7 @@ def build_pattern_node(
             0, sqrt_iv(grad_long.sq() + grad_perp.sq()).hi
         )  # Euclidean sup bound
 
-        ok = ball_sq.certainly_le(eps_h_sq)
-        if dev_cap is not None:
-            ok = ok and grad_dev.certainly_le(Iv(Fraction(dev_cap)))
-        if ok:
+        if ball_sq.certainly_le(eps_h_sq) and grad_dev.certainly_le(Iv(dev_cap)):
             return PatternNode(
                 tag=tag,
                 level=level,
@@ -561,11 +554,11 @@ class AtomInfo:
 class PiecewisePotential:
     """u on a rectangle, gradient equal to base affine map on the boundary.
 
-    `root` may be None (pure frame). `eval_all` is the exact evaluator and
-    the reference: it descends the pattern tree in O(depth) on certified
-    intervals. `sample` is the float grid sampler: the same descent on float
-    midpoints, vectorized over one grid line at a time. Measurements
-    aggregate cell classes. The base map is
+    `root` may be None (pure frame). `sample` is the float grid sampler: it
+    descends the pattern tree in O(depth) on float midpoints, vectorized over
+    one grid line at a time, through the affine handoffs of the construction
+    (the exact interval descent that checks it lives with the tests).
+    Measurements aggregate cell classes. The base map is
     grad u0 = A0 (x - origin) + b0 with u0(origin) = c0.
     """
 
@@ -648,148 +641,12 @@ class PiecewisePotential:
             eta0, eta_last = node.etas[0], node.etas[-1]
             exact = exact and eta0.value(eta0.lo) == 0 and eta0.deriv(eta0.lo) == 0
             exact = exact and eta_last.value(eta_last.hi) == 0 and eta_last.deriv(eta_last.hi) == 0
-        return {
-            "max_deviation": Fraction(0) if exact else None,
-            "exact": exact,
-            "closure_width": closure,
-        }
-
-    # ---- evaluation ---------------------------------------------------------------
-
-    def _locate_eta(self, node: PatternNode, u: Fraction) -> EtaPiece:
-        for piece in node.etas:
-            if u < piece.hi or piece.hi == node.perp:
-                if u >= piece.lo or piece.lo == 0:
-                    return piece
-        raise ValueError(f"perp coordinate {u} outside [0, {node.perp}]")
-
-    def _profile_state(self, node: PatternNode, xi: Fraction):
-        """(stripe, dxi, pair_index) at profile coordinate xi; None at xi >= long
-        where W = W' = 0 exactly."""
-        prof = node.profile
-        if xi >= node.long:
-            return None
-        period = prof.period
-        k = int(xi // period)
-        if k >= node.n_pairs:
-            k = node.n_pairs - 1
-        xp = xi - period * k
-        for stripe in prof.stripes:
-            if xp < stripe.x_hi or stripe.x_hi == period:
-                if xp >= stripe.x_lo:
-                    return stripe, xp - stripe.x_lo, k
-        raise AssertionError("unreachable: stripe lookup")
-
-    def _w_eval(self, node: PatternNode, xi: Fraction) -> tuple[Iv, Iv, Iv]:
-        """(W, W', W'') at xi in [0, long]."""
-        state = self._profile_state(node, xi)
-        if state is None:
-            return ZERO, ZERO, ZERO
-        stripe, dxi, _k = state
-        w = stripe.v0 + stripe.s0 * dxi + stripe.w2 * dxi * dxi * HALF
-        dw = stripe.s0 + stripe.w2 * dxi
-        return w, dw, stripe.w2
-
-    def eval_all(self, x: Fraction, y: Fraction):
-        """(value, (gx, gy), (h11, h12, h22)) as certified intervals."""
-        x = Fraction(x)
-        y = Fraction(y)
-        x0, y0, wd, hd = self.domain
-        if not (x0 <= x <= x0 + wd and y0 <= y <= y0 + hd):
-            raise ValueError("point outside the domain")
-        c = ZERO
-        gx = ZERO
-        gy = ZERO
-        a_cur = self.base_matrix
-        ox, oy = self.root_origin
-        node = self.root
-        if node is not None:
-            rx0, ry0 = ox, oy
-            inside = rx0 <= x <= rx0 + node.rect_w and ry0 <= y <= ry0 + node.rect_h
-        else:
-            inside = False
-        if not inside:
-            # frame region: pure quadratic in the domain-local coordinates
-            dx, dy = x - x0, y - y0
-            hx, hy = a_cur.apply(dx, dy)
-            val = c + gx * dx + gy * dy + (hx * dx + hy * dy) * HALF
-            return val, (gx + hx, gy + hy), a_cur.entries()
-        # frame origin shift to the pattern origin
-        dx, dy = ox - x0, oy - y0
-        hx, hy = a_cur.apply(dx, dy)
-        c = c + gx * dx + gy * dy + (hx * dx + hy * dy) * HALF
-        gx, gy = gx + hx, gy + hy
-
-        while True:
-            lx, ly = x - ox, y - oy
-            xi, up = (lx, ly) if node.axis == 0 else (ly, lx)
-            eta = self._locate_eta(node, up)
-            w, dw, ddw = self._w_eval(node, xi)
-            stripe_state = self._profile_state(node, xi)
-            link = None
-            if (
-                stripe_state is not None
-                and eta.core
-                and stripe_state[0].role in node.children
-            ):
-                link = node.children[stripe_state[0].role]
-            if link is None:
-                ev = Iv(eta.value(up))
-                edv = Iv(eta.deriv(up))
-                edd = Iv(eta.dd)
-                psi = ev * w
-                d_long = ev * dw
-                d_perp = edv * w
-                h_ll = ev * ddw
-                h_lp = edv * dw
-                h_pp = edd * w
-                if node.axis == 0:
-                    pgx, pgy = d_long, d_perp
-                    hh = (h_ll, h_lp, h_pp)
-                else:
-                    pgx, pgy = d_perp, d_long
-                    hh = (h_pp, h_lp, h_ll)
-                hx, hy = a_cur.apply(lx, ly)
-                val = c + gx * lx + gy * ly + (hx * lx + hy * ly) * HALF + psi
-                grad = (gx + hx + pgx, gy + hy + pgy)
-                hess = (a_cur.a11 + hh[0], a_cur.a12 + hh[1], a_cur.a22 + hh[2])
-                return val, grad, hess
-            # descend: locate the hosting core subcell
-            stripe, dxi, k = stripe_state
-            cell_xi0 = node.profile.period * k + stripe.x_lo
-            sw = stripe.x_hi - stripe.x_lo
-            ch = node.perp - 2 * node.rho
-            # subcell indices in local (xi, up)
-            n_xi = link.sub_nx if node.axis == 0 else link.sub_ny
-            n_up = link.sub_ny if node.axis == 0 else link.sub_nx
-            i_xi = int((xi - cell_xi0) // (sw / n_xi))
-            i_xi = min(i_xi, n_xi - 1)
-            i_up = int((up - node.rho) // (ch / n_up))
-            i_up = min(i_up, n_up - 1)
-            sub_xi0 = cell_xi0 + (sw / n_xi) * i_xi
-            sub_up0 = node.rho + (ch / n_up) * i_up
-            # handoff: value and gradient of this level at the subcell corner
-            w0, dw0, _ = self._w_eval(node, sub_xi0)
-            lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
-            hx, hy = a_cur.apply(lx0, ly0)
-            c = c + gx * lx0 + gy * ly0 + (hx * lx0 + hy * ly0) * HALF + w0  # eta == 1
-            add_gx, add_gy = (dw0, ZERO) if node.axis == 0 else (ZERO, dw0)
-            gx = gx + hx + add_gx
-            gy = gy + hy + add_gy
-            ox, oy = ox + lx0, oy + ly0
-            a_cur = link.node.base
-            node = link.node
-
-    def eval(self, x, y) -> Iv:
-        return self.eval_all(x, y)[0]
-
-    def grad(self, x, y) -> tuple[Iv, Iv]:
-        return self.eval_all(x, y)[1]
+        return {"exact": exact, "closure_width": closure}
 
     # ---- float sampling -------------------------------------------------------
 
     def sample(self, xs, ys) -> np.ndarray:
-        """u(xs[i], ys[j]) in floats: eval_all's value descent on float
+        """u(xs[i], ys[j]) in floats: the pattern-tree descent on float
         midpoints, vectorized over one x-line of the grid at a time."""
         x0, y0 = float(self.domain[0]), float(self.domain[1])
         a0 = tuple(float(e.mid) for e in self.base_matrix.entries())
@@ -878,171 +735,7 @@ class _NodeFloats:
         return np.where(beyond, 0.0, w), np.where(beyond, 0.0, dw), s, self.period * k + self.x_lo[s]
 
 
-# -- materialization -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaterialCell:
-    rect: tuple[Fraction, Fraction, Fraction, Fraction]
-    kind: str
-    coeffs: dict[tuple[int, int], Iv]  # u restricted to the cell, local coords
-    node_tag: str
-    atom_tag: Optional[str]
-
-
-def iter_cells(pot: PiecewisePotential, budget: int = DEFAULT_BUDGET) -> Iterator[MaterialCell]:
-    """Enumerate geometric cells with their polynomials; budget-capped.
-
-    Refuses to start when the exact cell count exceeds the budget, and also
-    refuses patterns whose stripe width underruns the materialization floor
-    long/2^DELTA_FLOOR_BITS (such potentials are measurement-only).
-    """
-    total = pot.cell_count()
-    if total > budget:
-        raise BudgetExceeded(f"{total} cells exceed the budget of {budget}")
-    for node in pot.nodes():
-        if node.delta < node.long / (1 << DELTA_FLOOR_BITS):
-            raise BudgetExceeded(
-                f"node {node.tag}: stripe width below the materialization floor"
-            )
-
-    # the global function is the base quadratic centered at the domain corner,
-    # plus the pattern's perturbations; every cell polynomial is cell-local
-    dx0, dy0 = pot.domain[0], pot.domain[1]
-    for fc in pot.frame_cells:
-        x0, y0, _, _ = fc.rect
-        c0, g0 = _shift_quad(ZERO, (ZERO, ZERO), fc.matrix, x0 - dx0, y0 - dy0)
-        yield MaterialCell(fc.rect, "frame", _quad_coeffs(c0, g0, fc.matrix), fc.tag, None)
-    if pot.root is None:
-        return
-    ox, oy = pot.root_origin
-    c0, g0 = _shift_quad(ZERO, (ZERO, ZERO), pot.base_matrix, ox - dx0, oy - dy0)
-    yield from _iter_node_cells(pot.root, ox, oy, c0, g0)
-
-
-def _quad_coeffs(c: Iv, g: tuple[Iv, Iv], a: SymMat2) -> dict[tuple[int, int], Iv]:
-    return {
-        (0, 0): c,
-        (1, 0): g[0],
-        (0, 1): g[1],
-        (2, 0): a.a11 * HALF,
-        (1, 1): a.a12,
-        (0, 2): a.a22 * HALF,
-    }
-
-
-def _shift_quad(c: Iv, g: tuple[Iv, Iv], a: SymMat2, dx: Fraction, dy: Fraction):
-    """Re-center a quadratic at origin + (dx, dy)."""
-    hx, hy = a.apply(dx, dy)
-    c2 = c + g[0] * dx + g[1] * dy + (hx * dx + hy * dy) * HALF
-    return c2, (g[0] + hx, g[1] + hy)
-
-
-def _iter_node_cells(node: PatternNode, ox: Fraction, oy: Fraction, c: Iv, g: tuple[Iv, Iv]):
-    """Cells of one node instance whose base quadratic is (c, g, node.base) at (ox, oy)."""
-    period = node.profile.period
-    for k in range(node.n_pairs):
-        for stripe in node.profile.stripes:
-            xi0 = period * k + stripe.x_lo
-            yield from _stripe_cells(node, stripe, xi0, ox, oy, c, g)
-
-
-def _stripe_cells(node, stripe, xi0, ox, oy, c, g):
-    sw = stripe.x_hi - stripe.x_lo
-    # profile quadratic on the stripe in local d = xi - xi0:
-    # W(d) = w0 + w1 d + w2 d^2 / 2
-    wq = (stripe.v0, stripe.s0, stripe.w2 * HALF)
-    link = node.children.get(stripe.role)
-    for eta in node.etas:
-        up0, up1 = eta.lo, eta.hi
-        if eta.core and link is not None:
-            # child instances tile this core cell
-            n_xi = link.sub_nx if node.axis == 0 else link.sub_ny
-            n_up = link.sub_ny if node.axis == 0 else link.sub_nx
-            ch = (up1 - up0) / n_up
-            cw = sw / n_xi
-            for ix in range(n_xi):
-                for iu in range(n_up):
-                    sub_xi0 = xi0 + cw * ix
-                    sub_up0 = up0 + ch * iu
-                    w_c = wq[0] + wq[1] * (cw * ix) + wq[2] * (cw * ix) ** 2
-                    dw_c = wq[1] + stripe.w2 * (cw * ix)
-                    lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
-                    c2, g2 = _shift_quad(c, g, node.base, lx0, ly0)
-                    c2 = c2 + w_c
-                    if node.axis == 0:
-                        g2 = (g2[0] + dw_c, g2[1])
-                    else:
-                        g2 = (g2[0], g2[1] + dw_c)
-                    yield from _iter_node_cells(link.node, ox + lx0, oy + ly0, c2, g2)
-            continue
-        # plain cell: u = base quadratic + eta(up) * W(xi), local to the cell corner
-        lx0, ly0 = (xi0, up0) if node.axis == 0 else (up0, xi0)
-        c2, g2 = _shift_quad(c, g, node.base, lx0, ly0)
-        coeffs = _quad_coeffs(c2, g2, node.base)
-        # shift eta to up-local: e(t) = e0 + e1 t + e2 t^2 at up = up0 + t
-        e0 = Iv(eta.value(up0))
-        e1 = Iv(eta.deriv(up0))
-        e2 = Iv(eta.c2)
-        for (i, wc) in ((0, wq[0]), (1, wq[1]), (2, wq[2])):
-            for (j, ec) in ((0, e0), (1, e1), (2, e2)):
-                key = (i, j) if node.axis == 0 else (j, i)
-                add = wc * ec
-                coeffs[key] = coeffs.get(key, ZERO) + add
-        rect = (
-            (ox + xi0, oy + up0, sw, up1 - up0)
-            if node.axis == 0
-            else (ox + up0, oy + xi0, up1 - up0, sw)
-        )
-        kind = "atom" if (eta.core and stripe.role != "comp") else "ramp"
-        atom_tag = f"{node.tag}.{stripe.role}" if kind == "atom" else None
-        yield MaterialCell(rect, kind, coeffs, node.tag, atom_tag)
-
-
 # -- builders ---------------------------------------------------------------------------
-
-
-def realize_simple(
-    base: SymMat2,
-    mat_b: SymMat2,
-    mat_c: SymMat2,
-    t: IvLike,
-    rect: tuple[Fraction, Fraction, Fraction, Fraction],
-    eps: Fraction,
-    dev_cap: Optional[Fraction] = None,
-) -> PiecewisePotential:
-    """Single-level realization: Hessian equals B on a t-fraction and C on a
-    (1-t)-fraction up to eps losses, gradient exactly affine on the boundary."""
-    x0, y0, w, h = (Fraction(v) for v in rect)
-    eps = Fraction(eps)
-    if eps <= 0 or eps >= 1:
-        raise BuildError("eps must be in (0,1)")
-    node = build_pattern_node(
-        tag="0",
-        level=0,
-        base=base,
-        mat_b=mat_b,
-        mat_c=mat_c,
-        t=t,
-        rect_w=w,
-        rect_h=h,
-        eps_h=eps * Fraction(3, 4),
-        eps_a=eps / 2,
-        dev_cap=dev_cap if dev_cap is not None else eps,
-    )
-    t_iv = as_iv(t)
-    atoms = {
-        "0.B": AtomInfo(mat_b, t_iv, True),
-        "0.C": AtomInfo(mat_c, 1 - t_iv, True),
-    }
-    return PiecewisePotential(
-        domain=(x0, y0, w, h),
-        base_matrix=base,
-        root=node,
-        root_origin=(x0, y0),
-        atoms=atoms,
-        meta={"eps": eps, "kind": "simple"},
-    )
 
 
 def _ramp_fraction(lam: Laminate, eps: Fraction) -> Fraction:
@@ -1085,7 +778,6 @@ def realize_laminate(
         raise BuildError("eps must be in (0,1)")
     if lam.root.is_leaf():
         raise BuildError("laminate has no splits to realize")
-    depth = lam.depth()
     eps_h = eps * Fraction(3, 4)
     eps_a = _ramp_fraction(lam, eps)
     total_dev = Fraction(dev_cap) if dev_cap is not None else eps
@@ -1127,7 +819,7 @@ def realize_laminate(
         root=root,
         root_origin=(x0, y0),
         atoms=atoms,
-        meta={"eps": eps, "kind": "laminate", "depth": depth},
+        meta={"eps": eps},
     )
 
 
@@ -1165,26 +857,18 @@ class StaircaseResult:
     layers: list[StairLayerReport]
 
 
-def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResult:
-    """Nested realization over a level schedule (int J or list of StairLevel).
+def staircase_build(levels: int) -> StaircaseResult:
+    """Nested realization over the schedule `staircase_params(levels)`.
 
     Layer j realizes the doubling laminate at (p_j, k_j = 2^(j-1)) inside
     every current doubling cell, after subdividing those cells to diameter
-    <= eps_j. u = |x|^2/2 outside the inner rectangle Omega_1.
+    <= eps_j. u = |x|^2/2 outside the inner rectangle Omega_1, whose margin
+    is eps_1 / 4 floored to 30 bits. Raises ValueError when levels < 1.
     """
     from subhess.constructions import DoublingParams, staircase_params
 
-    if isinstance(levels_or_schedule, int):
-        schedule = staircase_params(levels_or_schedule)
-    else:
-        schedule = list(levels_or_schedule)
-    if not schedule:
-        raise BuildError("empty staircase schedule")
-
-    eps1 = schedule[0].eps
-    m = dyadic_floor_iv(Iv(eps1 / 4), margin_bits)
-    if m <= 0:
-        raise BuildError("margin underflow")
+    schedule = staircase_params(levels)
+    m = dyadic_floor_iv(Iv(schedule[0].eps / 4), 30)
     side = Fraction(1)
     inner = side - 2 * m
     domain = (Fraction(0), Fraction(0), side, side)
@@ -1267,7 +951,7 @@ def staircase_build(levels_or_schedule, margin_bits: int = 30) -> StaircaseResul
         root_origin=(m, m),
         frame_cells=frame,
         atoms=atoms,
-        meta={"kind": "staircase", "levels": len(schedule), "margin": m},
+        meta={"margin": m},
     )
 
     # per-layer reports: Omega_j areas are exact sums over level-j node rects

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 from subhess.laminate import PhiLike, resolve_phi
 from subhess.scalars import Iv, as_iv, round_out, sqrt_iv
 from subhess.sym2 import SymMat2
-from subhess.synthesizer import PiecewisePotential
+from subhess.synthesizer import BuildError, PiecewisePotential
 
 Region = Optional[tuple]
 
@@ -210,7 +210,8 @@ def continuity_audit(pot: PiecewisePotential) -> dict:
     identities), stripe-to-stripe profile knots (re-derived; exact when the
     data is rational, else an interval containing 0), period closure
     residuals, and parent-core-to-child base Hessian residuals. Returns the
-    number of exactly-zero checks and the largest certification width.
+    number of exactly-zero checks and the largest certification width;
+    raises BuildError, naming the node, on a knot or child-base mismatch.
     """
     exact = 0
     width = Fraction(0)
@@ -225,7 +226,7 @@ def continuity_audit(pot: PiecewisePotential) -> dict:
             for resid in (v_end - right.v0, s_end - right.s0):
                 checks += 1
                 if not resid.contains(0):
-                    raise AssertionError(
+                    raise BuildError(
                         f"profile knot mismatch in node {node.tag}: {resid}"
                     )
                 if resid.lo == 0 and resid.hi == 0:
@@ -243,7 +244,7 @@ def continuity_audit(pot: PiecewisePotential) -> dict:
             for entry in resid_mat.entries():
                 checks += 1
                 if not entry.contains(0):
-                    raise AssertionError(
+                    raise BuildError(
                         f"child base mismatch under node {node.tag}: {entry}"
                     )
                 if entry.lo == 0 and entry.hi == 0:

@@ -19,14 +19,11 @@ from subhess.constructions import (
     doubling_cascade,
     doubling_laminate,
     l1_growth_constant,
-    l1_limit_constant,
     neg_moment_constant,
     verify_doubling,
 )
 from subhess.laminate import moment
 from subhess.obstacle import (
-    harmonic_extension,
-    radial_order_study,
     self_obstacle_check,
     solve,
     square_instance,
@@ -40,6 +37,8 @@ from subhess.verifier import (
     tally,
 )
 from subhess.wavecone import agreement_suite, lattice_suite
+
+from oracles import harmonic_extension, l1_limit_constant, radial_order_study
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))

@@ -17,8 +17,9 @@ import subhess.cli as cli
 import subhess.constructions as constructions
 from subhess.cli import main
 from subhess.constructions import cascade_moment_table
-from subhess.laminate import loads as laminate_loads
 from subhess.scalars import iv_dec
+
+from oracles import loads as laminate_loads
 
 F = Fraction
 

@@ -11,15 +11,16 @@ from subhess.constructions import (
     doubling_cascade,
     doubling_laminate,
     l1_growth_constant,
-    l1_limit_constant,
     neg_moment_constant,
     p_threshold,
     staircase_params,
     verify_doubling,
 )
-from subhess.laminate import Laminate, barycenter, dumps, elementary_split, moment, validate
+from subhess.laminate import Laminate, barycenter, dumps, elementary_split, moment
 from subhess.scalars import Iv, pow2
 from subhess.sym2 import SymMat2
+
+from oracles import l1_limit_constant, validate, weights
 
 P13 = Fraction(13, 10)
 TOL9 = Fraction(1, 10**9)
@@ -270,7 +271,7 @@ class TestStaircaseParams:
 class TestParams:
     def test_weights_sum(self):
         params = DoublingParams.make(P13)
-        w = params.weights
+        w = weights(params)
         total = w[0] + w[1] + w[2]
         assert total.contains(1) and total.width < TOL9
 

@@ -11,15 +11,9 @@ from subhess.constructions import doubling_laminate
 from subhess.obstacle import (
     ObstacleInstance,
     disk_instance,
-    harmonic_extension,
-    hessian_negative_mass,
-    hessian_plus_diagnostics,
     radial_contact_radius,
-    radial_contact_radius_shooting,
     radial_instance,
-    radial_order_study,
     radial_profile,
-    refinement_diagnostics,
     sample_potential,
     self_obstacle_check,
     self_obstacle_suite,
@@ -35,10 +29,20 @@ from subhess.synthesizer import (
     FrameCell,
     PiecewisePotential,
     realize_laminate,
-    realize_simple,
     staircase_build,
 )
 from subhess.verifier import tally
+
+from oracles import (
+    eval_all,
+    harmonic_extension,
+    hessian_negative_mass,
+    hessian_plus_diagnostics,
+    one_split,
+    radial_contact_radius_shooting,
+    radial_order_study,
+    refinement_diagnostics,
+)
 
 UNIT = (F(0), F(0), F(1), F(1))
 
@@ -47,7 +51,7 @@ def band_potential():
     # oscillation in the vertical axis between yy = 7/2 and yy = -3/2; every
     # cell keeps trace >= 1/2, so the negated samples are strictly
     # superharmonic at any grid resolution
-    return realize_simple(
+    return one_split(
         SymMat2.diag(2, 1),
         SymMat2.diag(2, F(7, 2)),
         SymMat2.diag(2, F(-3, 2)),
@@ -60,7 +64,7 @@ def band_potential():
 BAND = band_potential()
 STAIR2 = staircase_build(2).potential
 # split along the vertical axis with a negative-trace atom
-AXIS1 = realize_simple(
+AXIS1 = one_split(
     SymMat2.diag(1, 0), SymMat2.diag(1, -2), SymMat2.diag(1, 2), F(1, 2), UNIT, eps=F(1, 2),
 )
 
@@ -428,7 +432,7 @@ class TestSelfObstacle:
         for i in range(17):
             for j in range(17):
                 x, y = x0 + w * i / 16, y0 + w * j / 16
-                exact = float(pot.eval(F(x), F(y)).mid)
+                exact = float(eval_all(pot, F(x), F(y))[0].mid)
                 assert abs(grid[i, j] - exact) <= 1e-13, (x, y)
 
 

@@ -27,12 +27,13 @@ from subhess.synthesizer import (
     _ramp_rows,
     _seg_dist_sq_box,
     _sigma_bits,
-    iter_cells,
+    build_pattern_node,
     realize_laminate,
-    realize_simple,
     staircase_build,
 )
 from subhess.verifier import report_phis, tally
+
+from oracles import eval_all, iter_cells, one_split
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -45,7 +46,7 @@ def simple_pot(t, eps=F(1, 2), g=F(2), axis=0, rect=UNIT, dev_cap=None):
     d = SymMat2.diag(g, 0) if axis == 0 else SymMat2.diag(0, g)
     b = base + d.scale(1 - t)
     c = base + d.scale(-t)
-    return realize_simple(base, b, c, t, rect, eps, dev_cap=dev_cap)
+    return one_split(base, b, c, t, rect, eps, dev_cap=dev_cap)
 
 
 # ---- polynomial helpers (independent of the synthesizer's evaluators) ----------------
@@ -185,7 +186,7 @@ def rand_points(n, rect=UNIT, seed=11, denom=997):
 def assert_eval_matches_cells(pot, cells, pts, width_cap=None):
     for x, y in pts:
         mc = locate(cells, x, y)
-        val, grad, hess = pot.eval_all(x, y)
+        val, grad, hess = eval_all(pot, x, y)
         dx, dy = x - mc.rect[0], y - mc.rect[1]
         pv = poly_val(mc.coeffs, dx, dy)
         pg = poly_grad(mc.coeffs, dx, dy)
@@ -211,11 +212,11 @@ class TestSimpleRational:
 
     def test_boundary_clamp_exact(self):
         rep = self.POT.boundary_report()
-        assert rep["exact"] and rep["max_deviation"] == 0
+        assert rep["exact"]
         assert rep["closure_width"] == 0
         # the gradient equals the base affine map on all four sides
         for x, y in [(F(0), F(1, 3)), (F(1), F(2, 7)), (F(3, 7), F(0)), (F(5, 9), F(1))]:
-            gx, gy = self.POT.grad(x, y)
+            gx, gy = eval_all(self.POT, x, y)[1]
             assert gx == Iv(x) and gy == Iv(y)
 
     def test_dyadic_fraction_exact_no_compensation(self):
@@ -289,7 +290,7 @@ class TestCompensatedRational:
         x0 = self.POT.root_origin[0]
         for k in (1, 2, node.n_pairs - 1):
             x = x0 + node.period * k
-            gx, gy = self.POT.grad(x, F(1, 2))
+            gx, gy = eval_all(self.POT, x, F(1, 2))[1]
             assert gx == Iv(x) and gy == Iv(F(1, 2))
 
     def test_c1_continuity_all_edges(self):
@@ -326,7 +327,7 @@ class TestAxisSwap:
 
     def test_boundary_clamp_exact(self):
         for x, y in [(F(0), F(1, 3)), (F(1), F(2, 7)), (F(3, 7), F(0)), (F(5, 9), F(1))]:
-            gx, gy = self.POT.grad(x, y)
+            gx, gy = eval_all(self.POT, x, y)[1]
             assert gx == Iv(x) and gy == Iv(y)
 
 
@@ -447,7 +448,7 @@ class TestStoredRampRows:
 class TestIrrationalFraction:
     # alpha(p = 3/2) is a genuine irrational enclosure; geometry stays rational
     PARAMS = DoublingParams.make(F(3, 2))
-    POT = realize_simple(
+    POT = one_split(
         PARAMS.mat_id, PARAMS.mat_a, PARAMS.mat_m, PARAMS.alpha, UNIT, F(1, 4)
     )
     CELLS = list(iter_cells(POT))
@@ -516,7 +517,7 @@ class TestDoublingLaminate:
         assert self.POT.boundary_report()["exact"]
 
     def test_eval_point_interval_tight(self):
-        val, grad, hess = self.POT.eval_all(F(1, 3), F(2, 7))
+        val, grad, hess = eval_all(self.POT, F(1, 3), F(2, 7))
         assert val.width <= F(1, 10**18)
         # gradient deviates from the base affine map by at most the certificate
         dev = self.POT.grad_deviation().hi
@@ -561,7 +562,7 @@ class TestAssembledFrames:
 
     def test_frame_points_pure_quadratic(self):
         x, y = F(1, 10), F(9, 10)
-        assert self.POT.eval(x, y) == Iv((x * x + y * y) / 2)
+        assert eval_all(self.POT, x, y)[0] == Iv((x * x + y * y) / 2)
 
     def test_divergence_identity(self):
         tot = Iv(0)
@@ -608,10 +609,10 @@ class TestStaircase:
 
     def test_frame_evaluation_exact(self):
         x, y = F(1, 256), F(1, 2)
-        assert self.POT.eval(x, y) == Iv((x * x + y * y) / 2)
+        assert eval_all(self.POT, x, y)[0] == Iv((x * x + y * y) / 2)
 
     def test_pattern_point_certified(self):
-        val, grad, _ = self.POT.eval_all(F(1, 2), F(1, 2))
+        val, grad, _ = eval_all(self.POT, F(1, 2), F(1, 2))
         dev = self.POT.grad_deviation().hi
         assert val.width <= F(1, 10**12)
         assert abs(grad[0] - F(1, 2)).hi <= dev
@@ -652,6 +653,12 @@ class TestCompensatorBits:
         assert bits == SIGMA_BITS or F(1, 2**(bits - 1)) > eps_a / 2
 
 
+def pattern_node(base, b, c, t):
+    return build_pattern_node(tag="0", level=0, base=base, mat_b=b, mat_c=c, t=t,
+                              rect_w=F(1), rect_h=F(1), eps_h=F(3, 8), eps_a=F(1, 4),
+                              dev_cap=F(1, 2))
+
+
 class TestErrors:
     def test_non_axis_rank_one(self):
         base = SymMat2.diag(0, 0)
@@ -659,32 +666,32 @@ class TestErrors:
         b = base + d.scale(F(1, 2))
         c = base + d.scale(-F(1, 2))
         with pytest.raises(NonAxisRankOne):
-            realize_simple(base, b, c, F(1, 2), UNIT, F(1, 2))
+            pattern_node(base, b, c, F(1, 2))
 
     def test_rank_two_rejected(self):
         base = SymMat2.diag(1, 1)
         b = SymMat2.diag(2, 3)
         c = SymMat2.diag(0, -1)
         with pytest.raises(BuildError):
-            realize_simple(base, b, c, F(1, 2), UNIT, F(1, 2))
+            pattern_node(base, b, c, F(1, 2))
 
     def test_fraction_out_of_range(self):
         base = SymMat2.diag(1, 1)
         b = SymMat2.diag(2, 1)
         c = SymMat2.diag(0, 1)
         with pytest.raises(BuildError):
-            realize_simple(base, b, c, F(2), UNIT, F(1, 2))
+            pattern_node(base, b, c, F(2))
 
     def test_barycenter_mismatch(self):
         base = SymMat2.diag(5, 5)
         b = SymMat2.diag(2, 1)
         c = SymMat2.diag(0, 1)
         with pytest.raises(BuildError):
-            realize_simple(base, b, c, F(1, 2), UNIT, F(1, 2))
+            pattern_node(base, b, c, F(1, 2))
 
     def test_empty_staircase(self):
-        with pytest.raises(BuildError):
-            staircase_build([])
+        with pytest.raises(ValueError):
+            staircase_build(0)
 
 
 class TestRationalFamily:

@@ -1,18 +1,21 @@
+import dataclasses
+import json
 import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+import subhess.cli as cli
 from subhess.cli import _report_items_rows, main as cli_main
 from subhess.constructions import DoublingParams, doubling_cascade, doubling_laminate
 from subhess.laminate import moment
 from subhess.scalars import Iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
+    BuildError,
     PiecewisePotential,
     realize_laminate,
-    realize_simple,
     staircase_build,
 )
 from subhess.verifier import (
@@ -26,6 +29,8 @@ from subhess.verifier import (
     ReportItem,
 )
 
+from oracles import one_split
+
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
 TINY = F(1, 2**60)
@@ -33,7 +38,7 @@ TINY = F(1, 2**60)
 
 def simple_rational():
     base = SymMat2.diag(1, 1)
-    return realize_simple(base, SymMat2.diag(2, 1), SymMat2.diag(0, 1), F(1, 2), UNIT, F(1, 2))
+    return one_split(base, SymMat2.diag(2, 1), SymMat2.diag(0, 1), F(1, 2), UNIT, F(1, 2))
 
 
 SIMPLE = simple_rational()
@@ -250,6 +255,56 @@ class TestFractionsAndAudit:
         enc = neg_part_lq(pot, F(13, 10), 0)
         assert enc.lo > F(3, 10)
 
+
+
+def shift_compensator(pot: PiecewisePotential) -> str:
+    """Planted fault: the root's first compensator starts 2^-40 too high."""
+    prof = pot.root.profile
+    k = next(i for i, st in enumerate(prof.stripes) if st.role == "comp")
+    moved = dataclasses.replace(prof.stripes[k], v0=prof.stripes[k].v0 + F(1, 2**40))
+    pot.root.profile = dataclasses.replace(
+        prof, stripes=prof.stripes[:k] + (moved,) + prof.stripes[k + 1:])
+    return pot.root.tag
+
+
+def shift_child_base(pot: PiecewisePotential) -> str:
+    """Planted fault: the root's first child sits on a base 2^-40 off its host atom."""
+    link = next(iter(pot.root.children.values()))
+    link.node.base = link.node.base + SymMat2.diag(F(1, 2**40), 0)
+    return pot.root.tag
+
+
+class TestContinuityAuditFaults:
+    """A C^1 fault raises BuildError naming the node, and `realize` exits 5."""
+
+    @pytest.mark.parametrize("plant, message", [
+        (shift_compensator, "profile knot mismatch in node"),
+        (shift_child_base, "child base mismatch under node"),
+    ], ids=["compensator-v0", "child-base"])
+    def test_audit_raises(self, plant, message):
+        pot = realize_laminate(LAM, UNIT, F(1, 4))
+        continuity_audit(pot)
+        tag = plant(pot)
+        with pytest.raises(BuildError, match=f"{message} {tag}:"):
+            continuity_audit(pot)
+
+    @pytest.mark.parametrize("plant", [shift_compensator, shift_child_base],
+                             ids=["compensator-v0", "child-base"])
+    def test_realize_exits_5_naming_the_node(self, plant, monkeypatch, tmp_path):
+        tags = []
+
+        def faulty(*args, **kwargs):
+            pot = realize_laminate(*args, **kwargs)
+            tags.append(plant(pot))
+            return pot
+
+        monkeypatch.setattr(cli, "realize_laminate", faulty)
+        out = tmp_path / "out"
+        code = cli_main(["--out", str(out), "realize", "--p", "3/2", "--eps", "1/20"])
+        assert code == 5
+        note = json.loads((out / "manifest.json").read_text())["note"]
+        assert note.startswith("could not certify: BuildError: ")
+        assert f"node {tags[0]}:" in note
 
 class TestReports:
     def test_potential_report_names_unique(self):
