@@ -25,6 +25,7 @@ wave-cone LP certificate could not be settled; the manifest names the exception)
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -40,6 +41,7 @@ import subhess
 from subhess.constructions import (
     cascade_moment_table,
     doubling_laminate,
+    staircase_params,
     verify_doubling,
 )
 from subhess.laminate import dumps as laminate_dumps
@@ -64,7 +66,6 @@ from subhess.verifier import (
     report_items,
     report_phis,
     tally,
-    write_csv,
 )
 from subhess.wavecone import CertificationError, agreement_suite, lattice_suite
 
@@ -129,6 +130,8 @@ def _validate_realize(p: dict):
 
 def _validate_staircase(p: dict):
     _require(p["levels"] >= 1, "need at least one level")
+    # eps_j floors to 30 fractional bits: level 16 and deeper underflow to 0
+    staircase_params(p["levels"])
     _require(p["q"] >= 1, "moment exponent must be >= 1")
     _require(p["i"] in (0, 1), "diagonal index must be 0 or 1")
 
@@ -174,6 +177,7 @@ def _validate_obstacle_solve(p: dict):
 
 def _validate_obstacle_selfcheck(p: dict):
     _require(p["depth"] >= 1, "staircase depth must be >= 1")
+    staircase_params(p["depth"])
     _require(all(n >= 8 for n in p["n"]), "grid sizes must be >= 8")
     for n in p["n"]:
         _require_grid_cap(n)
@@ -232,6 +236,11 @@ def _jsonable(x, mode: str, digits: int):
 def _write_json(path: Path, payload, mode: str, digits: int):
     data = json.dumps(_jsonable(payload, mode, digits), sort_keys=True, indent=2)
     path.write_text(data + "\n")
+
+
+def _write_csv(path: Path, rows: list[list[str]]) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _flatten_iv_rows(rows: Sequence[dict], mode: str, digits: int) -> list[list[str]]:
@@ -323,7 +332,7 @@ def _run_laminate(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     if p["m"] >= 1:
         rows = cascade_moment_table(p["p"], q_list, p["m"])
         csv_path = cfg.out_dir / "moment_table.csv"
-        write_csv(csv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
+        _write_csv(csv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
         outputs.append(csv_path)
         # every direct moment's enclosure must meet its recursion's
         for row in rows:
@@ -351,7 +360,7 @@ def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     t = tally(pot, report_phis(p["q"]))
     items = report_items(pot, t, p["q"])
     rpt = cfg.out_dir / "realize_report.csv"
-    write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
+    _write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
     outputs.append(rpt)
     fr = area_fractions(pot, t=t)
     fr_path = cfg.out_dir / "area_fractions.json"
@@ -370,7 +379,7 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     t = tally(pot, report_phis(q_list))
     items = report_items(pot, t, q_list)
     rpt = cfg.out_dir / "staircase_report.csv"
-    write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
+    _write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
     outputs.append(rpt)
     neg = 1 + p["i"]  # report_phis order: l1_diag, neg part of H_00, of H_11
     rows = []
@@ -389,7 +398,7 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
             "neg_mean_omega": t.over(("omega", j)).bracket(neg),
         })
     lv_path = cfg.out_dir / "staircase_levels.csv"
-    write_csv(lv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
+    _write_csv(lv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
     outputs.append(lv_path)
     return (EXIT_OK if t.min_trace.lo >= 0 else EXIT_VERDICT), outputs
 
@@ -410,7 +419,7 @@ def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
          str(lattice["all_ok"])],
     ]
     csv_path = cfg.out_dir / "wavecone_summary.csv"
-    write_csv(csv_path, rows)
+    _write_csv(csv_path, rows)
     ok = agree["all_agree"] and lattice["all_ok"]
     return (EXIT_OK if ok else EXIT_VERDICT), [rpt, csv_path]
 

@@ -145,16 +145,8 @@ def barycenter(lam: Laminate) -> SymMat2:
 # -- moment functionals -----------------------------------------------------------
 
 
-def phi_trace(m: SymMat2) -> Iv:
-    return m.trace()
-
-
 def phi_l1_diag(m: SymMat2) -> Iv:
     return abs(m.a11) + abs(m.a22)
-
-
-def phi_frobenius(m: SymMat2) -> Iv:
-    return m.frob()
 
 
 def phi_neg_pow(i: int, q: IvLike) -> Callable[[SymMat2], Iv]:
@@ -172,11 +164,7 @@ def resolve_phi(phi: PhiLike) -> Callable[[SymMat2], Iv]:
         return phi
     if isinstance(phi, str):
         try:
-            return {
-                "trace": phi_trace,
-                "l1_diag": phi_l1_diag,
-                "frobenius": phi_frobenius,
-            }[phi]
+            return {"l1_diag": phi_l1_diag}[phi]
         except KeyError:
             raise ValueError(f"unknown moment functional {phi!r}") from None
     if isinstance(phi, tuple) and len(phi) == 3 and phi[0] == "neg_pow":

@@ -191,9 +191,6 @@ class Iv:
     def certainly_ge(self, other: IvLike) -> bool:
         return as_iv(other).certainly_le(self)
 
-    def possibly_lt(self, other: IvLike) -> bool:
-        return self.lo < as_iv(other).hi
-
     def sign(self) -> int:
         """Certified sign: -1, 0 (exact zero only), +1; raises Undecided."""
         if self.lo > 0:
@@ -205,14 +202,6 @@ class Iv:
         raise Undecided(f"sign of {self} undecided")
 
     # -- misc -----------------------------------------------------------------
-
-    def clip_nonneg(self) -> "Iv":
-        """Intersection with [0, inf); requires hi >= 0."""
-        if self.lo >= 0:
-            return self
-        if self.hi < 0:
-            raise ValueError(f"clip_nonneg of negative interval {self}")
-        return Iv(0, self.hi)
 
     def neg_part(self) -> "Iv":
         """Range of max(-x, 0) over the interval."""

@@ -1,9 +1,7 @@
 """Symmetric 2x2 matrices over certified intervals.
 
-Provides the matrix algebra and the rank-one connectedness test with exact
-direction data that the laminate layer and the synthesizer lean on. The
-Frobenius norm counts the off-diagonal entry twice, matching integration of
-symmetric-matrix fields component by component.
+Provides the matrix algebra and the rank-one connectedness test that the
+laminate layer and the synthesizer lean on.
 """
 
 from __future__ import annotations
@@ -11,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from subhess.scalars import DEFAULT_PREC, Iv, IvLike, Undecided, as_iv, sqrt_iv
+from subhess.scalars import Iv, IvLike, Undecided, as_iv
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,6 @@ class SymMat2:
     def det(self) -> Iv:
         return self.a11 * self.a22 - self.a12.sq()
 
-    def frob_sq(self) -> Iv:
-        return (self.a11.sq() + 2 * self.a12.sq() + self.a22.sq()).clip_nonneg()
-
-    def frob(self, bits: int = DEFAULT_PREC) -> Iv:
-        return sqrt_iv(self.frob_sq(), bits)
-
     def is_exact(self) -> bool:
         return self.a11.is_exact() and self.a12.is_exact() and self.a22.is_exact()
 
@@ -76,10 +68,6 @@ class SymMat2:
     def entries(self) -> tuple[Iv, Iv, Iv]:
         return (self.a11, self.a12, self.a22)
 
-    def apply(self, x: IvLike, y: IvLike) -> tuple[Iv, Iv]:
-        xv, yv = as_iv(x), as_iv(y)
-        return (self.a11 * xv + self.a12 * yv, self.a12 * xv + self.a22 * yv)
-
     def __str__(self) -> str:
         return f"[[{self.a11}, {self.a12}], [{self.a12}, {self.a22}]]"
 
@@ -89,20 +77,14 @@ class SymMat2:
 
 @dataclass(frozen=True)
 class RankOne:
-    """A - B = c * n (x) n with |n| = 1.
-
-    `axis` is 0 or 1 when n is a coordinate direction (then everything is
-    exact); otherwise None and `direction` is an interval enclosure. The
-    `projector` (= (A-B)/c) is exact whenever the inputs are exact.
-    """
+    """A - B = c * n (x) n with |n| = 1: `scale` is c, and `axis` is 0 or 1
+    when n is a coordinate direction, otherwise None."""
 
     scale: Iv
     axis: Optional[int]
-    direction: tuple[Iv, Iv]
-    projector: SymMat2
 
 
-def rank_one_connected(a: SymMat2, b: SymMat2, bits: int = DEFAULT_PREC) -> Optional[RankOne]:
+def rank_one_connected(a: SymMat2, b: SymMat2) -> Optional[RankOne]:
     """Certified rank-one test for D = A - B.
 
     Returns None when D is certainly not of rank one (zero or det != 0);
@@ -117,9 +99,9 @@ def rank_one_connected(a: SymMat2, b: SymMat2, bits: int = DEFAULT_PREC) -> Opti
         z11 = d.a11 == 0
         z22 = d.a22 == 0
         if z11 and not z22:
-            return RankOne(d.a22, 1, (Iv(0), Iv(1)), SymMat2.diag(0, 1))
+            return RankOne(d.a22, 1)
         if z22 and not z11:
-            return RankOne(d.a11, 0, (Iv(1), Iv(0)), SymMat2.diag(1, 0))
+            return RankOne(d.a11, 0)
         if not z11 and not z22:
             det = d.det()
             try:
@@ -147,10 +129,4 @@ def rank_one_connected(a: SymMat2, b: SymMat2, bits: int = DEFAULT_PREC) -> Opti
         # trace 0 and det 0 with exact arithmetic means D = 0 for PSD/NSD
         # rank-one candidates; a nonzero such D is not rank one
         return None
-    proj = d.scale(1 / c)
-    n1 = sqrt_iv(proj.a11.clip_nonneg(), bits)
-    n2 = sqrt_iv(proj.a22.clip_nonneg(), bits)
-    off = proj.a12
-    if off.possibly_lt(0) and not off.certainly_ge(0):
-        n2 = -n2
-    return RankOne(c, None, (n1, n2), proj)
+    return RankOne(c, None)

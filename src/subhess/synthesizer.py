@@ -251,9 +251,6 @@ class PatternNode:
     base: SymMat2
     mat_b: SymMat2
     mat_c: SymMat2
-    t: Iv
-    t_hat: Fraction
-    gamma: Iv
     delta: Fraction
     n_pairs: int
     sigma: Fraction
@@ -363,8 +360,7 @@ def _split_waves(mat_b: SymMat2, mat_c: SymMat2, t: Iv) -> tuple[int, Iv, Iv, Iv
         raise BuildError("targets are not rank-one connected")
     if conn.axis is None:
         raise NonAxisRankOne("only axis-aligned rank-one directions are realizable")
-    diff = mat_b - mat_c
-    gamma = diff.a11 if conn.axis == 0 else diff.a22
+    gamma = conn.scale
     return conn.axis, gamma, gamma * (1 - t), -(gamma * t)
 
 
@@ -467,9 +463,6 @@ def build_pattern_node(
                 base=base,
                 mat_b=mat_b,
                 mat_c=mat_c,
-                t=t_iv,
-                t_hat=t_hat,
-                gamma=gamma,
                 delta=delta,
                 n_pairs=n_pairs,
                 sigma=sigma,
@@ -500,7 +493,6 @@ class CellClass:
     count: int  # across the whole potential
     hess: Optional[SymMat2]  # exact Hessian ('atom'/'frame')
     h_box: Optional[tuple[Iv, Iv, Iv]]  # global entry enclosures ('ramp')
-    node_tag: str
     level: int
     atom_tag: Optional[str]  # terminal atom id for fraction accounting
 
@@ -516,7 +508,6 @@ def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
                 count=count,
                 hess=None,
                 h_box=box,
-                node_tag=node.tag,
                 level=node.level,
                 atom_tag=None,
             )
@@ -527,7 +518,6 @@ def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
                 count=count,
                 hess=node.atom_for_role(stripe.role),
                 h_box=None,
-                node_tag=node.tag,
                 level=node.level,
                 atom_tag=f"{node.tag}.{stripe.role}",
             )
@@ -546,9 +536,10 @@ class FrameCell:
 
 @dataclass(frozen=True)
 class AtomInfo:
+    """A terminal atom: a leaf of the split tree that no deeper level hosts."""
+
     matrix: SymMat2
     weight: Iv  # laminate weight (product of fractions along the split path)
-    terminal: bool
 
 
 class PiecewisePotential:
@@ -591,7 +582,6 @@ class PiecewisePotential:
                 count=1,
                 hess=fc.matrix,
                 h_box=None,
-                node_tag=fc.tag,
                 level=fc.level,
                 atom_tag=None,
             )
@@ -803,9 +793,8 @@ def realize_laminate(
         ):
             child_weight = weight * share
             if child.is_leaf():
-                atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, child_weight, True)
+                atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, child_weight)
                 continue
-            atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, child_weight, False)
             crw, crh = _core_cell_dims(node, role)
             child_node = build(child, f"{tag}.{role}", level + 1, crw, crh, child_weight)
             node.children[role] = ChildLink(child_node, 1, 1)
@@ -848,7 +837,6 @@ class StairLayerReport:
     eps: Fraction
     omega_area: Fraction  # |Omega_j| exactly
     grad_step: Iv  # certified sup |grad u_j - grad u_{j-1}|
-    node_tags: tuple[str, str]
 
 
 @dataclass
@@ -881,10 +869,9 @@ def staircase_build(levels: int) -> StaircaseResult:
 
     atoms: dict[str, AtomInfo] = {}
     layers: list[StairLayerReport] = []
-    tags_by_level: dict[int, tuple[str, str]] = {}
 
-    def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, tag: str):
-        """Returns (node_a, layer grad dev iv, doubling-cell data)."""
+    def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, tag: str) -> PatternNode:
+        """Level `idx` (nodes a and b) and every deeper level; returns node a."""
         lvl = schedule[idx]
         params = DoublingParams.make(lvl.p, lvl.k)
         j = lvl.j
@@ -904,7 +891,7 @@ def staircase_build(levels: int) -> StaircaseResult:
             eps_a=eps_a,
             dev_cap=dev_cap,
         )
-        atoms[f"{tag}.a.B"] = AtomInfo(params.mat_a, weight * params.alpha, True)
+        atoms[f"{tag}.a.B"] = AtomInfo(params.mat_a, weight * params.alpha)
         arw, arh = _core_cell_dims(node_a, "C")
         w_mid = weight * (1 - params.alpha)
         node_b = build_pattern_node(
@@ -921,27 +908,21 @@ def staircase_build(levels: int) -> StaircaseResult:
             dev_cap=dev_cap,
         )
         node_a.children["C"] = ChildLink(node_b, 1, 1)
-        atoms[f"{tag}.a.C"] = AtomInfo(params.mat_m, w_mid, False)
-        atoms[f"{tag}.b.C"] = AtomInfo(params.mat_b, w_mid * (1 - params.beta), True)
-        tags_by_level[j] = (f"{tag}.a", f"{tag}.b")
+        atoms[f"{tag}.b.C"] = AtomInfo(params.mat_b, w_mid * (1 - params.beta))
         w_dbl = w_mid * params.beta
-        grad_step = node_a.grad_dev + node_b.grad_dev
 
         brw, brh = _core_cell_dims(node_b, "B")
         if idx + 1 < len(schedule):
-            atoms[f"{tag}.b.B"] = AtomInfo(params.mat_2id, w_dbl, False)
             nxt = schedule[idx + 1]
             nx = max(1, _ceil_div(brw, nxt.eps / 2))
             ny = max(1, _ceil_div(brh, nxt.eps / 2))
-            child, child_grad, _ = build_layer(
-                idx + 1, brw / nx, brh / ny, w_dbl, f"{tag}.b.B"
-            )
+            child = build_layer(idx + 1, brw / nx, brh / ny, w_dbl, f"{tag}.b.B")
             node_b.children["B"] = ChildLink(child, nx, ny)
         else:
-            atoms[f"{tag}.b.B"] = AtomInfo(params.mat_2id, w_dbl, True)
-        return node_a, grad_step, (brw, brh)
+            atoms[f"{tag}.b.B"] = AtomInfo(params.mat_2id, w_dbl)
+        return node_a
 
-    root, _, _ = build_layer(0, inner, inner, Iv(1), "s1")
+    root = build_layer(0, inner, inner, Iv(1), "s1")
     _fix_mults(root)
 
     pot = PiecewisePotential(
@@ -974,7 +955,6 @@ def staircase_build(levels: int) -> StaircaseResult:
                 eps=lvl.eps,
                 omega_area=area_by_level.get(lvl.j, Fraction(0)),
                 grad_step=grads.get(lvl.j, ZERO),
-                node_tags=tags_by_level[lvl.j],
             )
         )
     return StaircaseResult(potential=pot, layers=layers)

@@ -20,7 +20,6 @@ exactly. `Tally.over(region)` folds the levels a region selects:
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,8 +183,6 @@ def area_fractions(pot: PiecewisePotential, eps: Optional[Fraction] = None,
     rows = []
     for tag in sorted(pot.atoms):
         info = pot.atoms[tag]
-        if not info.terminal:
-            continue
         area = got.get(tag, Fraction(0))
         fraction = area / dom_area
         required = ((1 - Fraction(eps)) * info.weight).hi
@@ -262,12 +259,6 @@ class ReportItem:
     name: str
     value: Iv
     note: str = ""
-
-
-def write_csv(path: str, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
 
 
 def report_phis(q_list: Iterable = ()) -> list:

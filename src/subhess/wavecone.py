@@ -29,7 +29,7 @@ from scipy.optimize import linprog
 
 Vec = Sequence[Fraction]
 
-# largest denominator kept when rationalizing the LP's float duals and primal
+# largest denominator kept when rationalizing the LP's float duals
 _MAX_DEN = 10**6
 
 
@@ -66,8 +66,6 @@ def exact_candidate(v: Vec) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class BruteForceResult:
     member: bool
-    best_residual: Fraction
-    best_zeta: tuple[Fraction, ...]
     floor: Fraction  # certified min residual over the whole sphere (0 for members)
     patches: int  # LP solves: 0 for members, 1 for non-members
 
@@ -76,21 +74,10 @@ def _rational(x: float) -> Fraction:
     return Fraction(float(x)).limit_denominator(_MAX_DEN)
 
 
-def member_bruteforce(v: Iterable) -> BruteForceResult:
-    """Members return at their exact candidate.  For a non-member, solve the LP
-    min t s.t. +-(zeta_i v_j - zeta_j v_i) <= t, sum zeta = 1, zeta >= 0 in
-    floats on v / max|v|.  Any row duals y >= 0 bound every residual below by
-    min_k (A^T y)_k / sum y (weak duality), so the rationalized duals give an
-    exact floor; the rationalized primal is `best_zeta`.  Raises
-    CertificationError when the LP fails or that floor is not positive."""
-    vs = tuple(Fraction(x) for x in v)
+def _solve_lp(vs: Vec):
+    """(pairs, result) of the LP min t s.t. +-(zeta_i v_j - zeta_j v_i) <= t,
+    sum zeta = 1, zeta >= 0, solved in floats on v / max|v|."""
     n = len(vs)
-    if n < 2:
-        raise ValueError("need dimension >= 2")
-    cand = exact_candidate(vs)
-    if residual(vs, cand) == 0:
-        return BruteForceResult(True, Fraction(0), cand, Fraction(0), 0)
-
     pairs = list(itertools.combinations(range(n), 2))
     scale = max(abs(x) for x in vs)
     w = [float(x / scale) for x in vs]
@@ -101,6 +88,24 @@ def member_bruteforce(v: Iterable) -> BruteForceResult:
     a_ub = np.hstack([np.vstack([rows, -rows]), -np.ones((2 * len(pairs), 1))])
     lp = linprog(np.append(np.zeros(n), 1.0), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
                  A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0], method="highs")
+    return pairs, lp
+
+
+def member_bruteforce(v: Iterable) -> BruteForceResult:
+    """Members return at their exact candidate.  For a non-member, solve the
+    LP of `_solve_lp`.  Any row duals y >= 0 bound every residual below by
+    min_k (A^T y)_k / sum y (weak duality), so the rationalized duals give an
+    exact floor.  Raises CertificationError when the LP fails or that floor
+    is not positive."""
+    vs = tuple(Fraction(x) for x in v)
+    n = len(vs)
+    if n < 2:
+        raise ValueError("need dimension >= 2")
+    cand = exact_candidate(vs)
+    if residual(vs, cand) == 0:
+        return BruteForceResult(True, Fraction(0), 0)
+
+    pairs, lp = _solve_lp(vs)
     if lp.status != 0:
         raise CertificationError(f"wave-cone LP failed for {vs}: {lp.message}")
 
@@ -113,10 +118,7 @@ def member_bruteforce(v: Iterable) -> BruteForceResult:
     floor = min(coef) / sum(y) if any(y) else Fraction(0)
     if floor <= 0:
         raise CertificationError(f"dual bound {floor} does not certify {vs}")
-    zeta = [max(_rational(z), Fraction(0)) for z in lp.x[:n]]
-    mass = sum(zeta)
-    best_zeta = tuple(z / mass for z in zeta)
-    return BruteForceResult(False, residual(vs, best_zeta), best_zeta, floor, 1)
+    return BruteForceResult(False, floor, 1)
 
 
 # ---- suites ---------------------------------------------------------------------------

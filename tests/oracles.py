@@ -25,9 +25,13 @@ route of its own, so agreement with the package is evidence, not an echo:
   value they approach, read from one tally.
 * `l1_limit_constant` and `weights` are closed forms of the doubling
   construction, checked against cascade moments and laminate atoms.
+* `lp_primal` re-solves the wave-cone LP of `member_bruteforce` and
+  rationalizes its primal: an exact residual that the certified dual floor
+  must not exceed.
 
 `one_split` is a test helper, not an oracle: the one-split laminate
-realized by `realize_laminate`.
+realized by `realize_laminate`. `apply`, `frob`, `phi_trace` and
+`phi_frobenius` are matrix helpers and moment functionals only tests use.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from subhess.obstacle import (
     solve,
     square_instance,
 )
-from subhess.scalars import Iv, Undecided
+from subhess.scalars import Iv, IvLike, Undecided, as_iv, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
 from subhess.synthesizer import (
     BudgetExceeded,
@@ -63,6 +67,7 @@ from subhess.synthesizer import (
     realize_laminate,
 )
 from subhess.verifier import tally
+from subhess.wavecone import _rational, _solve_lp, exact_candidate, residual
 
 ZERO = Iv(0)
 HALF = Fraction(1, 2)
@@ -70,7 +75,27 @@ DELTA_FLOOR_BITS = 20  # materialization guard: never enumerate finer stripes
 DEFAULT_BUDGET = 10**7
 
 
-# -- test helper ---------------------------------------------------------------------
+# -- test helpers ----------------------------------------------------------------------
+
+
+def apply(m: SymMat2, x: IvLike, y: IvLike) -> tuple[Iv, Iv]:
+    """The matrix times the vector (x, y)."""
+    xv, yv = as_iv(x), as_iv(y)
+    return (m.a11 * xv + m.a12 * yv, m.a12 * xv + m.a22 * yv)
+
+
+def frob(m: SymMat2) -> Iv:
+    """Frobenius norm, counting the off-diagonal entry twice, matching
+    integration of symmetric-matrix fields component by component."""
+    return sqrt_iv(m.a11.sq() + 2 * m.a12.sq() + m.a22.sq())
+
+
+def phi_trace(m: SymMat2) -> Iv:
+    return m.trace()
+
+
+def phi_frobenius(m: SymMat2) -> Iv:
+    return frob(m)
 
 
 def one_split(
@@ -153,12 +178,12 @@ def eval_all(pot: PiecewisePotential, x: Fraction, y: Fraction):
     if not inside:
         # frame region: pure quadratic in the domain-local coordinates
         dx, dy = x - x0, y - y0
-        hx, hy = a_cur.apply(dx, dy)
+        hx, hy = apply(a_cur, dx, dy)
         val = c + gx * dx + gy * dy + (hx * dx + hy * dy) * HALF
         return val, (gx + hx, gy + hy), a_cur.entries()
     # frame origin shift to the pattern origin
     dx, dy = ox - x0, oy - y0
-    hx, hy = a_cur.apply(dx, dy)
+    hx, hy = apply(a_cur, dx, dy)
     c = c + gx * dx + gy * dy + (hx * dx + hy * dy) * HALF
     gx, gy = gx + hx, gy + hy
 
@@ -191,7 +216,7 @@ def eval_all(pot: PiecewisePotential, x: Fraction, y: Fraction):
             else:
                 pgx, pgy = d_perp, d_long
                 hh = (h_pp, h_lp, h_ll)
-            hx, hy = a_cur.apply(lx, ly)
+            hx, hy = apply(a_cur, lx, ly)
             val = c + gx * lx + gy * ly + (hx * lx + hy * ly) * HALF + psi
             grad = (gx + hx + pgx, gy + hy + pgy)
             hess = (a_cur.a11 + hh[0], a_cur.a12 + hh[1], a_cur.a22 + hh[2])
@@ -213,7 +238,7 @@ def eval_all(pot: PiecewisePotential, x: Fraction, y: Fraction):
         # handoff: value and gradient of this level at the subcell corner
         w0, dw0, _ = _w_eval(node, sub_xi0)
         lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
-        hx, hy = a_cur.apply(lx0, ly0)
+        hx, hy = apply(a_cur, lx0, ly0)
         c = c + gx * lx0 + gy * ly0 + (hx * lx0 + hy * ly0) * HALF + w0  # eta == 1
         add_gx, add_gy = (dw0, ZERO) if node.axis == 0 else (ZERO, dw0)
         gx = gx + hx + add_gx
@@ -278,7 +303,7 @@ def _quad_coeffs(c: Iv, g: tuple[Iv, Iv], a: SymMat2) -> dict[tuple[int, int], I
 
 def _shift_quad(c: Iv, g: tuple[Iv, Iv], a: SymMat2, dx: Fraction, dy: Fraction):
     """Re-center a quadratic at origin + (dx, dy)."""
-    hx, hy = a.apply(dx, dy)
+    hx, hy = apply(a, dx, dy)
     c2 = c + g[0] * dx + g[1] * dy + (hx * dx + hy * dy) * HALF
     return c2, (g[0] + hx, g[1] + hy)
 
@@ -583,7 +608,7 @@ def hessian_negative_mass(pot) -> Iv:
     p = 1 diagnostics column of the negated potential approaches this number
     as the grid resolves the stripes.
     """
-    l1, tr = tally(pot, ("l1_diag", "trace")).integrals
+    l1, tr = tally(pot, ("l1_diag", phi_trace)).integrals
     return (l1 - tr) * Iv(Fraction(1, 2))
 
 
@@ -638,3 +663,21 @@ def weights(params: DoublingParams) -> tuple[Iv, Iv, Iv]:
         params.beta * (1 - params.alpha),
         (1 - params.beta) * (1 - params.alpha),
     )
+
+
+# -- the wave-cone LP primal -----------------------------------------------------------
+
+
+def lp_primal(v) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(residual, zeta) at the rationalized primal of the LP that
+    `member_bruteforce` solves; at the exact candidate for a member."""
+    vs = tuple(Fraction(x) for x in v)
+    cand = exact_candidate(vs)
+    if residual(vs, cand) == 0:
+        return Fraction(0), cand
+    _, lp = _solve_lp(vs)
+    assert lp.status == 0, lp.message
+    zeta = [max(_rational(z), Fraction(0)) for z in lp.x[:len(vs)]]
+    mass = sum(zeta)
+    best_zeta = tuple(z / mass for z in zeta)
+    return residual(vs, best_zeta), best_zeta

@@ -38,7 +38,13 @@ from subhess.verifier import (
 )
 from subhess.wavecone import agreement_suite, lattice_suite
 
-from oracles import harmonic_extension, l1_limit_constant, radial_order_study
+from oracles import (
+    harmonic_extension,
+    l1_limit_constant,
+    phi_frobenius,
+    phi_trace,
+    radial_order_study,
+)
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -126,7 +132,7 @@ def test_criterion_3_realization_moment_convergence():
     t0 = time.perf_counter()
     lam, _ = doubling_laminate(F(3, 2), F(1))
     ok = True
-    devs = {phi: [] for phi in ("trace", "l1_diag", "frobenius")}
+    devs = {phi: [] for phi in (phi_trace, "l1_diag", phi_frobenius)}
     for eps in (F(1, 10), F(1, 20), F(1, 40)):
         pot = realize_laminate(lam, UNIT, eps)
         ok &= pot.boundary_report()["exact"]

@@ -177,6 +177,18 @@ class TestValidation:
         assert bound in err and ("MB" in err or "4,913" in err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["staircase", "--J", "16"],
+        ["obstacle", "selfcheck", "--depth", "16"],
+    ], ids=["staircase", "selfcheck"])
+    def test_too_deep_staircase_refused(self, tmp_path, capsys, argv):
+        # eps_16 = 4^-16 = 2^-32 floors to 0 at 30 fractional bits: refused
+        # by the validator, before the output directory exists
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert "level 16 epsilon underflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_size_caps_in_validators(self):
         parser = cli.build_parser()
 
@@ -187,6 +199,8 @@ class TestValidation:
             ["obstacle", "solve", "--n", "2049"],
             ["obstacle", "selfcheck", "--depth", "3", "--n", "65,129,257,2049"],
             ["wavecone", "--n", "64", "--radius", "8"],
+            ["staircase", "--J", "15"],
+            ["obstacle", "selfcheck", "--depth", "15"],
         ]
         for argv in at_cap:
             config(argv).validated()

@@ -16,7 +16,7 @@ from subhess.laminate import (
 from subhess.scalars import Iv, pow2
 from subhess.sym2 import SymMat2, rank_one_connected
 
-from oracles import loads, validate
+from oracles import loads, phi_frobenius, phi_trace, validate
 
 
 def two_level() -> Laminate:
@@ -135,9 +135,9 @@ class TestSeededAtoms:
 class TestMoments:
     def test_registry(self):
         lam = two_level()
-        assert moment(lam, "trace").contains(2)
+        assert moment(lam, phi_trace).contains(2)
         assert moment(lam, "l1_diag").certainly_gt(2)  # kinks added mass
-        fro = moment(lam, "frobenius")
+        fro = moment(lam, phi_frobenius)
         assert fro.certainly_gt(0)
         custom = moment(lam, lambda m: m.a22)
         assert custom == Iv(1)
@@ -165,7 +165,7 @@ class TestMoments:
         lam = elementary_split(Laminate.dirac(m), 0, s, b, c)
         rep = validate(lam)
         assert rep["ok"], rep["problems"]
-        assert moment(lam, "trace").contains(2)
+        assert moment(lam, phi_trace).contains(2)
 
 
 class TestSerialization:

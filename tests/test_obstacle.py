@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from subhess.constructions import doubling_laminate
 from subhess.obstacle import (
-    ObstacleInstance,
     disk_instance,
     radial_contact_radius,
     radial_instance,

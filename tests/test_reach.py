@@ -1,13 +1,24 @@
 """`src/subhess` holds what a command reaches.
 
-An `ast` name scan of the package. Roots: `cli.main`, every module-level
-statement that is not a definition (constants, tables, re-exports), and
-`PERFBENCH_NAMES`, the functions the benchmark harness under `perfbench/`
-calls that no command reaches. A reached function or class reaches every
-module-level definition whose name it mentions, in its own module or through
-a `from subhess.<module> import` line (including the ones inside function
-bodies). Any module-level function or class left unreached is code only tests
-use: delete it, or move it into `tests/oracles.py` when it is a test oracle.
+Three `ast` scans.
+
+* Definitions. Roots: `cli.main`, every module-level statement that is not a
+  definition (constants, tables, re-exports), and `PERFBENCH_NAMES`, the
+  functions the benchmark harness under `perfbench/` calls that no command
+  reaches. A reached function or class reaches every module-level definition
+  whose name it mentions, in its own module or through a
+  `from subhess.<module> import` line (including the ones inside function
+  bodies). Any module-level function or class left unreached is code only
+  tests use: delete it, or move it into `tests/oracles.py` when it is a test
+  oracle.
+* Members. A method, property, class-level field or `self.x` set in
+  `__init__` is read when its name is loaded as an attribute somewhere in
+  `src/` outside its own body, or in `perfbench/*.py`. The fields of
+  `SERIALIZED` classes count as read: an artifact writes them through
+  `dataclasses.fields`. Dunder methods run implicitly and are not scanned.
+  The match is by name, so a member can only be missed, never wrongly
+  named.
+* Imports. Every name a module in `src/` or `tests/` imports is used in it.
 """
 
 from __future__ import annotations
@@ -22,6 +33,9 @@ TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 PERFBENCH_NAMES = ("doubling_cascade", "hessian_l1", "neg_part_lq", "potential_report")
+
+# classes an artifact writes field by field (`area_fractions.json`)
+SERIALIZED = ("FractionRow",)
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -105,8 +119,90 @@ def imports_from_tests(src: Path = SRC, tests: Path = TESTS) -> list[str]:
     return out
 
 
+def _members(cls: ast.ClassDef) -> list[tuple[int, str, ast.AST | None]]:
+    """(line, name, own body or None) of each method, property, class-level
+    annotated field and `self.x` assigned in `__init__`."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append((node.lineno, node.target.id, None))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                out.append((node.lineno, node.name, node))
+            elif node.name == "__init__":
+                for sub in ast.walk(node):
+                    targets = (sub.targets if isinstance(sub, ast.Assign)
+                               else [sub.target] if isinstance(sub, ast.AnnAssign) else [])
+                    out += [(t.lineno, t.attr, None) for t in targets
+                            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"]
+    return out
+
+
+def _reads(tree: ast.AST) -> list[str]:
+    """Every attribute name loaded in `tree`."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+
+def unread_members(src: Path = SRC, perfbench: Path = PERFBENCH,
+                   serialized: tuple[str, ...] = SERIALIZED) -> list[str]:
+    """`module.py:line Class.member` of every class member that neither
+    `src/` (outside the member's own body) nor `perfbench/` reads."""
+    modules = _modules(src)
+    reads: dict[str, int] = {}
+    for tree in modules.values():
+        for name in _reads(tree):
+            reads[name] = reads.get(name, 0) + 1
+    bench = {name for path in sorted(perfbench.glob("*.py"))
+             for name in _reads(ast.parse(path.read_text(), str(path)))}
+    out = []
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in serialized:
+                continue
+            for line, name, body in _members(cls):
+                own = _reads(body).count(name) if body is not None else 0
+                if reads.get(name, 0) <= own and name not in bench:
+                    out.append((mod, line, f"{cls.name}.{name}"))
+    return [f"{mod}.py:{line} {name}" for mod, line, name in sorted(out)]
+
+
+def unused_imports(dirs: tuple[Path, ...] = (SRC, TESTS)) -> list[str]:
+    """`path:line name` of every imported name its module never uses. A
+    package `__init__.py` uses what its `__all__` lists; a name used only
+    inside a quoted annotation counts as unused."""
+    out = []
+    for folder in dirs:
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            used = _names(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    used |= {e.value for e in node.value.elts}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [(a.asname or a.name.split(".")[0]) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                out += [f"{folder.name}/{path.name}:{node.lineno} {name}"
+                        for name in names if name not in used]
+    return out
+
+
 def test_every_definition_is_reached():
     assert unreached() == []
+
+
+def test_every_member_is_read():
+    assert unread_members() == []
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
 
 
 def test_allowlist_is_called_by_perfbench():
@@ -127,6 +223,61 @@ def test_scan_names_a_planted_unreached_definition(tmp_path):
     found = unreached(pkg)
     assert len(found) == 1 and found[0].endswith(" planted_unreached")
     assert found[0].startswith("verifier.py:")
+
+
+def _src_copy(tmp_path: Path) -> Path:
+    pkg = tmp_path / "subhess"
+    pkg.mkdir()
+    for path in SRC.glob("*.py"):
+        (pkg / path.name).write_text(path.read_text())
+    return pkg
+
+
+def _plant(path: Path, anchor: str, lines: str) -> int:
+    """Insert `lines` after the line `anchor`; the line number of the first."""
+    text = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(text) if line.rstrip() == anchor) + 1
+    path.write_text("".join(text[:at]) + lines + "".join(text[at:]))
+    return at + 1
+
+
+def test_member_scan_names_a_planted_unread_field(tmp_path):
+    pkg = _src_copy(tmp_path)
+    _plant(pkg / "verifier.py", "    ok: bool", "    planted_field: int = 0\n")
+    assert unread_members(pkg) == []  # FractionRow is serialized field by field
+    line = _plant(pkg / "synthesizer.py", "    grad_step: Iv  # certified sup |grad u_j - grad "
+                  "u_{j-1}|", "    planted_field: int = 0\n")
+    assert unread_members(pkg) == [f"synthesizer.py:{line} StairLayerReport.planted_field"]
+
+
+def test_member_scan_names_a_planted_unread_method(tmp_path):
+    pkg = _src_copy(tmp_path)
+    # a method that only calls itself is still unread
+    line = _plant(pkg / "verifier.py", "        return sqrt_iv(Iv(0, self.ball_sq_hi))",
+                  "\n    def planted_method(self, k: int) -> Iv:\n"
+                  "        return self.planted_method(k - 1) if k else self.mean(0)\n")
+    assert unread_members(pkg) == [f"verifier.py:{line + 1} Tally.planted_method"]
+    # one read from outside its own body clears it
+    with open(pkg / "cli.py", "a") as fh:
+        fh.write("\n\ndef _reader(t):\n    return t.planted_method(1)\n")
+    assert unread_members(pkg) == []
+
+
+def test_member_scan_counts_perfbench_and_serialized_reads(tmp_path):
+    found = unread_members(perfbench=tmp_path)
+    assert [m.split()[1] for m in found] == [
+        "ObstacleInstance.xs", "ObstacleInstance.ys",
+        "BruteForceResult.floor", "BruteForceResult.patches"]
+    found = unread_members(serialized=())
+    assert [m.split()[1] for m in found] == ["FractionRow.fraction", "FractionRow.required"]
+
+
+def test_import_scan_names_a_planted_unused_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os\nimport os.path as osp\nfrom math import pi, tau\n\n\n"
+        "def f(x: str) -> float:\n    return pi * osp.sep.count(x)\n")
+    assert unused_imports((tmp_path,)) == [f"{tmp_path.name}/mod.py:1 os",
+                                           f"{tmp_path.name}/mod.py:3 tau"]
 
 
 def test_scan_names_an_allowlisted_name_perfbench_lost(tmp_path):

@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 from fractions import Fraction
 

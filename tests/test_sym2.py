@@ -8,7 +8,14 @@ from subhess.scalars import Iv
 from subhess.sym2 import SymMat2, rank_one_connected
 from subhess.synthesizer import _seg_dist_sq_box
 
+from oracles import apply, frob
+
 small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
+
+
+def projector(a: SymMat2, b: SymMat2) -> SymMat2:
+    """n (x) n = (A - B) / c for the scale c the rank-one test returns."""
+    return (a - b).scale(1 / rank_one_connected(a, b).scale)
 
 
 def np_of(m: SymMat2) -> np.ndarray:
@@ -25,7 +32,7 @@ class TestRankOne:
         r = rank_one_connected(SymMat2.diag(5, 1), SymMat2.diag(2, 1))
         assert r is not None and r.axis == 0
         assert r.scale == Iv(3)
-        assert r.projector == SymMat2.diag(1, 0)
+        assert projector(SymMat2.diag(5, 1), SymMat2.diag(2, 1)) == SymMat2.diag(1, 0)
         r = rank_one_connected(SymMat2.diag(2, -1), SymMat2.diag(2, 4))
         assert r is not None and r.axis == 1 and r.scale == Iv(-5)
 
@@ -40,20 +47,16 @@ class TestRankOne:
         r = rank_one_connected(SymMat2.of(2, 1, 2), SymMat2.of(1, 0, 1))
         assert r is not None and r.axis is None
         assert r.scale == Iv(2)
-        assert r.projector.a11 == Iv(Fraction(1, 2))
-        n1, n2 = r.direction
-        assert n1.contains_iv(n1) and abs(float(n1.mid) - 0.7071067811865476) < 1e-12
-        assert abs(float(n2.mid) - 0.7071067811865476) < 1e-12
+        proj = projector(SymMat2.of(2, 1, 2), SymMat2.of(1, 0, 1))
+        assert proj == SymMat2.of(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+        assert proj.trace() == Iv(1) and proj.det() == Iv(0)
 
     def test_negative_off_diagonal_direction(self):
         r = rank_one_connected(SymMat2.of(1, -1, 1), SymMat2.of(0, 0, 0))
-        assert r is not None
-        n1, n2 = r.direction
-        assert float(n1.mid) > 0 > float(n2.mid)
-        # n (x) n rebuilds the projector
-        assert (n1 * n2).contains_iv(r.projector.a12) or abs(
-            float((n1 * n2).mid - r.projector.a12.mid)
-        ) < 1e-12
+        assert r is not None and r.axis is None and r.scale == Iv(2)
+        # n = (1, -1)/sqrt(2): n (x) n has a negative off-diagonal entry
+        proj = projector(SymMat2.of(1, -1, 1), SymMat2.of(0, 0, 0))
+        assert proj == SymMat2.of(Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2))
 
     def test_rejections(self):
         assert rank_one_connected(SymMat2.diag(1, 1), SymMat2.diag(0, 0)) is None
@@ -141,8 +144,9 @@ class TestMatrixBasics:
         assert a.scale(2).a12 == Iv(4)
         assert a.trace() == Iv(4)
         assert a.det() == Iv(-1)
-        assert a.frob_sq() == Iv(18)
+        # |a|^2 = 1 + 2*2^2 + 3^2 = 18, enclosed through its certified root
+        assert frob(a).sq().contains(18) and frob(a).width < Fraction(1, 2**100)
 
     def test_apply(self):
-        gx, gy = SymMat2.of(2, 1, 3).apply(1, Fraction(1, 2))
+        gx, gy = apply(SymMat2.of(2, 1, 3), 1, Fraction(1, 2))
         assert gx == Iv(Fraction(5, 2)) and gy == Iv(Fraction(5, 2))

@@ -13,7 +13,6 @@ from subhess.constructions import (
     doubling_laminate,
     staircase_params,
 )
-from subhess.laminate import moment
 from subhess import synthesizer
 from subhess.scalars import ENCLOSURE_BITS, Iv, pow2
 from subhess.sym2 import SymMat2
@@ -24,6 +23,7 @@ from subhess.synthesizer import (
     NonAxisRankOne,
     PiecewisePotential,
     SIGMA_BITS,
+    _node_cell_classes,
     _ramp_rows,
     _seg_dist_sq_box,
     _sigma_bits,
@@ -38,6 +38,12 @@ from oracles import eval_all, iter_cells, one_split
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
 TINY = F(1, 2**60)
+
+
+def stripe_fraction(node) -> F:
+    """The split fraction t_hat the stripes realize: the first B stripe's
+    share of its half period."""
+    return node.profile.stripes[0].x_hi / node.delta
 
 
 def simple_pot(t, eps=F(1, 2), g=F(2), axis=0, rect=UNIT, dev_cap=None):
@@ -221,7 +227,7 @@ class TestSimpleRational:
 
     def test_dyadic_fraction_exact_no_compensation(self):
         node = self.POT.root
-        assert node.t_hat == F(1, 2)
+        assert stripe_fraction(node) == F(1, 2)
         prof = node.profile
         assert prof.c1 == Iv(0) and prof.c2 == Iv(0)
         assert prof.closure_width == 0
@@ -282,8 +288,9 @@ class TestCompensatedRational:
         assert prof.c1 != Iv(0) or prof.c2 != Iv(0)
         assert prof.c1.width == 0 and prof.c2.width == 0
         assert prof.closure_width == 0
-        assert self.POT.root.t_hat != F(1, 3)
-        assert abs(self.POT.root.t_hat - F(1, 3)) <= F(1, 2**79)
+        t_hat = stripe_fraction(self.POT.root)
+        assert t_hat != F(1, 3)
+        assert abs(t_hat - F(1, 3)) <= F(1, 2**79)
 
     def test_pair_boundaries_exactly_clamped(self):
         node = self.POT.root
@@ -336,11 +343,18 @@ class TestAxisSwap:
 RATIONAL_CASES = (TestSimpleRational, TestCompensatedRational, TestAxisSwap)
 
 
+def node_classes(pot):
+    """(node tag, class) of every pattern-node class, in `cell_classes` order."""
+    pairs = [(node.tag, cc) for node in pot.nodes() for cc in _node_cell_classes(node)]
+    assert [cc for _, cc in pairs] == [cc for cc in pot.cell_classes() if cc.kind != "frame"]
+    return pairs
+
+
 def assert_ramp_cells_inside_class_boxes(pot, cells):
     boxes: dict = {}
-    for cc in pot.cell_classes():
+    for tag, cc in node_classes(pot):
         if cc.kind == "ramp":
-            boxes.setdefault((cc.node_tag, cc.area), []).append(cc.h_box)
+            boxes.setdefault((tag, cc.area), []).append(cc.h_box)
     ramp_cells = [mc for mc in cells if mc.kind == "ramp"]
     assert ramp_cells
     for mc in ramp_cells:
@@ -368,10 +382,10 @@ class TestRampClassesMatchCells:
     @pytest.mark.parametrize("case", RATIONAL_CASES, ids=lambda c: c.__name__)
     def test_node_ball_is_max_over_its_ramp_classes(self, case):
         # the node certificate covers every ramp class the verifier sums
-        classes = list(case.POT.cell_classes())
+        classes = node_classes(case.POT)
         for node in case.POT.nodes():
             balls = [_seg_dist_sq_box(node.mat_b, node.mat_c, node.axis, *cc.h_box).hi
-                     for cc in classes if cc.kind == "ramp" and cc.node_tag == node.tag]
+                     for tag, cc in classes if cc.kind == "ramp" and tag == node.tag]
             assert balls and node.ball_sq.hi == max(balls)
 
 
@@ -459,13 +473,13 @@ class TestIrrationalFraction:
         assert 0 < rep["closure_width"] <= TINY
 
     def test_t_hat_close(self):
-        node = self.POT.root
-        assert abs(Iv(node.t_hat) - node.t).hi <= F(1, 2**79)
+        assert abs(Iv(stripe_fraction(self.POT.root)) - self.PARAMS.alpha).hi <= F(1, 2**79)
 
     def test_compensators_tiny_and_on_segment(self):
         node = self.POT.root
+        gamma = (node.mat_b - node.mat_c).entries()[2 * node.axis]
         for c in (node.profile.c1, node.profile.c2):
-            assert abs(c).hi <= abs(node.gamma).hi * F(1, 2**38)
+            assert abs(c).hi <= abs(gamma).hi * F(1, 2**38)
 
     def test_c1_continuity_sampled_edges(self):
         assert_c1_across_edges(self.CELLS, width_cap=TINY, sample=250)
@@ -629,11 +643,20 @@ class TestStaircase:
             assert clone == classes
 
     def test_layer2_hosts_inside_layer1(self):
-        tags = {node.tag: node for node in self.POT.nodes()}
-        assert set(self.RESULT.layers[0].node_tags) <= set(tags)
-        assert set(self.RESULT.layers[1].node_tags) <= set(tags)
-        deep = tags[self.RESULT.layers[1].node_tags[0]]
-        assert deep.level == 2
+        levels = [layer.j for layer in self.RESULT.layers]
+        assert levels == [1, 2]
+        assert sorted({node.level for node in self.POT.nodes()}) == levels
+        # every level-2 node hangs below a level-1 node's core cells
+        def subtree(node):
+            yield node
+            for link in node.children.values():
+                yield from subtree(link.node)
+
+        deep = [link.node for node in self.POT.nodes() if node.level == 1
+                for link in node.children.values() if link.node.level == 2]
+        assert deep
+        assert {n.tag for d in deep for n in subtree(d)} == {
+            n.tag for n in self.POT.nodes() if n.level == 2}
 
 
 class TestCompensatorBits:

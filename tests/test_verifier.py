@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import subhess.cli as cli
-from subhess.cli import _report_items_rows, main as cli_main
-from subhess.constructions import DoublingParams, doubling_cascade, doubling_laminate
+from subhess.cli import _report_items_rows, _write_csv, main as cli_main
+from subhess.constructions import doubling_cascade, doubling_laminate
 from subhess.laminate import moment
 from subhess.scalars import Iv
 from subhess.sym2 import SymMat2
@@ -25,11 +25,10 @@ from subhess.verifier import (
     neg_part_lq,
     potential_report,
     tally,
-    write_csv,
     ReportItem,
 )
 
-from oracles import one_split
+from oracles import one_split, phi_trace
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -120,7 +119,7 @@ class TestRegions:
         empty = ("level", 99)
         named = re.escape(repr(empty))
         with pytest.raises(ValueError, match=named):
-            tally(SIMPLE, ("trace",)).over(empty)
+            tally(SIMPLE, (phi_trace,)).over(empty)
         with pytest.raises(ValueError, match=named):
             hessian_l1(SIMPLE, empty)
         with pytest.raises(ValueError, match=named):
@@ -130,9 +129,9 @@ class TestRegions:
 class TestMeans:
     def test_trace_identity_contained(self):
         # clamped boundary forces mean trace = trace(base) = 2
-        enc = tally(SIMPLE, ("trace",)).mean(0)
+        enc = tally(SIMPLE, (phi_trace,)).mean(0)
         assert enc.contains(2)
-        enc2 = tally(DOUBLING, ("trace",)).mean(0)
+        enc2 = tally(DOUBLING, (phi_trace,)).mean(0)
         assert enc2.contains(2)
 
     def test_hessian_l1_vs_moment(self):
@@ -324,8 +323,8 @@ class TestReports:
     def test_csv_deterministic(self, tmp_path):
         items = potential_report(SIMPLE)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(str(p1), _report_items_rows(items, "certified-interval", 30))
-        write_csv(str(p2), _report_items_rows(potential_report(SIMPLE), "certified-interval", 30))
+        _write_csv(p1, _report_items_rows(items, "certified-interval", 30))
+        _write_csv(p2, _report_items_rows(potential_report(SIMPLE), "certified-interval", 30))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().startswith(b"name,lower,upper,note")
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import subhess.wavecone as wavecone
 from subhess.cli import main
 from subhess.wavecone import (
-    BruteForceResult,
     CertificationError,
     agreement_suite,
     exact_candidate,
@@ -19,6 +18,8 @@ from subhess.wavecone import (
     member_bruteforce,
     residual,
 )
+
+from oracles import lp_primal
 
 F = Fraction
 
@@ -64,18 +65,19 @@ class TestMember:
 class TestBruteForce:
     def test_member_has_exact_zero_residual(self):
         bf = member_bruteforce((F(4), F(1)))
-        assert bf.member and bf.best_residual == 0 and bf.floor == 0
-        assert bf.best_zeta == (F(4, 5), F(1, 5))
+        best_residual, best_zeta = lp_primal((F(4), F(1)))
+        assert bf.member and best_residual == 0 and bf.floor == 0
+        assert best_zeta == (F(4, 5), F(1, 5))
 
     def test_basis_vector_forced_by_zeros(self):
         bf = member_bruteforce((F(1), F(0), F(0)))
-        assert bf.member and bf.best_residual == 0
+        assert bf.member and lp_primal((F(1), F(0), F(0)))[0] == 0
 
     def test_conflict_gets_positive_floor(self):
         bf = member_bruteforce((F(1), F(-1)))
         assert not bf.member
         assert bf.floor > 0
-        assert bf.floor <= bf.best_residual
+        assert bf.floor <= lp_primal((F(1), F(-1)))[0]
 
     def test_adversarial_small_conflict(self):
         eps = F(1, 1000)
@@ -95,13 +97,14 @@ class TestBruteForce:
     @given(v=st.lists(rationals, min_size=2, max_size=5))
     def test_floor_sound(self, v):
         bf = member_bruteforce(v)
+        best_residual, best_zeta = lp_primal(v)
         assert bf.member == member(v)
         if bf.member:
-            assert bf.best_residual == 0 and bf.patches == 0
+            assert best_residual == 0 and bf.patches == 0
         else:
-            assert 0 < bf.floor <= bf.best_residual and bf.patches == 1
-        assert residual([F(x) for x in v], bf.best_zeta) == bf.best_residual
-        assert sum(bf.best_zeta) == 1 and min(bf.best_zeta) >= 0
+            assert 0 < bf.floor <= best_residual and bf.patches == 1
+        assert residual([F(x) for x in v], best_zeta) == best_residual
+        assert sum(best_zeta) == 1 and min(best_zeta) >= 0
 
     def test_floor_exact_on_acceptance_inputs(self):
         # the inputs of acceptance criterion 6: there the rationalized duals
@@ -113,7 +116,7 @@ class TestBruteForce:
             for v in vectors:
                 bf = member_bruteforce(v)
                 assert bf.member == member(v)
-                assert bf.floor == bf.best_residual
+                assert bf.floor == lp_primal(v)[0]
 
     def test_equal_duals_cannot_certify(self, monkeypatch):
         # planted fault: equal weights on the +pair and -pair rows cancel,
