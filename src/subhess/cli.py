@@ -33,15 +33,15 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 import subhess
 from subhess.constructions import (
+    MAX_LEVELS,
     cascade_moment_table,
     doubling_laminate,
-    staircase_params,
     verify_doubling,
 )
 from subhess.laminate import dumps as laminate_dumps
@@ -128,10 +128,14 @@ def _validate_realize(p: dict):
         _require(q >= 1, f"moment exponent {q} must be >= 1")
 
 
+def _require_depth_cap(levels: int):
+    # the message `staircase_params` raises at the first level past the cap
+    _require(levels <= MAX_LEVELS, f"level {MAX_LEVELS + 1} epsilon underflow")
+
+
 def _validate_staircase(p: dict):
     _require(p["levels"] >= 1, "need at least one level")
-    # eps_j floors to 30 fractional bits: level 16 and deeper underflow to 0
-    staircase_params(p["levels"])
+    _require_depth_cap(p["levels"])
     _require(p["q"] >= 1, "moment exponent must be >= 1")
     _require(p["i"] in (0, 1), "diagonal index must be 0 or 1")
 
@@ -177,7 +181,7 @@ def _validate_obstacle_solve(p: dict):
 
 def _validate_obstacle_selfcheck(p: dict):
     _require(p["depth"] >= 1, "staircase depth must be >= 1")
-    staircase_params(p["depth"])
+    _require_depth_cap(p["depth"])
     _require(all(n >= 8 for n in p["n"]), "grid sizes must be >= 8")
     for n in p["n"]:
         _require_grid_cap(n)
@@ -244,11 +248,14 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
 
 
 def _flatten_iv_rows(rows: Sequence[dict], mode: str, digits: int) -> list[list[str]]:
-    """CSV rows from dicts whose values may be intervals (two columns each)."""
+    """CSV rows from dicts whose values may be intervals (two columns each,
+    `<key>_lower` and `<key>_upper`, or bare `lower` and `upper` under the
+    key "")."""
     header: list[str] = []
     for key, val in rows[0].items():
         if isinstance(val, Iv):
-            header += [f"{key}_lower", f"{key}_upper"]
+            stem = f"{key}_" if key else ""
+            header += [f"{stem}lower", f"{stem}upper"]
         else:
             header.append(key)
     out = [header]
@@ -266,11 +273,8 @@ def _flatten_iv_rows(rows: Sequence[dict], mode: str, digits: int) -> list[list[
 
 
 def _report_items_rows(items, mode: str, digits: int) -> list[list[str]]:
-    rows = [["name", "lower", "upper", "note"]]
-    for item in items:
-        lo, hi = _iv_pair(item.value, mode, digits)
-        rows.append([item.name, lo, hi, item.note])
-    return rows
+    return _flatten_iv_rows([{"name": item.name, "": item.value, "note": item.note}
+                             for item in items], mode, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +366,7 @@ def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     rpt = cfg.out_dir / "realize_report.csv"
     _write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
     outputs.append(rpt)
-    fr = area_fractions(pot, t=t)
+    fr = area_fractions(pot, p["eps"], t=t)
     fr_path = cfg.out_dir / "area_fractions.json"
     _write_json(fr_path, {"rows": fr, "cell_count": cells}, cfg.scalar_mode, cfg.digits)
     outputs.append(fr_path)
@@ -385,17 +389,18 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     rows = []
     for layer in result.layers:
         j = layer.j
+        omega = t.over(("omega", j))
         rows.append({
             "level": j,
             "p": layer.p,
             "k": layer.k,
             "eps": layer.eps,
-            "omega_area": Iv(layer.omega_area),
+            "omega_area": Iv(omega.area),
             "grad_step": layer.grad_step,
             # bounded column: this level's share of the l1 mass
             "l1_contribution": t.over(("level", j)).integrals[0],
             # growing column: certified mean on the nested region
-            "neg_mean_omega": t.over(("omega", j)).bracket(neg),
+            "neg_mean_omega": omega.bracket(neg),
         })
     lv_path = cfg.out_dir / "staircase_levels.csv"
     _write_csv(lv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
@@ -412,14 +417,13 @@ def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     rpt = cfg.out_dir / "wavecone_report.json"
     _write_json(rpt, payload, cfg.scalar_mode, cfg.digits)
     rows = [
-        ["suite", "cases", "failures", "ok"],
-        ["agreement", str(agree["trials"]), str(len(agree["disagreements"])),
-         str(agree["all_agree"])],
-        ["lattice", str(lattice["vectors"]), str(len(lattice["failures"])),
-         str(lattice["all_ok"])],
+        {"suite": "agreement", "cases": agree["trials"],
+         "failures": len(agree["disagreements"]), "ok": agree["all_agree"]},
+        {"suite": "lattice", "cases": lattice["vectors"],
+         "failures": len(lattice["failures"]), "ok": lattice["all_ok"]},
     ]
     csv_path = cfg.out_dir / "wavecone_summary.csv"
-    _write_csv(csv_path, rows)
+    _write_csv(csv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
     ok = agree["all_agree"] and lattice["all_ok"]
     return (EXIT_OK if ok else EXIT_VERDICT), [rpt, csv_path]
 
@@ -535,6 +539,70 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from exc
 
 
+_REQUIRED = object()
+
+
+class _Param(NamedTuple):
+    """One subcommand parameter. `conv` reads its flag and its config-file
+    value; `default` is its effective default; `extras` go to argparse."""
+
+    dest: str
+    flag: str
+    conv: Callable
+    default: object = _REQUIRED
+    extras: dict = {}
+
+
+# per command: its help and its parameters, in `params` order. Flags default
+# to None so values from --config are not shadowed; `config_from_args`
+# applies the effective defaults.
+_COMMAND_SPEC: dict[str, tuple[str, tuple[_Param, ...]]] = {
+    "laminate": ("splitting report and moment tables", (
+        _Param("p", "--p", _fraction),
+        _Param("k", "--k", _fraction, Fraction(1)),
+        _Param("m", "--m", int, 0, {"help": "cascade length for the moment table"}),
+        _Param("q", "--q", _fraction, [Fraction(3, 2)],
+               {"action": "append", "help": "moment exponent (repeatable; default 3/2)"}),
+    )),
+    "realize": ("build from a doubling measure and verify", (
+        _Param("p", "--p", _fraction),
+        _Param("k", "--k", _fraction, Fraction(1)),
+        _Param("eps", "--eps", _fraction),
+        _Param("q", "--q", _fraction, [Fraction(3, 2)], {"action": "append"}),
+        _Param("budget", "--budget", int, None,
+               {"help": "abort (exit 3) if the cell partition exceeds this"}),
+    )),
+    "staircase": ("nested build with per-level columns", (
+        _Param("levels", "--J", int, extras={"help": "number of levels"}),
+        _Param("q", "--q", _fraction, Fraction(3, 2)),
+        _Param("i", "--i", int, 1, {"choices": (0, 1),
+                                    "help": "diagonal entry for the negative-part column"}),
+    )),
+    "wavecone": ("membership agreement suites", (
+        _Param("n", "--n", int),
+        _Param("trials", "--trials", int, 1000),
+        _Param("seed", "--seed", int, 0),
+        _Param("radius", "--radius", int, 2, {"help": "lattice radius"}),
+    )),
+    "obstacle-solve": ("solve one instance", (
+        _Param("n", "--n", int),
+        _Param("omega", "--omega", float, None,
+               {"help": "relaxation factor (default: 2/(1+sin(pi/(n-1))))"}),
+        _Param("tol", "--tol", float, 1e-10),
+        _Param("max_iter", "--max-iter", int, 200_000),
+        _Param("obstacle", "--obstacle", str, "radial",
+               {"help": f"builtin {_OBSTACLE_BUILTINS} or a CSV grid file"}),
+    )),
+    "obstacle-selfcheck": ("a nested build as its own obstacle", (
+        _Param("depth", "--depth", int, extras={"help": "staircase depth"}),
+        _Param("n", "--n", _int_list, [65, 129, 257], {"help": "comma list of grid sizes"}),
+        _Param("tol", "--tol", float, 1e-10),
+        _Param("gate_c", "--gate-c", float, 1.0,
+               {"help": "allowance constant: require sup_dev <= tol + c*h"}),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subhess",
@@ -550,53 +618,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--digits", type=int, default=30,
                         help="decimal digits for certified-interval output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # flags default to None so values from --config are not shadowed;
-    # effective defaults live in config_from_args
-    lam = sub.add_parser("laminate", help="splitting report and moment tables")
-    lam.add_argument("--p", type=_fraction)
-    lam.add_argument("--k", type=_fraction)
-    lam.add_argument("--m", type=int, help="cascade length for the moment table")
-    lam.add_argument("--q", type=_fraction, action="append",
-                     help="moment exponent (repeatable; default 3/2)")
-
-    rea = sub.add_parser("realize", help="build from a doubling measure and verify")
-    rea.add_argument("--p", type=_fraction)
-    rea.add_argument("--k", type=_fraction)
-    rea.add_argument("--eps", type=_fraction)
-    rea.add_argument("--q", type=_fraction, action="append")
-    rea.add_argument("--budget", type=int,
-                     help="abort (exit 3) if the cell partition exceeds this")
-
-    stc = sub.add_parser("staircase", help="nested build with per-level columns")
-    stc.add_argument("--J", dest="levels", type=int, help="number of levels")
-    stc.add_argument("--q", type=_fraction)
-    stc.add_argument("--i", type=int, choices=(0, 1),
-                     help="diagonal entry for the negative-part column")
-
-    wav = sub.add_parser("wavecone", help="membership agreement suites")
-    wav.add_argument("--n", type=int)
-    wav.add_argument("--trials", type=int)
-    wav.add_argument("--seed", type=int)
-    wav.add_argument("--radius", type=int, help="lattice radius")
-
-    obs = sub.add_parser("obstacle", help="projected-SOR runs")
-    obs_sub = obs.add_subparsers(dest="obstacle_command", required=True)
-    osv = obs_sub.add_parser("solve", help="solve one instance")
-    osv.add_argument("--n", type=int)
-    osv.add_argument("--omega", type=float,
-                     help="relaxation factor (default: 2/(1+sin(pi/(n-1))))")
-    osv.add_argument("--tol", type=float)
-    osv.add_argument("--max-iter", type=int)
-    osv.add_argument("--obstacle",
-                     help=f"builtin {_OBSTACLE_BUILTINS} or a CSV grid file")
-    osc = obs_sub.add_parser("selfcheck",
-                             help="a nested build as its own obstacle")
-    osc.add_argument("--depth", type=int, help="staircase depth")
-    osc.add_argument("--n", type=_int_list, help="comma list of grid sizes")
-    osc.add_argument("--tol", type=float)
-    osc.add_argument("--gate-c", type=float,
-                     help="allowance constant: require sup_dev <= tol + c*h")
+    obstacle = None
+    for command, (text, params) in _COMMAND_SPEC.items():
+        if command.startswith("obstacle-"):
+            if obstacle is None:
+                obstacle = sub.add_parser("obstacle", help="projected-SOR runs") \
+                    .add_subparsers(dest="obstacle_command", required=True)
+            cmd = obstacle.add_parser(command.removeprefix("obstacle-"), help=text)
+        else:
+            cmd = sub.add_parser(command, help=text)
+        for prm in params:
+            cmd.add_argument(prm.flag, dest=prm.dest, type=prm.conv, **prm.extras)
     return parser
 
 
@@ -612,66 +644,40 @@ def _config_defaults(path: Optional[Path]) -> dict:
     return data
 
 
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse action for every flag of one subcommand."""
-    for name in command.split("-"):
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = sub.choices[name]
-    return {action.dest: action for action in parser._actions}
-
-
-def _file_value(action: argparse.Action, key: str, val):
+def _file_value(prm: _Param, val):
     """A config-file value read by the converter of its flag, as str(value);
     repeatable flags take a list, element by element."""
-    conv = action.type or str
     try:
-        if isinstance(action, argparse._AppendAction):
-            return [conv(str(v)) for v in (val if isinstance(val, list) else [val])]
-        if conv is _int_list and isinstance(val, list):
+        if prm.extras.get("action") == "append":
+            return [prm.conv(str(v)) for v in (val if isinstance(val, list) else [val])]
+        if prm.conv is _int_list and isinstance(val, list):
             val = ",".join(map(str, val))
-        return conv(str(val))
+        return prm.conv(str(val))
     except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from None
+        raise ValueError(f"config key {prm.dest!r}: {exc}") from None
 
 
-_REQUIRED = object()
-
-# per-command parameter names and effective defaults
-_COMMAND_SPEC: dict[str, dict] = {
-    "laminate": {"p": _REQUIRED, "k": Fraction(1), "m": 0, "q": [Fraction(3, 2)]},
-    "realize": {"p": _REQUIRED, "k": Fraction(1), "eps": _REQUIRED, "q": [Fraction(3, 2)],
-                "budget": None},
-    "staircase": {"levels": _REQUIRED, "q": Fraction(3, 2), "i": 1},
-    "wavecone": {"n": _REQUIRED, "trials": 1000, "seed": 0, "radius": 2},
-    "obstacle-solve": {"n": _REQUIRED, "omega": None, "tol": 1e-10,
-                       "max_iter": 200_000, "obstacle": "radial"},
-    "obstacle-selfcheck": {"depth": _REQUIRED, "n": [65, 129, 257],
-                           "tol": 1e-10, "gate_c": 1.0},
-}
-
-
-def config_from_args(args: argparse.Namespace,
-                     parser: argparse.ArgumentParser) -> ExperimentConfig:
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Flags win over config-file values, which win over built-in defaults."""
     file_vals = _config_defaults(args.config)
     command = args.command
     if command == "obstacle":
         command = f"obstacle-{args.obstacle_command}"
-    spec = _COMMAND_SPEC[command]
-    unknown = sorted(set(file_vals) - set(spec))
+    _, spec = _COMMAND_SPEC[command]
+    unknown = sorted(set(file_vals) - {prm.dest for prm in spec})
     if unknown:
         raise ValueError(f"config key(s) {', '.join(unknown)} not parameters of "
-                         f"{command}; expected a subset of {', '.join(spec)}")
-    actions = _flag_actions(parser, command)
+                         f"{command}; expected a subset of "
+                         f"{', '.join(prm.dest for prm in spec)}")
     params = {}
-    for key, fallback in spec.items():
-        flag_val = getattr(args, key, None)
+    for prm in spec:
+        flag_val = getattr(args, prm.dest, None)
         if flag_val is not None:
-            params[key] = flag_val
-        elif file_vals.get(key) is not None:
-            params[key] = _file_value(actions[key], key, file_vals[key])
+            params[prm.dest] = flag_val
+        elif file_vals.get(prm.dest) is not None:
+            params[prm.dest] = _file_value(prm, file_vals[prm.dest])
         else:
-            params[key] = fallback
+            params[prm.dest] = prm.default
     missing = sorted(key for key, val in params.items() if val is _REQUIRED)
     if missing:
         raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
@@ -686,10 +692,9 @@ def config_from_args(args: argparse.Namespace,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args, parser)
+        cfg = config_from_args(args)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -238,11 +238,7 @@ def _cascade_rounds(
         yield lam, params
 
 
-def doubling_cascade(
-    p: IvLike,
-    m: int,
-    two_p: Optional[IvLike] = None,
-) -> tuple[Laminate, list[DoublingParams]]:
+def doubling_cascade(p: IvLike, m: int) -> tuple[Laminate, list[DoublingParams]]:
     """m rounds of doubling starting from delta_Id; scale doubles each round.
 
     Returns the final laminate and the per-round params (`_cascade_rounds`).
@@ -250,17 +246,12 @@ def doubling_cascade(
     if m < 0:
         raise ValueError("cascade length must be >= 0")
     lam, rounds = Laminate.dirac(SymMat2.identity(1)), []
-    for lam, params in _cascade_rounds(p, m, two_p):
+    for lam, params in _cascade_rounds(p, m):
         rounds.append(params)
     return lam, rounds
 
 
-def cascade_moment_table(
-    p: IvLike,
-    q_list: Sequence[IvLike],
-    m_max: int,
-    two_p: Optional[IvLike] = None,
-) -> list[dict]:
+def cascade_moment_table(p: IvLike, q_list: Sequence[IvLike], m_max: int) -> list[dict]:
     """Direct vs recursion values of the cascade moments, m = 0..m_max.
 
     Row fields: m, a_direct, a_rec (l1 diagonal), and per q: b0/b1 direct and
@@ -273,7 +264,7 @@ def cascade_moment_table(
     round subtracts the split atom's lo and hi and adds its three children's,
     and exact Fraction steps keep every row equal to `moment(lam, phi)`.
     """
-    params0 = DoublingParams.make(p, Fraction(1), two_p)
+    params0 = DoublingParams.make(p)
     lam_w = 1 / params0.two_p
     q_vals = [as_iv(q) for q in q_list]
     # per functional: its CSV column stem, phi, and the unit-scale constant of
@@ -323,6 +314,10 @@ class StairLevel:
     p: Iv
     k: Fraction
     eps: Fraction
+
+
+# eps_j floors to 30 fractional bits, so eps_j = 4^-j floors to 0 from level 16 on
+MAX_LEVELS = 15
 
 
 def staircase_params(levels: int) -> list[StairLevel]:

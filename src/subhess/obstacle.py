@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
+import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 from subhess.verifier import tally
 
@@ -106,20 +106,20 @@ def _sample(data: GridData, X, Y) -> np.ndarray:
     return arr.copy()
 
 
-def square_instance(n: int, phi: GridData, g: Optional[GridData] = None,
-                    origin=(0.0, 0.0), side: float = 1.0) -> ObstacleInstance:
-    """All nodes active; the edge ring is the boundary.  g defaults to phi."""
+def square_instance(n: int, phi: GridData, g: Optional[GridData] = None) -> ObstacleInstance:
+    """The unit square, all nodes active; the edge ring is the boundary.  g
+    defaults to phi."""
     if n < 8:
         raise ValueError(f"grid size {n} below the minimum of 8")
-    xs = origin[0] + side * np.arange(n) / (n - 1)
-    ys = origin[1] + side * np.arange(n) / (n - 1)
+    xs = np.arange(n) / (n - 1)
+    ys = np.arange(n) / (n - 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     phi_a = _sample(phi, X, Y)
     g_a = phi_a.copy() if g is None else _sample(g, X, Y)
     boundary = np.zeros((n, n), dtype=bool)
     boundary[0, :] = boundary[-1, :] = boundary[:, 0] = boundary[:, -1] = True
     interior = ~boundary
-    inst = ObstacleInstance("square", n, side / (n - 1), xs, ys, phi_a, g_a,
+    inst = ObstacleInstance("square", n, 1 / (n - 1), xs, ys, phi_a, g_a,
                             interior, boundary)
     return inst.validate()
 
@@ -292,14 +292,12 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
 # ---------------------------------------------------------------------------
 # radial reference on the disk (obstacle 1 - 2|x|^2)
 
-# contact radius of the radial obstacle: the harmonic tail -4c^2 log r glued
-# C^1 at r = c reaches 0 at r = 1 iff  1 - 2c^2 + 4c^2 log c = 0
-def _contact_equation(c: float) -> float:
-    return 1.0 - 2.0 * c * c + 4.0 * c * c * math.log(c)
-
-
 def radial_contact_radius() -> float:
-    return float(brentq(_contact_equation, 0.05, 0.95, xtol=1e-15, rtol=8.9e-16))
+    """Contact radius of the radial obstacle: the harmonic tail -4c^2 log r
+    glued C^1 at r = c reaches 0 at r = 1 iff 1 - 2c^2 + 4c^2 log c = 0, whose
+    root in (0, 1) is c = sqrt(-1 / (2 W_{-1}(-1/(2e)))) (Lambert W)."""
+    w = mpmath.lambertw(-1 / (2 * mpmath.e), -1)
+    return math.sqrt(-1 / (2 * float(w.real)))
 
 
 def radial_profile(r, rstar: float):

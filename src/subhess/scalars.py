@@ -25,7 +25,7 @@ from typing import Iterable, Union
 
 import mpmath
 
-DEFAULT_PREC = 120
+DEFAULT_PREC = 120  # bits of every mpmath enclosure and of `sqrt_iv`
 ENCLOSURE_BITS = 256  # significant bits of an endpoint `round_out` leaves
 
 RationalLike = Union[int, str, Fraction]
@@ -293,12 +293,12 @@ def _sqrt_upper(f: Fraction, bits: int) -> Fraction:
     return Fraction(s, d << bits)
 
 
-def sqrt_iv(x: IvLike, bits: int = DEFAULT_PREC) -> Iv:
+def sqrt_iv(x: IvLike) -> Iv:
     """Outward enclosure of sqrt on a nonnegative interval."""
     v = as_iv(x)
     if v.lo < 0:
         raise ValueError(f"sqrt of interval with negative part: {v}")
-    return Iv(_sqrt_lower(v.lo, bits), _sqrt_upper(v.hi, bits))
+    return Iv(_sqrt_lower(v.lo, DEFAULT_PREC), _sqrt_upper(v.hi, DEFAULT_PREC))
 
 
 # -- mpmath bridge (the only place width is created from transcendentals) -----
@@ -319,16 +319,16 @@ def _rational_to_mpiv(f: Fraction):
     return mpmath.iv.mpf(int(f.numerator)) / mpmath.iv.mpf(int(f.denominator))
 
 
-def _with_prec(fn, prec: int):
+def _with_prec(fn):
     old = mpmath.iv.prec
-    mpmath.iv.prec = prec
+    mpmath.iv.prec = DEFAULT_PREC
     try:
         return fn()
     finally:
         mpmath.iv.prec = old
 
 
-def pow2(p: IvLike, prec: int = DEFAULT_PREC) -> Iv:
+def pow2(p: IvLike) -> Iv:
     """Enclosure of 2^p; exact when p is an integer."""
     pv = as_iv(p)
     if pv.is_exact() and pv.lo.denominator == 1:
@@ -340,10 +340,10 @@ def pow2(p: IvLike, prec: int = DEFAULT_PREC) -> Iv:
         _, hi = _mpi_endpoints(two ** _rational_to_mpiv(pv.hi))
         return Iv(lo, hi)
 
-    return _with_prec(run, prec)
+    return _with_prec(run)
 
 
-def rpow(x: IvLike, q: IvLike, prec: int = DEFAULT_PREC) -> Iv:
+def rpow(x: IvLike, q: IvLike) -> Iv:
     """Enclosure of x^q for x >= 0 (0^q := 0 for q > 0); exact for integer q."""
     xv = as_iv(x)
     qv = as_iv(q)
@@ -371,10 +371,10 @@ def rpow(x: IvLike, q: IvLike, prec: int = DEFAULT_PREC) -> Iv:
                 his.append(b)
         return Iv(max(Fraction(0), min(los)), max(his))
 
-    return _with_prec(run, prec)
+    return _with_prec(run)
 
 
-def ln_iv(x: IvLike, prec: int = DEFAULT_PREC) -> Iv:
+def ln_iv(x: IvLike) -> Iv:
     xv = as_iv(x)
     if xv.lo <= 0:
         raise ValueError(f"log of non-positive interval: {xv}")
@@ -384,10 +384,10 @@ def ln_iv(x: IvLike, prec: int = DEFAULT_PREC) -> Iv:
         _, hi = _mpi_endpoints(mpmath.iv.log(_rational_to_mpiv(xv.hi)))
         return Iv(lo, hi)
 
-    return _with_prec(run, prec)
+    return _with_prec(run)
 
 
-def log2_iv(x: IvLike, prec: int = DEFAULT_PREC) -> Iv:
+def log2_iv(x: IvLike) -> Iv:
     xv = as_iv(x)
     if xv.is_exact():
         n, d = xv.lo.numerator, xv.lo.denominator
@@ -395,7 +395,7 @@ def log2_iv(x: IvLike, prec: int = DEFAULT_PREC) -> Iv:
             return Iv(n.bit_length() - 1)
         if n == 1 and (d & (d - 1)) == 0:
             return Iv(-(d.bit_length() - 1))
-    return ln_iv(xv, prec) / ln_iv(Iv(2), prec)
+    return ln_iv(xv) / ln_iv(Iv(2))
 
 
 # -- directed decimal rendering ------------------------------------------------

@@ -251,9 +251,7 @@ class PatternNode:
     base: SymMat2
     mat_b: SymMat2
     mat_c: SymMat2
-    delta: Fraction
     n_pairs: int
-    sigma: Fraction
     rho: Fraction
     etas: tuple[EtaPiece, ...]
     profile: _Profile
@@ -273,10 +271,6 @@ class PatternNode:
     @property
     def rect_h(self) -> Fraction:
         return self.perp if self.axis == 0 else self.long
-
-    @property
-    def period(self) -> Fraction:
-        return 2 * (self.delta + self.sigma)
 
     def atom_for_role(self, role: str) -> SymMat2:
         return self.mat_b if role == "B" else self.mat_c
@@ -463,9 +457,7 @@ def build_pattern_node(
                 base=base,
                 mat_b=mat_b,
                 mat_c=mat_c,
-                delta=delta,
                 n_pairs=n_pairs,
-                sigma=sigma,
                 rho=rho,
                 etas=etas,
                 profile=profile,
@@ -561,7 +553,6 @@ class PiecewisePotential:
         root_origin: Optional[tuple[Fraction, Fraction]] = None,
         frame_cells: tuple[FrameCell, ...] = (),
         atoms: Optional[dict[str, AtomInfo]] = None,
-        meta: Optional[dict] = None,
     ):
         self.domain = domain
         self.base_matrix = base_matrix
@@ -569,7 +560,6 @@ class PiecewisePotential:
         self.root_origin = root_origin if root_origin is not None else (domain[0], domain[1])
         self.frame_cells = frame_cells
         self.atoms = atoms or {}
-        self.meta = meta or {}
 
     # ---- aggregation ------------------------------------------------------------
 
@@ -808,7 +798,6 @@ def realize_laminate(
         root=root,
         root_origin=(x0, y0),
         atoms=atoms,
-        meta={"eps": eps},
     )
 
 
@@ -835,7 +824,6 @@ class StairLayerReport:
     p: Iv
     k: Fraction
     eps: Fraction
-    omega_area: Fraction  # |Omega_j| exactly
     grad_step: Iv  # certified sup |grad u_j - grad u_{j-1}|
 
 
@@ -932,18 +920,10 @@ def staircase_build(levels: int) -> StaircaseResult:
         root_origin=(m, m),
         frame_cells=frame,
         atoms=atoms,
-        meta={"margin": m},
     )
 
-    # per-layer reports: Omega_j areas are exact sums over level-j node rects
-    area_by_level: dict[int, Fraction] = {}
     grads: dict[int, Iv] = {}
     for node in pot.nodes():
-        if node.tag.endswith(".a"):
-            area_by_level[node.level] = (
-                area_by_level.get(node.level, Fraction(0))
-                + node.mult * node.rect_w * node.rect_h
-            )
         grads[node.level] = grads.get(node.level, ZERO) + node.grad_dev
 
     for lvl in schedule:
@@ -953,7 +933,6 @@ def staircase_build(levels: int) -> StaircaseResult:
                 p=lvl.p,
                 k=lvl.k,
                 eps=lvl.eps,
-                omega_area=area_by_level.get(lvl.j, Fraction(0)),
                 grad_step=grads.get(lvl.j, ZERO),
             )
         )

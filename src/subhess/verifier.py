@@ -142,9 +142,9 @@ def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
     return dataclasses.replace(_fold(list(levels.values())), levels=levels)
 
 
-def hessian_l1(pot: PiecewisePotential, region: Region = None) -> Iv:
-    """Mean over the region of |H11| + |H22|."""
-    return tally(pot, ("l1_diag",)).over(region).mean(0)
+def hessian_l1(pot: PiecewisePotential) -> Iv:
+    """Mean over the domain of |H11| + |H22|."""
+    return tally(pot, ("l1_diag",)).mean(0)
 
 
 def _neg_phi(q, i: int) -> tuple:
@@ -156,9 +156,9 @@ def _neg_phi(q, i: int) -> tuple:
     return ("neg_pow", i, q)
 
 
-def neg_part_lq(pot: PiecewisePotential, q, i: int, region: Region = None) -> Iv:
-    """Mean over the region of ((H_ii)_-)^q, bracketed two-sided (`Tally.bracket`)."""
-    return tally(pot, (_neg_phi(q, i),)).over(region).bracket(0)
+def neg_part_lq(pot: PiecewisePotential, q, i: int) -> Iv:
+    """Mean over the domain of ((H_ii)_-)^q, bracketed two-sided (`Tally.bracket`)."""
+    return tally(pot, (_neg_phi(q, i),)).bracket(0)
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,10 @@ class FractionRow:
     ok: bool
 
 
-def area_fractions(pot: PiecewisePotential, eps: Optional[Fraction] = None,
+def area_fractions(pot: PiecewisePotential, eps: Fraction,
                    t: Optional[Tally] = None) -> list[FractionRow]:
     """Exact per-atom area fractions with the (1-eps) * weight floor check,
     read from the tally `t` of `pot` when one is given (else one walk)."""
-    if eps is None:
-        eps = Fraction(pot.meta.get("eps", 0))
     dom_area = pot.domain[2] * pot.domain[3]
     got = (t if t is not None else tally(pot)).atom_areas
     rows = []

@@ -271,7 +271,8 @@ def iter_cells(pot: PiecewisePotential, budget: int = DEFAULT_BUDGET) -> Iterato
     if total > budget:
         raise BudgetExceeded(f"{total} cells exceed the budget of {budget}")
     for node in pot.nodes():
-        if node.delta < node.long / (1 << DELTA_FLOOR_BITS):
+        delta = node.profile.stripes[1].x_hi  # the first B C pair ends at delta
+        if delta < node.long / (1 << DELTA_FLOOR_BITS):
             raise BudgetExceeded(
                 f"node {node.tag}: stripe width below the materialization floor"
             )

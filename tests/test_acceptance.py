@@ -181,10 +181,10 @@ def test_criterion_5_staircase_divergence():
     # (a) successive gradient steps under the dyadic caps
     ok &= all(lay.grad_step.hi <= F(1, 2**lay.j) for lay in layers)
     # (b) nested-region areas inside the two-sided product bounds
-    ok &= (1 - layers[0].eps) <= layers[0].omega_area <= 1
     t4 = tally(pot4, ("l1_diag",))
     (terminal,) = [a for tag, a in t4.atom_areas.items() if tag.endswith(".b.B")]
-    areas = [lay.omega_area for lay in layers] + [terminal]
+    areas = [t4.over(("omega", lay.j)).area for lay in layers] + [terminal]
+    ok &= (1 - layers[0].eps) <= areas[0] <= 1
     for idx in range(1, 5):
         ratio = areas[idx] / areas[idx - 1]
         weight = pow2(-layers[idx - 1].p)
@@ -195,7 +195,7 @@ def test_criterion_5_staircase_divergence():
         contrib = t4.over(("level", j)).integrals[0]
         ok &= contrib.hi * (j + 1) ** 2 <= golden
     # (d) negative q-mass on the first region grows with certified increments
-    vals = {J: neg_part_lq(results[J].potential, q, 1, ("omega", 1))
+    vals = {J: tally(results[J].potential, (("neg_pow", 1, q),)).over(("omega", 1)).bracket(0)
             for J in (1, 2, 3, 4)}
     ok &= vals[3].lo > vals[2].hi and vals[4].lo > vals[3].hi
     factors = []

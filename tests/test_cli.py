@@ -159,7 +159,7 @@ class TestValidation:
     def test_p_within_t_bits_accepted(self):
         parser = cli.build_parser()
         args = parser.parse_args(["realize", "--p", "81", "--eps", "1/10"])
-        assert cli.config_from_args(args, parser).params["p"] == 81
+        assert cli.config_from_args(args).params["p"] == 81
 
     @pytest.mark.parametrize("argv, bound", [
         (["obstacle", "solve", "--n", "2050"], "cap of 2049"),
@@ -193,7 +193,7 @@ class TestValidation:
         parser = cli.build_parser()
 
         def config(argv):
-            return cli.config_from_args(parser.parse_args(argv), parser)
+            return cli.config_from_args(parser.parse_args(argv))
 
         at_cap = [
             ["obstacle", "solve", "--n", "2049"],

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import subhess.constructions as constructions
 from subhess.constructions import (
+    MAX_LEVELS,
     DoublingParams,
     cascade_moment_table,
     doubling_cascade,
@@ -266,6 +267,12 @@ class TestStaircaseParams:
     def test_bad_levels(self):
         with pytest.raises(ValueError):
             staircase_params(0)
+
+    def test_depth_cap(self):
+        # the CLI refuses depths past MAX_LEVELS without building the schedule
+        assert staircase_params(MAX_LEVELS)[-1].eps > 0
+        with pytest.raises(ValueError, match=f"level {MAX_LEVELS + 1} epsilon underflow"):
+            staircase_params(MAX_LEVELS + 1)
 
 
 class TestParams:

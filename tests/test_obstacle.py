@@ -1,5 +1,6 @@
 """Obstacle solver: projected relaxation, radial reference, coincidence checks."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,7 +20,6 @@ from subhess.obstacle import (
     solve,
     sor_factor,
     square_instance,
-    _contact_equation,
     _neighbor_sum,
     _residual_triple,
 )
@@ -234,9 +234,11 @@ class TestRadialReference:
     def test_contact_radius_two_routes(self):
         root = radial_contact_radius()
         shoot = radial_contact_radius_shooting()
-        assert abs(_contact_equation(root)) <= 1e-14
+        # the root of the C^1 gluing condition, to the last bit a bracketing
+        # root finder (brentq, xtol 1e-15) gives
+        assert abs(1.0 - 2.0 * root * root + 4.0 * root * root * math.log(root)) <= 1e-14
+        assert root == 0.43206748182527815
         assert abs(root - shoot) <= 1e-10
-        assert 0.43 < root < 0.44
 
     def test_profile_is_c1_at_the_junction(self):
         rs = radial_contact_radius()

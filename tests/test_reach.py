@@ -1,6 +1,6 @@
 """`src/subhess` holds what a command reaches.
 
-Three `ast` scans.
+Four `ast` scans.
 
 * Definitions. Roots: `cli.main`, every module-level statement that is not a
   definition (constants, tables, re-exports), and `PERFBENCH_NAMES`, the
@@ -18,7 +18,15 @@ Three `ast` scans.
   `dataclasses.fields`. Dunder methods run implicitly and are not scanned.
   The match is by name, so a member can only be missed, never wrongly
   named.
+* Parameters. A defaulted parameter of a function, method or `__init__` in
+  `src/` is set, by keyword or by position, by some call in `src/` or in
+  `perfbench/*.py`, unless `UNSET_PARAMS` names it with its reason. Calls
+  are matched by name, import aliases resolved, and a call of a class is a
+  call of its `__init__`; so a parameter can be missed, never wrongly named.
 * Imports. Every name a module in `src/` or `tests/` imports is used in it.
+
+`python tests/test_reach.py` prints the number of defaulted parameters in
+`src/`.
 """
 
 from __future__ import annotations
@@ -36,6 +44,12 @@ PERFBENCH_NAMES = ("doubling_cascade", "hessian_l1", "neg_part_lq", "potential_r
 
 # classes an artifact writes field by field (`area_fractions.json`)
 SERIALIZED = ("FractionRow",)
+
+# defaulted parameters no call sets, kept with the reason: (callee, parameter)
+UNSET_PARAMS = {
+    ("doubling_laminate", "two_p"): "the exact-rational 2^p seam: the identity tests "
+                                    "in tests/test_constructions.py pass a rational s",
+}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -168,6 +182,77 @@ def unread_members(src: Path = SRC, perfbench: Path = PERFBENCH,
     return [f"{mod}.py:{line} {name}" for mod, line, name in sorted(out)]
 
 
+def _defaulted(tree: ast.Module) -> list[tuple[int, str, str, int | None]]:
+    """(line, callee, parameter, position) of each defaulted parameter of a
+    function, method or `__init__`. The callee of an `__init__` is its class;
+    a method's positions start after `self` or `cls`; a keyword-only
+    parameter has position None."""
+    out = []
+
+    def visit(node: ast.AST, cls: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                pos = args.posonlyargs + args.args
+                if cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                               for d in child.decorator_list):
+                    pos = pos[1:]
+                callee = cls if cls is not None and child.name == "__init__" else child.name
+                first = len(pos) - len(args.defaults)
+                out.extend((child.lineno, callee, a.arg, i)
+                           for i, a in enumerate(pos) if i >= first)
+                out.extend((child.lineno, callee, a.arg, None)
+                           for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, float, set]]:
+    """(callee, positional count, keywords) of each call by name or
+    attribute, import aliases resolved. A `*` argument counts as every
+    position; a `**` argument puts None among the keywords."""
+    aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for a in node.names if a.asname}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        n_pos = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+        out.append((aliases.get(name, name), n_pos, {k.arg for k in node.keywords}))
+    return out
+
+
+def unset_params(src: Path = SRC, perfbench: Path = PERFBENCH,
+                 allowed: dict = UNSET_PARAMS) -> list[str]:
+    """`module.py:line callee(parameter)` of every defaulted parameter in
+    `src/` that no call in `src/` or `perfbench/*.py` sets."""
+    modules = _modules(src)
+    trees = [*modules.values(), *(ast.parse(path.read_text(), str(path))
+                                  for path in sorted(perfbench.glob("*.py")))]
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for tree in trees:
+        for name, n_pos, keywords in _calls(tree):
+            calls.setdefault(name, []).append((n_pos, keywords))
+    out = []
+    for mod, tree in modules.items():
+        for line, callee, param, pos in _defaulted(tree):
+            if (callee, param) in allowed:
+                continue
+            if not any(param in kws or None in kws or (pos is not None and pos < n_pos)
+                       for n_pos, kws in calls.get(callee, [])):
+                out.append(f"{mod}.py:{line} {callee}({param})")
+    return out
+
+
 def unused_imports(dirs: tuple[Path, ...] = (SRC, TESTS)) -> list[str]:
     """`path:line name` of every imported name its module never uses. A
     package `__init__.py` uses what its `__all__` lists; a name used only
@@ -199,6 +284,10 @@ def test_every_definition_is_reached():
 
 def test_every_member_is_read():
     assert unread_members() == []
+
+
+def test_every_default_is_overridden():
+    assert unset_params() == []
 
 
 def test_every_import_is_used():
@@ -290,3 +379,33 @@ def test_scan_names_an_import_from_tests(tmp_path):
     pkg.mkdir()
     (pkg / "cli.py").write_text("def main():\n    from oracles import eval_all\n")
     assert imports_from_tests(pkg) == ["cli.py:2 oracles"]
+
+
+def test_param_scan_names_a_planted_unset_parameter(tmp_path):
+    pkg = _src_copy(tmp_path)
+    line = _plant(pkg / "verifier.py", "ZERO = Iv(0)",
+                  "\n\ndef planted(x, knob=1, *, flag=False):\n    return x + knob\n"
+                  "\n\nclass Planted:\n    def __init__(self, a, b=0):\n        self.a = a + b\n"
+                  "\n    def method(self, c=0):\n        return c\n")
+    with open(pkg / "cli.py", "a") as fh:
+        fh.write("\n\ndef _caller(obj):\n    return planted(1), Planted(1), obj.method()\n")
+    assert unset_params(pkg) == [f"verifier.py:{line + 2} planted(knob)",
+                                 f"verifier.py:{line + 2} planted(flag)",
+                                 f"verifier.py:{line + 7} Planted(b)",
+                                 f"verifier.py:{line + 10} method(c)"]
+    # positions count after `self`, and a call through an import alias counts
+    with open(pkg / "obstacle.py", "a") as fh:
+        fh.write("\n\nfrom subhess.verifier import planted as alias, Planted as P\n\n\n"
+                 "def _setter(obj):\n    return alias(1, 2, flag=True), P(1, 2), obj.method(3)\n")
+    assert unset_params(pkg) == []
+
+
+def test_param_allowlist_entries_are_still_unset():
+    found = unset_params(allowed={})
+    assert [entry.split()[1] for entry in found] == [
+        f"{callee}({param})" for callee, param in UNSET_PARAMS]
+
+
+if __name__ == "__main__":
+    print(f"defaulted parameters in src/: "
+          f"{sum(len(_defaulted(tree)) for tree in _modules(SRC).values())}")

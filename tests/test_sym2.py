@@ -86,12 +86,9 @@ class TestSegmentDistance:
 
     def brute(self, x: SymMat2) -> float:
         bn, cn, xn = np_of(self.B), np_of(self.C), np_of(x)
-        ss = np.linspace(0.0, 1.0, 20001)
-        best = np.inf
-        for s in ss:
-            m = s * bn + (1 - s) * cn - xn
-            best = min(best, (m[0, 0] ** 2 + 2 * m[0, 1] ** 2 + m[1, 1] ** 2))
-        return best
+        ss = np.linspace(0.0, 1.0, 20001)[:, None, None]
+        m = ss * bn + (1 - ss) * cn - xn
+        return float((m[:, 0, 0] ** 2 + 2 * m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2).min())
 
     def test_interior_projection(self):
         x = SymMat2.of(1, 0, Fraction(3, 2))

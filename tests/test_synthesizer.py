@@ -42,8 +42,9 @@ TINY = F(1, 2**60)
 
 def stripe_fraction(node) -> F:
     """The split fraction t_hat the stripes realize: the first B stripe's
-    share of its half period."""
-    return node.profile.stripes[0].x_hi / node.delta
+    share of its half period, the B C pair that ends at delta."""
+    stripes = node.profile.stripes
+    return stripes[0].x_hi / stripes[1].x_hi
 
 
 def simple_pot(t, eps=F(1, 2), g=F(2), axis=0, rect=UNIT, dev_cap=None):
@@ -296,7 +297,7 @@ class TestCompensatedRational:
         node = self.POT.root
         x0 = self.POT.root_origin[0]
         for k in (1, 2, node.n_pairs - 1):
-            x = x0 + node.period * k
+            x = x0 + node.profile.period * k
             gx, gy = eval_all(self.POT, x, F(1, 2))[1]
             assert gx == Iv(x) and gy == Iv(F(1, 2))
 
@@ -591,19 +592,20 @@ class TestStaircase:
 
     def test_layer_schedule(self):
         assert [lay.j for lay in self.RESULT.layers] == [1, 2]
-        m = self.POT.meta["margin"]
-        assert self.RESULT.layers[0].omega_area == (1 - 2 * m) ** 2
+        m = self.POT.root_origin[0]
+        assert tally(self.POT).over(("omega", 1)).area == (1 - 2 * m) ** 2
 
     def test_omega_areas_follow_doubling_weight(self):
         # |Omega_{j+1}| / |Omega_j| in [(1 - eps_j) 2^-p_j, 2^-p_j]
         lay1, lay2 = self.RESULT.layers
-        ratio = lay2.omega_area / lay1.omega_area
+        t = tally(self.POT)
+        omega1, omega2 = (t.over(("omega", lay.j)).area for lay in (lay1, lay2))
+        ratio = omega2 / omega1
         w = pow2(-lay1.p)
         assert ratio <= w.hi
         assert ratio >= (1 - lay1.eps) * w.lo
-        (terminal,) = [area for tag, area in tally(self.POT).atom_areas.items()
-                       if tag.endswith(".b.B")]
-        term_ratio = terminal / lay2.omega_area
+        (terminal,) = [area for tag, area in t.atom_areas.items() if tag.endswith(".b.B")]
+        term_ratio = terminal / omega2
         w2 = pow2(-lay2.p)
         assert term_ratio <= w2.hi
         assert term_ratio >= (1 - lay2.eps) * w2.lo

@@ -42,7 +42,8 @@ def simple_rational():
 
 SIMPLE = simple_rational()
 LAM, PARAMS = doubling_laminate(F(3, 2))
-DOUBLING = realize_laminate(LAM, UNIT, F(1, 4))
+DOUBLING_EPS = F(1, 4)
+DOUBLING = realize_laminate(LAM, UNIT, DOUBLING_EPS)
 STAIR = staircase_build(2)
 
 
@@ -99,15 +100,19 @@ class TestRegions:
         pot = STAIR.potential
         a1 = tally(pot).over(("omega", 1)).area
         a2 = tally(pot).over(("omega", 2)).area
-        assert a1 == STAIR.layers[0].omega_area
-        assert a2 == STAIR.layers[1].omega_area
+        # cross-check: Omega_j is the union of the level-j pattern rectangles
+        rects = {}
+        for node in pot.nodes():
+            if node.tag.endswith(".a"):
+                rects[node.level] = rects.get(node.level, 0) + node.mult * node.rect_w * node.rect_h
+        assert (a1, a2) == (rects[1], rects[2])
         assert 0 < a2 < a1 < 1
         # a laminate's region Omega_1 is its levels >= 1
         t = tally(DOUBLING)
         assert t.over(("omega", 1)).area == t.over(("level", 1)).area < 1
 
     def test_atom_region(self):
-        rows = area_fractions(SIMPLE)
+        rows = area_fractions(SIMPLE, F(1, 2))
         for row in rows:
             assert tally(SIMPLE).atom_areas[row.atom_tag] == row.area
 
@@ -120,10 +125,6 @@ class TestRegions:
         named = re.escape(repr(empty))
         with pytest.raises(ValueError, match=named):
             tally(SIMPLE, (phi_trace,)).over(empty)
-        with pytest.raises(ValueError, match=named):
-            hessian_l1(SIMPLE, empty)
-        with pytest.raises(ValueError, match=named):
-            neg_part_lq(SIMPLE, F(3, 2), 0, empty)
 
 
 class TestMeans:
@@ -197,7 +198,7 @@ class TestMeans:
 
 class TestFractionsAndAudit:
     def test_fraction_rows_certified(self):
-        rows = area_fractions(DOUBLING)
+        rows = area_fractions(DOUBLING, DOUBLING_EPS)
         assert [r.atom_tag for r in rows] == ["0.B", "0.C.B", "0.C.C"]
         for row in rows:
             assert row.ok and row.fraction >= row.required
@@ -205,7 +206,7 @@ class TestFractionsAndAudit:
         assert total_weight.contains(1)
 
     def test_staircase_terminal_fraction(self):
-        rows = area_fractions(STAIR.potential)
+        rows = area_fractions(STAIR.potential, F(0))
         terminal = [r for r in rows if r.atom_tag.endswith(".b.B")]
         assert len(terminal) == 1
         # |Omega_{J+1}| summed straight from the classes
@@ -242,7 +243,7 @@ class TestFractionsAndAudit:
             yield from classes
 
         monkeypatch.setattr(PiecewisePotential, "cell_classes", drop_first_atom)
-        rows = {r.atom_tag: r for r in area_fractions(DOUBLING)}
+        rows = {r.atom_tag: r for r in area_fractions(DOUBLING, DOUBLING_EPS)}
         assert not rows[dropped[0]].ok
         code = cli_main(["--out", str(tmp_path / "out"), "realize", "--p", "3/2", "--eps", "1/20"])
         assert code == 4
@@ -337,7 +338,7 @@ class TestSinglePass:
         assert verifier_passes() == 1
 
     @pytest.mark.parametrize("measure", [
-        area_fractions,
+        lambda pot: area_fractions(pot, DOUBLING_EPS),
         hessian_l1,
         lambda pot: neg_part_lq(pot, F(3, 2), 1),
     ], ids=["area_fractions", "hessian_l1", "neg_part_lq"])
@@ -364,8 +365,8 @@ class TestSinglePass:
         assert class_walks == ["subhess.verifier"]
 
     def test_fractions_from_a_given_tally_walk_none(self, class_walks):
-        rows = area_fractions(DOUBLING)
+        rows = area_fractions(DOUBLING, DOUBLING_EPS)
         t = tally(DOUBLING)
         class_walks.clear()
-        assert area_fractions(DOUBLING, t=t) == rows
+        assert area_fractions(DOUBLING, DOUBLING_EPS, t=t) == rows
         assert class_walks == []
