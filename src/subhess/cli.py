@@ -85,18 +85,22 @@ class ExperimentConfig:
     out_dir: Path
     scalar_mode: str = "certified-interval"
     digits: int = 30
+    inputs: object = None  # what the command's `prepare` built; not hashed
 
     def validated(self) -> "ExperimentConfig":
+        """Check the config and run its command's `prepare`, before any
+        output directory exists."""
         if self.scalar_mode not in SCALAR_MODES:
             raise ValueError(f"scalar mode {self.scalar_mode!r} not in {SCALAR_MODES}")
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
-        _VALIDATORS[self.command](self.params)
+        self.inputs = _COMMANDS[self.command].prepare(self.params)
         return self
 
 
 # ---------------------------------------------------------------------------
-# parameter validation (module preconditions checked before any work)
+# prepare steps: module preconditions checked before any work, and what a
+# runner needs built from its parameters
 
 
 def _require(cond: bool, message: str):
@@ -112,7 +116,8 @@ def _validate_laminate(p: dict):
         _require(q >= 1, f"moment exponent {q} must be >= 1")
 
 
-def _validate_realize(p: dict):
+def _prepare_realize(p: dict):
+    """The doubling laminate, once its splits are known to be realizable."""
     _require(p["p"] > 1, "p must be > 1")
     _require(p["k"] > 0, "scale k must be positive")
     # the split fractions must stay inside (0, 1) after dyadic rounding;
@@ -122,10 +127,12 @@ def _validate_realize(p: dict):
     _require(0 < p["eps"] < 1, "eps must lie in (0, 1)")
     # both split fractions must round inside (0, 1) at T_BITS, and a tiny eps
     # must not need compensators too narrow to cancel that rounding's drift
-    check_compensators(doubling_laminate(p["p"], p["k"])[0], p["eps"])
+    lam = doubling_laminate(p["p"], p["k"])[0]
+    check_compensators(lam, p["eps"])
     _require(p["budget"] is None or p["budget"] >= 1, "budget must be positive")
     for q in p["q"]:
         _require(q >= 1, f"moment exponent {q} must be >= 1")
+    return lam
 
 
 def _require_depth_cap(levels: int):
@@ -165,18 +172,37 @@ def _validate_wavecone(p: dict):
              f"(2r+1)^min(n,3) vectors, 4,913 at the cap")
 
 
-_OBSTACLE_BUILTINS = ("radial", "radial-flat", "cup", "bowl", "harmonic")
+_OBSTACLE_BUILTINS = {
+    "radial": lambda n: radial_instance(n, pinned=True),
+    "radial-flat": lambda n: radial_instance(n, pinned=False),
+    "cup": lambda n: square_instance(n, lambda X, Y: -0.5 * (X * X + Y * Y)),
+    "bowl": lambda n: square_instance(n, lambda X, Y: 0.5 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)),
+    "harmonic": lambda n: square_instance(n, lambda X, Y: 0 * X - 1e6, lambda X, Y: X * X - Y * Y),
+}
 
 
-def _validate_obstacle_solve(p: dict):
+def _prepare_obstacle_solve(p: dict):
+    """The obstacle instance, builtin or read from a CSV grid file."""
     _require(p["n"] >= 8, "grid size must be >= 8")
     _require_grid_cap(p["n"])
     _require(p["omega"] is None or 0 < p["omega"] < 2, "relaxation factor must lie in (0, 2)")
     _require(p["tol"] > 0, "tol must be positive")
     _require(p["max_iter"] >= 1, "max_iter must be positive")
-    name = p["obstacle"]
-    if name not in _OBSTACLE_BUILTINS:
-        _require(Path(name).is_file(), f"obstacle {name!r} is neither builtin {_OBSTACLE_BUILTINS} nor a file")
+    name, n = p["obstacle"], p["n"]
+    if name in _OBSTACLE_BUILTINS:
+        return _OBSTACLE_BUILTINS[name](n)
+    _require(Path(name).is_file(),
+             f"obstacle {name!r} is neither builtin {tuple(_OBSTACLE_BUILTINS)} nor a file")
+    try:
+        grid = np.loadtxt(name, delimiter=",")
+    except OSError as exc:
+        raise ValueError(f"cannot read obstacle file {name!r}: {exc}") from exc
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
+        raise ValueError(f"obstacle file {name!r} is not a square grid")
+    if grid.shape[0] != n:
+        raise ValueError(
+            f"obstacle file holds a {grid.shape[0]}x{grid.shape[1]} grid, but n={n}")
+    return square_instance(n, grid)
 
 
 def _validate_obstacle_selfcheck(p: dict):
@@ -187,16 +213,6 @@ def _validate_obstacle_selfcheck(p: dict):
         _require_grid_cap(n)
     _require(p["tol"] > 0, "tol must be positive")
     _require(p["gate_c"] >= 0, "gate constant must be nonnegative")
-
-
-_VALIDATORS = {
-    "laminate": _validate_laminate,
-    "realize": _validate_realize,
-    "staircase": _validate_staircase,
-    "wavecone": _validate_wavecone,
-    "obstacle-solve": _validate_obstacle_solve,
-    "obstacle-selfcheck": _validate_obstacle_selfcheck,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +365,7 @@ def _run_laminate(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
 
 
 def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
-    p = cfg.params
-    lam, _params = doubling_laminate(p["p"], p["k"])
+    p, lam = cfg.params, cfg.inputs
     unit = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
     pot = realize_laminate(lam, unit, p["eps"])
     cells = pot.cell_count()
@@ -370,8 +385,8 @@ def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     fr_path = cfg.out_dir / "area_fractions.json"
     _write_json(fr_path, {"rows": fr, "cell_count": cells}, cfg.scalar_mode, cfg.digits)
     outputs.append(fr_path)
-    verdict = pot.boundary_report()["exact"] and all(row.ok for row in fr)
-    return (EXIT_OK if verdict else EXIT_VERDICT), outputs
+    exact = next(item for item in items if item.name == "boundary_deviation").note == "exact"
+    return (EXIT_OK if exact and all(row.ok for row in fr) else EXIT_VERDICT), outputs
 
 
 def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
@@ -388,13 +403,13 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     neg = 1 + p["i"]  # report_phis order: l1_diag, neg part of H_00, of H_11
     rows = []
     for layer in result.layers:
-        j = layer.j
+        j = layer.level.j
         omega = t.over(("omega", j))
         rows.append({
             "level": j,
-            "p": layer.p,
-            "k": layer.k,
-            "eps": layer.eps,
+            "p": layer.level.p,
+            "k": layer.level.k,
+            "eps": layer.level.eps,
             "omega_area": Iv(omega.area),
             "grad_step": layer.grad_step,
             # bounded column: this level's share of the l1 mass
@@ -428,32 +443,8 @@ def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     return (EXIT_OK if ok else EXIT_VERDICT), [rpt, csv_path]
 
 
-def _obstacle_instance(p: dict):
-    name = p["obstacle"]
-    n = p["n"]
-    if name == "radial":
-        return radial_instance(n, pinned=True)
-    if name == "radial-flat":
-        return radial_instance(n, pinned=False)
-    if name == "cup":
-        return square_instance(n, lambda X, Y: -0.5 * (X * X + Y * Y))
-    if name == "bowl":
-        return square_instance(n, lambda X, Y: 0.5 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2))
-    if name == "harmonic":
-        return square_instance(n, lambda X, Y: 0 * X - 1e6,
-                               lambda X, Y: X * X - Y * Y)
-    grid = np.loadtxt(name, delimiter=",")
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise ValueError(f"obstacle file {name!r} is not a square grid")
-    if grid.shape[0] != n:
-        raise ValueError(
-            f"obstacle file holds a {grid.shape[0]}x{grid.shape[1]} grid, but n={n}")
-    return square_instance(n, grid)
-
-
 def _run_obstacle_solve(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
-    p = cfg.params
-    inst = _obstacle_instance(p)
+    p, inst = cfg.params, cfg.inputs
     sol = obstacle_solve(inst, p["omega"], tol=p["tol"], max_iter=p["max_iter"])
     grid_path = cfg.out_dir / "obstacle_solution.csv"
     np.savetxt(grid_path, sol.u, fmt="%.17g", delimiter=",")
@@ -490,22 +481,12 @@ def _run_obstacle_selfcheck(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     return (EXIT_OK if ok else EXIT_VERDICT), [rpt]
 
 
-_RUNNERS = {
-    "laminate": _run_laminate,
-    "realize": _run_realize,
-    "staircase": _run_staircase,
-    "wavecone": _run_wavecone,
-    "obstacle-solve": _run_obstacle_solve,
-    "obstacle-selfcheck": _run_obstacle_selfcheck,
-}
-
-
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated config; artifacts land in cfg.out_dir."""
     started = time.time()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        status, outputs = _RUNNERS[cfg.command](cfg)
+        status, outputs = _COMMANDS[cfg.command].run(cfg)
     except BudgetExceeded as exc:
         _write_manifest(cfg, [], started, note=f"budget exhausted: {exc}")
         print(f"budget exhausted: {exc}", file=sys.stderr)
@@ -553,53 +534,63 @@ class _Param(NamedTuple):
     extras: dict = {}
 
 
-# per command: its help and its parameters, in `params` order. Flags default
-# to None so values from --config are not shadowed; `config_from_args`
-# applies the effective defaults.
-_COMMAND_SPEC: dict[str, tuple[str, tuple[_Param, ...]]] = {
-    "laminate": ("splitting report and moment tables", (
+class _Command(NamedTuple):
+    """One subcommand: its help, its parameters in `params` order, `prepare`
+    (validates the params and returns what `run` reads as `cfg.inputs`)
+    and `run`."""
+
+    help: str
+    params: tuple[_Param, ...]
+    prepare: Callable[[dict], object]
+    run: Callable[[ExperimentConfig], tuple[int, list[Path]]]
+
+
+# Flags default to None so values from --config are not shadowed;
+# `config_from_args` applies the effective defaults.
+_COMMANDS: dict[str, _Command] = {
+    "laminate": _Command("splitting report and moment tables", (
         _Param("p", "--p", _fraction),
         _Param("k", "--k", _fraction, Fraction(1)),
         _Param("m", "--m", int, 0, {"help": "cascade length for the moment table"}),
         _Param("q", "--q", _fraction, [Fraction(3, 2)],
                {"action": "append", "help": "moment exponent (repeatable; default 3/2)"}),
-    )),
-    "realize": ("build from a doubling measure and verify", (
+    ), _validate_laminate, _run_laminate),
+    "realize": _Command("build from a doubling measure and verify", (
         _Param("p", "--p", _fraction),
         _Param("k", "--k", _fraction, Fraction(1)),
         _Param("eps", "--eps", _fraction),
         _Param("q", "--q", _fraction, [Fraction(3, 2)], {"action": "append"}),
         _Param("budget", "--budget", int, None,
                {"help": "abort (exit 3) if the cell partition exceeds this"}),
-    )),
-    "staircase": ("nested build with per-level columns", (
+    ), _prepare_realize, _run_realize),
+    "staircase": _Command("nested build with per-level columns", (
         _Param("levels", "--J", int, extras={"help": "number of levels"}),
         _Param("q", "--q", _fraction, Fraction(3, 2)),
         _Param("i", "--i", int, 1, {"choices": (0, 1),
                                     "help": "diagonal entry for the negative-part column"}),
-    )),
-    "wavecone": ("membership agreement suites", (
+    ), _validate_staircase, _run_staircase),
+    "wavecone": _Command("membership agreement suites", (
         _Param("n", "--n", int),
         _Param("trials", "--trials", int, 1000),
         _Param("seed", "--seed", int, 0),
         _Param("radius", "--radius", int, 2, {"help": "lattice radius"}),
-    )),
-    "obstacle-solve": ("solve one instance", (
+    ), _validate_wavecone, _run_wavecone),
+    "obstacle-solve": _Command("solve one instance", (
         _Param("n", "--n", int),
         _Param("omega", "--omega", float, None,
                {"help": "relaxation factor (default: 2/(1+sin(pi/(n-1))))"}),
         _Param("tol", "--tol", float, 1e-10),
         _Param("max_iter", "--max-iter", int, 200_000),
         _Param("obstacle", "--obstacle", str, "radial",
-               {"help": f"builtin {_OBSTACLE_BUILTINS} or a CSV grid file"}),
-    )),
-    "obstacle-selfcheck": ("a nested build as its own obstacle", (
+               {"help": f"builtin {tuple(_OBSTACLE_BUILTINS)} or a CSV grid file"}),
+    ), _prepare_obstacle_solve, _run_obstacle_solve),
+    "obstacle-selfcheck": _Command("a nested build as its own obstacle", (
         _Param("depth", "--depth", int, extras={"help": "staircase depth"}),
         _Param("n", "--n", _int_list, [65, 129, 257], {"help": "comma list of grid sizes"}),
         _Param("tol", "--tol", float, 1e-10),
         _Param("gate_c", "--gate-c", float, 1.0,
                {"help": "allowance constant: require sup_dev <= tol + c*h"}),
-    )),
+    ), _validate_obstacle_selfcheck, _run_obstacle_selfcheck),
 }
 
 
@@ -619,15 +610,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decimal digits for certified-interval output")
     sub = parser.add_subparsers(dest="command", required=True)
     obstacle = None
-    for command, (text, params) in _COMMAND_SPEC.items():
+    for command, spec in _COMMANDS.items():
         if command.startswith("obstacle-"):
             if obstacle is None:
                 obstacle = sub.add_parser("obstacle", help="projected-SOR runs") \
                     .add_subparsers(dest="obstacle_command", required=True)
-            cmd = obstacle.add_parser(command.removeprefix("obstacle-"), help=text)
+            cmd = obstacle.add_parser(command.removeprefix("obstacle-"), help=spec.help)
         else:
-            cmd = sub.add_parser(command, help=text)
-        for prm in params:
+            cmd = sub.add_parser(command, help=spec.help)
+        for prm in spec.params:
             cmd.add_argument(prm.flag, dest=prm.dest, type=prm.conv, **prm.extras)
     return parser
 
@@ -663,7 +654,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     command = args.command
     if command == "obstacle":
         command = f"obstacle-{args.obstacle_command}"
-    _, spec = _COMMAND_SPEC[command]
+    spec = _COMMANDS[command].params
     unknown = sorted(set(file_vals) - {prm.dest for prm in spec})
     if unknown:
         raise ValueError(f"config key(s) {', '.join(unknown)} not parameters of "

@@ -20,7 +20,7 @@ holds for every point of both intervals, and the query helpers raise
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 from typing import Iterable, Union
 
 import mpmath
@@ -274,23 +274,13 @@ def round_out(x: Iv) -> Iv:
 # -- integer-sqrt based square roots (directed, exact rational bounds) --------
 
 
-def _sqrt_lower(f: Fraction, bits: int) -> Fraction:
-    if f == 0:
-        return Fraction(0)
-    n, d = f.numerator, f.denominator
-    s = isqrt((n * d) << (2 * bits))
-    return Fraction(s, d << bits)
-
-
-def _sqrt_upper(f: Fraction, bits: int) -> Fraction:
-    if f == 0:
-        return Fraction(0)
-    n, d = f.numerator, f.denominator
-    m = (n * d) << (2 * bits)
+def _sqrt_directed(f: Fraction, up: bool) -> Fraction:
+    """sqrt(f) rounded down, or up, to a multiple of 2^-DEFAULT_PREC / f.denominator."""
+    m = (f.numerator * f.denominator) << (2 * DEFAULT_PREC)
     s = isqrt(m)
-    if s * s < m:
+    if up and s * s < m:
         s += 1
-    return Fraction(s, d << bits)
+    return Fraction(s, f.denominator << DEFAULT_PREC)
 
 
 def sqrt_iv(x: IvLike) -> Iv:
@@ -298,7 +288,7 @@ def sqrt_iv(x: IvLike) -> Iv:
     v = as_iv(x)
     if v.lo < 0:
         raise ValueError(f"sqrt of interval with negative part: {v}")
-    return Iv(_sqrt_lower(v.lo, DEFAULT_PREC), _sqrt_upper(v.hi, DEFAULT_PREC))
+    return Iv(_sqrt_directed(v.lo, False), _sqrt_directed(v.hi, True))
 
 
 # -- mpmath bridge (the only place width is created from transcendentals) -----
@@ -401,25 +391,21 @@ def log2_iv(x: IvLike) -> Iv:
 # -- directed decimal rendering ------------------------------------------------
 
 
+def _dec(v: int, digits: int) -> str:
+    """The integer v / 10^digits as a decimal string with `digits` fractional digits."""
+    whole, frac = divmod(abs(v), 10**digits)
+    sign = "-" if v < 0 else ""
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+
+
 def dec_floor(f: Fraction, digits: int) -> str:
     """Decimal string with `digits` fractional digits, rounded toward -inf."""
-    scale = 10**digits
-    n = f * scale
-    v = n.numerator // n.denominator
-    sign = "-" if v < 0 else ""
-    v = abs(v)
-    whole, frac = divmod(v, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+    return _dec(floor(f * 10**digits), digits)
 
 
 def dec_ceil(f: Fraction, digits: int) -> str:
-    scale = 10**digits
-    n = f * scale
-    v = -((-n.numerator) // n.denominator)
-    sign = "-" if v < 0 else ""
-    v = abs(v)
-    whole, frac = divmod(v, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+    """Decimal string with `digits` fractional digits, rounded toward +inf."""
+    return _dec(ceil(f * 10**digits), digits)
 
 
 def iv_dec(x: IvLike, digits: int = 30) -> tuple[str, str]:

@@ -44,6 +44,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from subhess.constructions import DoublingParams, StairLevel, staircase_params
 from subhess.laminate import Laminate, SplitNode
 from subhess.scalars import Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, round_out, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
@@ -417,56 +418,53 @@ def build_pattern_node(
     dev_cap = Fraction(dev_cap)
     delta_cap = min(rho * eps_h / (4 * m_hi * g_hi), rho, dev_cap / (2 * m_hi * g_hi))
     bits = _sigma_bits(eps_a)
-    # period = 2*delta*(1 + 2^-bits) and n_pairs * period = long exactly
+    # period = 2*delta*(1 + 2^-bits) and n_pairs * period = long exactly;
+    # delta_cap is sized for both certificates below, and every node of the
+    # documented inputs certifies at this n_pairs, so there is one attempt
     pscale = 2 * (1 + Fraction(1, 1 << bits))
     n_pairs = max(1, _ceil_div(long, delta_cap * pscale))
 
-    eps_h_sq = Iv(eps_h * eps_h)
     etas = _build_etas(perp, rho)
-    for _attempt in range(64):
-        period = long / n_pairs
-        delta = period / pscale
-        sigma = delta / (1 << bits)
-        profile = _build_profile(delta, sigma, t_hat, w2_b, w2_c)
-        _check_compensators(profile, w2_b, w2_c, t_iv, bits)
+    delta = long / n_pairs / pscale
+    profile = _build_profile(delta, delta / (1 << bits), t_hat, w2_b, w2_c)
+    _check_compensators(profile, w2_b, w2_c, t_iv, bits)
 
-        # ramp-cell certification: every ramp-row Hessian box within eps_h of
-        # [B, C]; the only place a box is derived or its segment distance
-        # computed
-        ramp_rows = tuple(tuple(_ramp_rows(stripe, etas, base, axis))
-                          for stripe in profile.stripes)
-        ball_sq = Iv(0, max(
-            _seg_dist_sq_box(mat_b, mat_c, axis, *box).hi
-            for rows in ramp_rows
-            for _, box in rows
-        ))
+    # ramp-cell certification: every ramp-row Hessian box within eps_h of
+    # [B, C]; the only place a box is derived or its segment distance
+    # computed
+    ramp_rows = tuple(tuple(_ramp_rows(stripe, etas, base, axis))
+                      for stripe in profile.stripes)
+    ball_sq = Iv(0, max(
+        _seg_dist_sq_box(mat_b, mat_c, axis, *box).hi
+        for rows in ramp_rows
+        for _, box in rows
+    ))
 
-        grad_long = profile.dw_sup
-        grad_perp = Iv(0, Fraction(2) / rho) * profile.w_sup
-        grad_dev = Iv(
-            0, sqrt_iv(grad_long.sq() + grad_perp.sq()).hi
-        )  # Euclidean sup bound
+    grad_long = profile.dw_sup
+    grad_perp = Iv(0, Fraction(2) / rho) * profile.w_sup
+    grad_dev = Iv(
+        0, sqrt_iv(grad_long.sq() + grad_perp.sq()).hi
+    )  # Euclidean sup bound
 
-        if ball_sq.certainly_le(eps_h_sq) and grad_dev.certainly_le(Iv(dev_cap)):
-            return PatternNode(
-                tag=tag,
-                level=level,
-                axis=axis,
-                long=long,
-                perp=perp,
-                base=base,
-                mat_b=mat_b,
-                mat_c=mat_c,
-                n_pairs=n_pairs,
-                rho=rho,
-                etas=etas,
-                profile=profile,
-                ball_sq=ball_sq,
-                ramp_rows=ramp_rows,
-                grad_dev=grad_dev,
-            )
-        n_pairs *= 2
-    raise BuildError(f"certification did not converge for node {tag}")
+    if not (ball_sq.certainly_le(Iv(eps_h * eps_h)) and grad_dev.certainly_le(Iv(dev_cap))):
+        raise BuildError(f"certification did not converge for node {tag}")
+    return PatternNode(
+        tag=tag,
+        level=level,
+        axis=axis,
+        long=long,
+        perp=perp,
+        base=base,
+        mat_b=mat_b,
+        mat_c=mat_c,
+        n_pairs=n_pairs,
+        rho=rho,
+        etas=etas,
+        profile=profile,
+        ball_sq=ball_sq,
+        ramp_rows=ramp_rows,
+        grad_dev=grad_dev,
+    )
 
 
 # -- cell classes (the measurement interface) -----------------------------------------
@@ -609,19 +607,6 @@ class PiecewisePotential:
         if self.root is None:
             return ZERO
         return walk(self.root)
-
-    def boundary_report(self) -> dict:
-        """Structural boundary exactness + compensator closure widths."""
-        closure = Fraction(0)
-        exact = True
-        for node in self.nodes():
-            closure = max(closure, node.profile.closure_width)
-            first = node.profile.stripes[0]
-            exact = exact and first.s0 == ZERO and first.v0 == ZERO
-            eta0, eta_last = node.etas[0], node.etas[-1]
-            exact = exact and eta0.value(eta0.lo) == 0 and eta0.deriv(eta0.lo) == 0
-            exact = exact and eta_last.value(eta_last.hi) == 0 and eta_last.deriv(eta_last.hi) == 0
-        return {"exact": exact, "closure_width": closure}
 
     # ---- float sampling -------------------------------------------------------
 
@@ -820,10 +805,7 @@ def _fix_mults(node: PatternNode, mult: int = 1):
 
 @dataclass
 class StairLayerReport:
-    j: int
-    p: Iv
-    k: Fraction
-    eps: Fraction
+    level: StairLevel
     grad_step: Iv  # certified sup |grad u_j - grad u_{j-1}|
 
 
@@ -841,8 +823,6 @@ def staircase_build(levels: int) -> StaircaseResult:
     <= eps_j. u = |x|^2/2 outside the inner rectangle Omega_1, whose margin
     is eps_1 / 4 floored to 30 bits. Raises ValueError when levels < 1.
     """
-    from subhess.constructions import DoublingParams, staircase_params
-
     schedule = staircase_params(levels)
     m = dyadic_floor_iv(Iv(schedule[0].eps / 4), 30)
     side = Fraction(1)
@@ -856,8 +836,6 @@ def staircase_build(levels: int) -> StaircaseResult:
     )
 
     atoms: dict[str, AtomInfo] = {}
-    layers: list[StairLayerReport] = []
-
     def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, tag: str) -> PatternNode:
         """Level `idx` (nodes a and b) and every deeper level; returns node a."""
         lvl = schedule[idx]
@@ -926,14 +904,5 @@ def staircase_build(levels: int) -> StaircaseResult:
     for node in pot.nodes():
         grads[node.level] = grads.get(node.level, ZERO) + node.grad_dev
 
-    for lvl in schedule:
-        layers.append(
-            StairLayerReport(
-                j=lvl.j,
-                p=lvl.p,
-                k=lvl.k,
-                eps=lvl.eps,
-                grad_step=grads.get(lvl.j, ZERO),
-            )
-        )
-    return StaircaseResult(potential=pot, layers=layers)
+    return StaircaseResult(pot, [StairLayerReport(lvl, grads.get(lvl.j, ZERO))
+                                 for lvl in schedule])

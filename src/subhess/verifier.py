@@ -199,21 +199,32 @@ def area_fractions(pot: PiecewisePotential, eps: Fraction,
 
 
 def continuity_audit(pot: PiecewisePotential) -> dict:
-    """Cross-cell C^1 audit at shared edges, certified per class.
+    """C^1 audit of the seams and the boundary, in one walk over the nodes.
 
-    Checks, per pattern node: ramp seam values/derivatives (exact rational
-    identities), stripe-to-stripe profile knots (re-derived; exact when the
-    data is rational, else an interval containing 0), period closure
-    residuals, and parent-core-to-child base Hessian residuals. Returns the
-    number of exactly-zero checks and the largest certification width;
-    raises BuildError, naming the node, on a knot or child-base mismatch.
+    Checks, per pattern node: the value and slope residual at each knot
+    between consecutive profile stripes (re-derived; exact when the data is
+    rational, else an interval containing 0), the profile's period closure
+    width, and each entry of every child's base minus its host atom. Counts
+    these in "checks", the exactly-zero ones in "exact", and keeps the
+    largest nonzero width in "max_width"; raises BuildError, naming the
+    node, on a knot or child-base mismatch. "boundary_exact" says whether
+    every profile starts at value and slope 0 and every node's eta pieces
+    vanish with their derivative at both ends; "closure_width" is the
+    largest period closure width.
     """
     exact = 0
-    width = Fraction(0)
+    width = closure = Fraction(0)
     checks = 0
+    boundary_exact = True
     half = Fraction(1, 2)
     for node in pot.nodes():
         prof = node.profile
+        first, eta0, eta_last = prof.stripes[0], node.etas[0], node.etas[-1]
+        boundary_exact = (boundary_exact and first.s0 == ZERO and first.v0 == ZERO
+                          and eta0.value(eta0.lo) == 0 and eta0.deriv(eta0.lo) == 0
+                          and eta_last.value(eta_last.hi) == 0
+                          and eta_last.deriv(eta_last.hi) == 0)
+        closure = max(closure, prof.closure_width)
         for left, right in zip(prof.stripes, prof.stripes[1:]):
             wspan = left.x_hi - left.x_lo
             v_end = left.v0 + left.s0 * wspan + left.w2 * wspan * wspan * half
@@ -246,7 +257,8 @@ def continuity_audit(pot: PiecewisePotential) -> dict:
                     exact += 1
                 else:
                     width = max(width, entry.width)
-    return {"checks": checks, "exact": exact, "max_width": width}
+    return {"checks": checks, "exact": exact, "max_width": width,
+            "boundary_exact": boundary_exact, "closure_width": closure}
 
 
 # -- report serialization ------------------------------------------------------------
@@ -274,24 +286,15 @@ def report_items(pot: PiecewisePotential, t: Tally, q_list: Iterable = ()) -> li
     ]
     items += [ReportItem(f"neg_part_l{q}_i{i}", t.bracket(k))
               for k, (_, i, q) in enumerate(report_phis(q_list)[1:], start=1)]
-    bd = pot.boundary_report()
-    items.append(
-        ReportItem(
-            "boundary_deviation",
-            Iv(0) if bd["exact"] else Iv(0, 1),
-            note="exact" if bd["exact"] else "NOT EXACT",
-        )
-    )
-    items.append(ReportItem("closure_width", Iv(0, bd["closure_width"])))
     audit = continuity_audit(pot)
-    items.append(
-        ReportItem(
-            "continuity_width",
-            Iv(0, audit["max_width"]),
-            note=f"{audit['exact']}/{audit['checks']} exact",
-        )
-    )
-    return items
+    exact = audit["boundary_exact"]
+    return items + [
+        ReportItem("boundary_deviation", Iv(0) if exact else Iv(0, 1),
+                   note="exact" if exact else "NOT EXACT"),
+        ReportItem("closure_width", Iv(0, audit["closure_width"])),
+        ReportItem("continuity_width", Iv(0, audit["max_width"]),
+                   note=f"{audit['exact']}/{audit['checks']} exact"),
+    ]
 
 
 def potential_report(pot: PiecewisePotential, q_list: Iterable = ()) -> list[ReportItem]:

@@ -32,6 +32,7 @@ from subhess.scalars import Iv, log2_iv, pow2
 from subhess.synthesizer import realize_laminate, staircase_build
 from subhess.verifier import (
     area_fractions,
+    continuity_audit,
     hessian_l1,
     neg_part_lq,
     tally,
@@ -135,7 +136,7 @@ def test_criterion_3_realization_moment_convergence():
     devs = {phi: [] for phi in (phi_trace, "l1_diag", phi_frobenius)}
     for eps in (F(1, 10), F(1, 20), F(1, 40)):
         pot = realize_laminate(lam, UNIT, eps)
-        ok &= pot.boundary_report()["exact"]
+        ok &= continuity_audit(pot)["boundary_exact"]
         t = tally(pot, devs)
         ok &= t.trail().hi <= eps
         ok &= all(row.ok for row in area_fractions(pot, eps))
@@ -176,10 +177,10 @@ def test_criterion_5_staircase_divergence():
     results = {J: staircase_build(J) for J in (1, 2, 3, 4)}
     r4 = results[4]
     pot4 = r4.potential
-    layers = r4.layers
+    layers = [lay.level for lay in r4.layers]
     ok = True
     # (a) successive gradient steps under the dyadic caps
-    ok &= all(lay.grad_step.hi <= F(1, 2**lay.j) for lay in layers)
+    ok &= all(lay.grad_step.hi <= F(1, 2**lay.level.j) for lay in r4.layers)
     # (b) nested-region areas inside the two-sided product bounds
     t4 = tally(pot4, ("l1_diag",))
     (terminal,) = [a for tag, a in t4.atom_areas.items() if tag.endswith(".b.B")]

@@ -15,9 +15,11 @@ import pytest
 
 import subhess.cli as cli
 import subhess.constructions as constructions
+import subhess.verifier as verifier
 from subhess.cli import main
 from subhess.constructions import cascade_moment_table
 from subhess.scalars import iv_dec
+from subhess.synthesizer import PiecewisePotential
 
 from oracles import loads as laminate_loads
 
@@ -203,7 +205,7 @@ class TestValidation:
             ["obstacle", "selfcheck", "--depth", "15"],
         ]
         for argv in at_cap:
-            config(argv).validated()
+            config(argv)
         above = [
             (["obstacle", "solve", "--n", "2050"], "grid size n = 2050"),
             (["obstacle", "selfcheck", "--depth", "1", "--n", "2050"], "grid size n = 2050"),
@@ -212,7 +214,7 @@ class TestValidation:
         ]
         for argv, message in above:
             with pytest.raises(ValueError, match=message):
-                config(argv).validated()
+                config(argv)
 
     def test_unparseable_fraction_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -252,6 +254,26 @@ class TestRealizeCommand:
         assert code == 0
         fr = json.loads((out / "area_fractions.json").read_text())
         assert fr["rows"] and all(row["ok"] for row in fr["rows"])
+
+
+    def test_one_build_and_one_seam_walk(self, tmp_path, monkeypatch):
+        calls = {"laminate": 0, "audit": 0, "nodes": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "doubling_laminate", counted("laminate", cli.doubling_laminate))
+        monkeypatch.setattr(verifier, "continuity_audit",
+                            counted("audit", verifier.continuity_audit))
+        monkeypatch.setattr(PiecewisePotential, "nodes",
+                            counted("nodes", PiecewisePotential.nodes))
+        code, _ = run(tmp_path, "realize", "--p", "3/2", "--eps", "1/20")
+        assert code == 0
+        # nodes(): the tally's class walk and ball_sq read, cell_count, the audit
+        assert calls == {"laminate": 1, "audit": 1, "nodes": 4}
 
 
 class TestStaircaseCommand:
@@ -310,6 +332,33 @@ class TestObstacleCommand:
         code, out = run(tmp_path, "obstacle", "solve", "--n", "17",
                         "--obstacle", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0,0\n0,0,0\n0,0,0\n", "obstacle file holds a 3x3 grid, but n=9"),
+        ("a,b\n", "could not convert string 'a'"),
+        ("\n".join(",".join("nan" if i == j == 4 else "0" for j in range(9))
+                   for i in range(9)), "non-finite nodal data on active nodes"),
+    ], ids=["wrong-size", "unparsable", "nan"])
+    def test_bad_file_refused_before_out(self, tmp_path, capsys, text, message):
+        path = tmp_path / "phi.csv"
+        path.write_text(text)
+        code, out = run(tmp_path, "obstacle", "solve", "--n", "9", "--obstacle", str(path))
+        assert code == 2
+        assert f"invalid parameters: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_file_refused_before_out(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "phi.csv"
+        np.savetxt(path, np.zeros((9, 9)), delimiter=",")
+
+        def unreadable(*args, **kwargs):
+            raise PermissionError("Permission denied")
+
+        monkeypatch.setattr(cli.np, "loadtxt", unreadable)
+        code, out = run(tmp_path, "obstacle", "solve", "--n", "9", "--obstacle", str(path))
+        assert code == 2
+        assert "cannot read obstacle file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_selfcheck_coincidence(self, tmp_path):
         code, out = run(tmp_path, "obstacle", "selfcheck", "--depth", "1",

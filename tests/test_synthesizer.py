@@ -31,7 +31,7 @@ from subhess.synthesizer import (
     realize_laminate,
     staircase_build,
 )
-from subhess.verifier import report_phis, tally
+from subhess.verifier import continuity_audit, report_phis, tally
 
 from oracles import eval_all, iter_cells, one_split
 
@@ -218,8 +218,8 @@ class TestSimpleRational:
         assert sum(mc.rect[2] * mc.rect[3] for mc in self.CELLS) == 1
 
     def test_boundary_clamp_exact(self):
-        rep = self.POT.boundary_report()
-        assert rep["exact"]
+        rep = continuity_audit(self.POT)
+        assert rep["boundary_exact"]
         assert rep["closure_width"] == 0
         # the gradient equals the base affine map on all four sides
         for x, y in [(F(0), F(1, 3)), (F(1), F(2, 7)), (F(3, 7), F(0)), (F(5, 9), F(1))]:
@@ -469,8 +469,8 @@ class TestIrrationalFraction:
     CELLS = list(iter_cells(POT))
 
     def test_boundary_clamp_exact(self):
-        rep = self.POT.boundary_report()
-        assert rep["exact"]
+        rep = continuity_audit(self.POT)
+        assert rep["boundary_exact"]
         assert 0 < rep["closure_width"] <= TINY
 
     def test_t_hat_close(self):
@@ -529,7 +529,7 @@ class TestDoublingLaminate:
         assert self.POT.grad_deviation().hi <= F(1, 4)
 
     def test_boundary_exact(self):
-        assert self.POT.boundary_report()["exact"]
+        assert continuity_audit(self.POT)["boundary_exact"]
 
     def test_eval_point_interval_tight(self):
         val, grad, hess = eval_all(self.POT, F(1, 3), F(2, 7))
@@ -591,7 +591,7 @@ class TestStaircase:
     POT = RESULT.potential
 
     def test_layer_schedule(self):
-        assert [lay.j for lay in self.RESULT.layers] == [1, 2]
+        assert [lay.level.j for lay in self.RESULT.layers] == [1, 2]
         m = self.POT.root_origin[0]
         assert tally(self.POT).over(("omega", 1)).area == (1 - 2 * m) ** 2
 
@@ -599,20 +599,20 @@ class TestStaircase:
         # |Omega_{j+1}| / |Omega_j| in [(1 - eps_j) 2^-p_j, 2^-p_j]
         lay1, lay2 = self.RESULT.layers
         t = tally(self.POT)
-        omega1, omega2 = (t.over(("omega", lay.j)).area for lay in (lay1, lay2))
+        omega1, omega2 = (t.over(("omega", lay.level.j)).area for lay in (lay1, lay2))
         ratio = omega2 / omega1
-        w = pow2(-lay1.p)
+        w = pow2(-lay1.level.p)
         assert ratio <= w.hi
-        assert ratio >= (1 - lay1.eps) * w.lo
+        assert ratio >= (1 - lay1.level.eps) * w.lo
         (terminal,) = [area for tag, area in t.atom_areas.items() if tag.endswith(".b.B")]
         term_ratio = terminal / omega2
-        w2 = pow2(-lay2.p)
+        w2 = pow2(-lay2.level.p)
         assert term_ratio <= w2.hi
-        assert term_ratio >= (1 - lay2.eps) * w2.lo
+        assert term_ratio >= (1 - lay2.level.eps) * w2.lo
 
     def test_grad_steps_within_caps(self):
         for lay in self.RESULT.layers:
-            assert lay.grad_step.hi <= F(1, 2**lay.j)
+            assert lay.grad_step.hi <= F(1, 2**lay.level.j)
 
     def test_area_accounting_exact(self):
         total = F(0)
@@ -621,7 +621,7 @@ class TestStaircase:
         assert total == 1
 
     def test_boundary_exact(self):
-        assert self.POT.boundary_report()["exact"]
+        assert continuity_audit(self.POT)["boundary_exact"]
 
     def test_frame_evaluation_exact(self):
         x, y = F(1, 256), F(1, 2)
@@ -645,7 +645,7 @@ class TestStaircase:
             assert clone == classes
 
     def test_layer2_hosts_inside_layer1(self):
-        levels = [layer.j for layer in self.RESULT.layers]
+        levels = [layer.level.j for layer in self.RESULT.layers]
         assert levels == [1, 2]
         assert sorted({node.level for node in self.POT.nodes()}) == levels
         # every level-2 node hangs below a level-1 node's core cells
@@ -730,8 +730,8 @@ class TestRationalFamily:
         if num >= den:
             num = den - 1
         pot = simple_pot(F(num, den), g=F(g))
-        rep = pot.boundary_report()
-        assert rep["exact"] and rep["closure_width"] == 0
+        rep = continuity_audit(pot)
+        assert rep["boundary_exact"] and rep["closure_width"] == 0
         assert pot.grad_deviation().hi <= F(1, 2)
         # dyadic fractions need no compensation at all
         assert pot.root.profile.c1 == Iv(0) and pot.root.profile.c2 == Iv(0)

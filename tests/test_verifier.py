@@ -215,8 +215,8 @@ class TestFractionsAndAudit:
         assert terminal[0].area == direct
 
     def test_boundary_report(self):
-        rep = SIMPLE.boundary_report()
-        assert rep["exact"] and rep["closure_width"] == 0
+        rep = continuity_audit(SIMPLE)
+        assert rep["boundary_exact"] and rep["closure_width"] == 0
 
     def test_continuity_audit_rational_exact(self):
         audit = continuity_audit(SIMPLE)
