@@ -7,19 +7,21 @@ Subcommands
     wavecone    membership agreement and lattice invariants
     obstacle    projected-SOR runs: `solve` and the `selfcheck` coincidence
 
-Every run writes its report files plus `manifest.json` (config hash, package
-and dependency versions, runtimes, output digests) into the output directory.
+Each runner returns its verdict and its report files as text; `run` alone
+writes them into the output directory with `manifest.json` (config hash,
+package and dependency versions, runtime since parsing began, output
+digests).  A failed run leaves only the manifest, which names the failure.
 Report files are byte-deterministic for a fixed config; timestamps and
 runtimes live only in the manifest.  Interval quantities are serialized as
 explicit lower/upper endpoint pairs, either as directed decimals
 (`certified-interval` mode, the default) or as exact fraction strings
 (`rational` mode).
 
-Exit codes: 0 pass, 2 invalid parameters, 3 budget exhausted (a partial
-manifest is still written), 4 a verdict gate failed (an unconverged
-`obstacle solve` and a disjoint direct/recursion pair in `laminate`'s moment
-table included), 5 could not certify (a build, a certified comparison or the
-wave-cone LP certificate could not be settled; the manifest names the exception).
+Exit codes: 0 pass, 2 invalid parameters, 3 budget exhausted, 4 a verdict
+gate failed (an unconverged `obstacle solve` and a disjoint direct/recursion
+pair in `laminate`'s moment table included), 5 could not certify (a build, a
+certified comparison or the wave-cone LP certificate could not be settled)
+or any other failure once the output directory exists.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -253,14 +257,15 @@ def _jsonable(x, mode: str, digits: int):
     return x
 
 
-def _write_json(path: Path, payload, mode: str, digits: int):
-    data = json.dumps(_jsonable(payload, mode, digits), sort_keys=True, indent=2)
-    path.write_text(data + "\n")
+def _json_text(payload, cfg: ExperimentConfig) -> str:
+    return json.dumps(_jsonable(payload, cfg.scalar_mode, cfg.digits),
+                      sort_keys=True, indent=2) + "\n"
 
 
-def _write_csv(path: Path, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+def _csv_text(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _flatten_iv_rows(rows: Sequence[dict], mode: str, digits: int) -> list[list[str]]:
@@ -297,21 +302,17 @@ def _report_items_rows(items, mode: str, digits: int) -> list[list[str]]:
 # manifest
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _config_digest(cfg: ExperimentConfig) -> str:
     canon = json.dumps(
         {"command": cfg.command, "params": _jsonable(cfg.params, "rational", 30),
          "scalar_mode": cfg.scalar_mode, "digits": cfg.digits},
         sort_keys=True,
     )
-    return _sha256_bytes(canon.encode())
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_manifest(cfg: ExperimentConfig, outputs: list[Path], started: float,
-                    note: Optional[str] = None):
+def _manifest_text(cfg: ExperimentConfig, outputs: dict[str, str], started: float,
+                   failure: dict) -> str:
     import scipy
 
     manifest = {
@@ -326,80 +327,63 @@ def _write_manifest(cfg: ExperimentConfig, outputs: list[Path], started: float,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "runtime_seconds": time.time() - started,
+        "runtime_seconds": time.perf_counter() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": {p.name: _sha256_bytes(p.read_bytes()) for p in outputs},
+        "outputs": outputs,
+        **failure,
     }
-    if note is not None:
-        manifest["note"] = note
-    path = cfg.out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _run_laminate(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
+def _run_laminate(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     p = cfg.params
-    q_list = p["q"]
     lam, params = doubling_laminate(p["p"], p["k"])
-    report = verify_doubling(lam, params, q_list)
+    report = verify_doubling(lam, params, p["q"])
     ok = report["ok"]
-    rpt = cfg.out_dir / "doubling_report.json"
-    _write_json(rpt, report, cfg.scalar_mode, cfg.digits)
-    outputs = [rpt]
+    files = {"doubling_report.json": _json_text(report, cfg)}
     if p["m"] >= 1:
-        rows = cascade_moment_table(p["p"], q_list, p["m"])
-        csv_path = cfg.out_dir / "moment_table.csv"
-        _write_csv(csv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
-        outputs.append(csv_path)
+        rows = cascade_moment_table(p["p"], p["q"], p["m"])
+        files["moment_table.csv"] = _csv_text(_flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
         # every direct moment's enclosure must meet its recursion's
         for row in rows:
             for direct, rec in ((c, c.replace("_direct", "_rec")) for c in row if "_direct" in c):
                 if not (row[direct] - row[rec]).contains(0):
-                    print(f"{csv_path.name} row m={row['m']}: {direct} and {rec} are disjoint",
+                    print(f"moment_table.csv row m={row['m']}: {direct} and {rec} are disjoint",
                           file=sys.stderr)
                     ok = False
-    return (EXIT_OK if ok else EXIT_VERDICT), outputs
+    return (EXIT_OK if ok else EXIT_VERDICT), files
 
 
-def _run_realize(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
+def _run_realize(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     p, lam = cfg.params, cfg.inputs
     unit = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
     pot = realize_laminate(lam, unit, p["eps"])
     cells = pot.cell_count()
     if p["budget"] is not None and cells > p["budget"]:
         raise BudgetExceeded(f"{cells} cells exceed the budget {p['budget']}")
-    outputs = []
-    lam_path = cfg.out_dir / "laminate.json"
-    lam_path.write_text(laminate_dumps(lam, indent=2) + "\n")
-    outputs.append(lam_path)
     # the report and the area fractions read one tally
     t = tally(pot, report_phis(p["q"]))
     items = report_items(pot, t, p["q"])
-    rpt = cfg.out_dir / "realize_report.csv"
-    _write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
-    outputs.append(rpt)
     fr = area_fractions(pot, p["eps"], t=t)
-    fr_path = cfg.out_dir / "area_fractions.json"
-    _write_json(fr_path, {"rows": fr, "cell_count": cells}, cfg.scalar_mode, cfg.digits)
-    outputs.append(fr_path)
     exact = next(item for item in items if item.name == "boundary_deviation").note == "exact"
-    return (EXIT_OK if exact and all(row.ok for row in fr) else EXIT_VERDICT), outputs
+    return (EXIT_OK if exact and all(row.ok for row in fr) else EXIT_VERDICT), {
+        "laminate.json": laminate_dumps(lam, indent=2) + "\n",
+        "realize_report.csv": _csv_text(_report_items_rows(items, cfg.scalar_mode, cfg.digits)),
+        "area_fractions.json": _json_text({"rows": fr, "cell_count": cells}, cfg),
+    }
 
 
-def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
+def _run_staircase(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     p = cfg.params
     result = staircase_build(p["levels"])
     pot = result.potential
-    outputs = []
     q_list = (p["q"],)
     t = tally(pot, report_phis(q_list))
     items = report_items(pot, t, q_list)
-    rpt = cfg.out_dir / "staircase_report.csv"
-    _write_csv(rpt, _report_items_rows(items, cfg.scalar_mode, cfg.digits))
-    outputs.append(rpt)
     neg = 1 + p["i"]  # report_phis order: l1_diag, neg part of H_00, of H_11
     rows = []
     for layer in result.layers:
@@ -417,37 +401,35 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
             # growing column: certified mean on the nested region
             "neg_mean_omega": omega.bracket(neg),
         })
-    lv_path = cfg.out_dir / "staircase_levels.csv"
-    _write_csv(lv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
-    outputs.append(lv_path)
-    return (EXIT_OK if t.min_trace.lo >= 0 else EXIT_VERDICT), outputs
+    return (EXIT_OK if t.min_trace.lo >= 0 else EXIT_VERDICT), {
+        "staircase_report.csv": _csv_text(_report_items_rows(items, cfg.scalar_mode, cfg.digits)),
+        "staircase_levels.csv": _csv_text(_flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits)),
+    }
 
 
-def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
+def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     p = cfg.params
     agree = agreement_suite(p["n"], p["trials"], seed=p["seed"])
     # the exhaustive lattice sweep is exponential in n; cap the dimension
     lattice = lattice_suite(min(p["n"], 3), radius=p["radius"])
-    payload = {"agreement": agree, "lattice": lattice}
-    rpt = cfg.out_dir / "wavecone_report.json"
-    _write_json(rpt, payload, cfg.scalar_mode, cfg.digits)
     rows = [
         {"suite": "agreement", "cases": agree["trials"],
          "failures": len(agree["disagreements"]), "ok": agree["all_agree"]},
         {"suite": "lattice", "cases": lattice["vectors"],
          "failures": len(lattice["failures"]), "ok": lattice["all_ok"]},
     ]
-    csv_path = cfg.out_dir / "wavecone_summary.csv"
-    _write_csv(csv_path, _flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits))
     ok = agree["all_agree"] and lattice["all_ok"]
-    return (EXIT_OK if ok else EXIT_VERDICT), [rpt, csv_path]
+    return (EXIT_OK if ok else EXIT_VERDICT), {
+        "wavecone_report.json": _json_text({"agreement": agree, "lattice": lattice}, cfg),
+        "wavecone_summary.csv": _csv_text(_flatten_iv_rows(rows, cfg.scalar_mode, cfg.digits)),
+    }
 
 
-def _run_obstacle_solve(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
+def _run_obstacle_solve(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     p, inst = cfg.params, cfg.inputs
     sol = obstacle_solve(inst, p["omega"], tol=p["tol"], max_iter=p["max_iter"])
-    grid_path = cfg.out_dir / "obstacle_solution.csv"
-    np.savetxt(grid_path, sol.u, fmt="%.17g", delimiter=",")
+    grid = io.StringIO()
+    np.savetxt(grid, sol.u, fmt="%.17g", delimiter=",")
     report = {
         "obstacle": p["obstacle"],
         "n": inst.n,
@@ -461,44 +443,55 @@ def _run_obstacle_solve(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
             "complementarity_product": sol.residuals[2],
             "complementarity_min": sol.complementarity_min,
         },
-        "contact_nodes": int(
-            ((sol.u - inst.phi)[inst.interior] <= p["tol"]).sum()),
+        "contact_nodes": int(((sol.u - inst.phi)[inst.interior] <= p["tol"]).sum()),
         "interior_nodes": int(inst.interior.sum()),
     }
-    rpt = cfg.out_dir / "obstacle_report.json"
-    _write_json(rpt, report, cfg.scalar_mode, cfg.digits)
-    return (EXIT_OK if sol.converged else EXIT_VERDICT), [grid_path, rpt]
+    return (EXIT_OK if sol.converged else EXIT_VERDICT), {
+        "obstacle_solution.csv": grid.getvalue(),
+        "obstacle_report.json": _json_text(report, cfg),
+    }
 
 
-def _run_obstacle_selfcheck(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
+def _run_obstacle_selfcheck(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     p = cfg.params
     pot = staircase_build(p["depth"]).potential
     suite = self_obstacle_suite(pot, p["n"], tol=p["tol"])
-    rpt = cfg.out_dir / "selfcheck_report.json"
-    _write_json(rpt, {"depth": p["depth"], **suite}, cfg.scalar_mode, cfg.digits)
     ok = all(row["sup_dev"] <= p["tol"] + p["gate_c"] * row["h"]
              for row in suite["rows"])
-    return (EXIT_OK if ok else EXIT_VERDICT), [rpt]
+    return (EXIT_OK if ok else EXIT_VERDICT), {
+        "selfcheck_report.json": _json_text({"depth": p["depth"], **suite}, cfg),
+    }
 
 
-def run(cfg: ExperimentConfig) -> int:
-    """Execute a validated config; artifacts land in cfg.out_dir."""
-    started = time.time()
+def run(cfg: ExperimentConfig, started: float) -> int:
+    """Execute a validated config; the one place that writes to cfg.out_dir.
+
+    The runner returns its verdict and its files as text. If it raises, no
+    report file is written: exit 3 for an exhausted budget, 5 for anything
+    else, with the exception named in the manifest's note and on stderr; an
+    unexpected one also leaves its traceback in the manifest. Files are
+    hashed from the bytes written. `started` is the `time.perf_counter()`
+    reading taken before the arguments were parsed."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    failure = {}
     try:
-        status, outputs = _COMMANDS[cfg.command].run(cfg)
-    except BudgetExceeded as exc:
-        _write_manifest(cfg, [], started, note=f"budget exhausted: {exc}")
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (BuildError, Undecided, CertificationError) as exc:
-        # BuildError subclasses ValueError: caught here, it never reaches
-        # main's "invalid parameters" handler
-        note = f"could not certify: {type(exc).__name__}: {exc}"
-        _write_manifest(cfg, [], started, note=note)
-        print(note, file=sys.stderr)
-        return EXIT_UNCERTIFIED
-    _write_manifest(cfg, outputs, started)
+        status, files = _COMMANDS[cfg.command].run(cfg)
+    except Exception as exc:
+        status, files = EXIT_UNCERTIFIED, {}
+        if isinstance(exc, BudgetExceeded):
+            status, failure["note"] = EXIT_BUDGET, f"budget exhausted: {exc}"
+        elif isinstance(exc, (BuildError, Undecided, CertificationError)):
+            failure["note"] = f"could not certify: {type(exc).__name__}: {exc}"
+        else:
+            failure["note"] = f"failed: {type(exc).__name__}: {exc}"
+            failure["traceback"] = traceback.format_exc().splitlines()
+        print(failure["note"], file=sys.stderr)
+    outputs = {}
+    for name, text in files.items():
+        data = text.encode()
+        (cfg.out_dir / name).write_bytes(data)
+        outputs[name] = hashlib.sha256(data).hexdigest()
+    (cfg.out_dir / "manifest.json").write_text(_manifest_text(cfg, outputs, started, failure))
     return status
 
 
@@ -536,13 +529,13 @@ class _Param(NamedTuple):
 
 class _Command(NamedTuple):
     """One subcommand: its help, its parameters in `params` order, `prepare`
-    (validates the params and returns what `run` reads as `cfg.inputs`)
-    and `run`."""
+    (validates the params and returns what `run` reads as `cfg.inputs`) and
+    `run`, which returns the exit status and the report files by name."""
 
     help: str
     params: tuple[_Param, ...]
     prepare: Callable[[dict], object]
-    run: Callable[[ExperimentConfig], tuple[int, list[Path]]]
+    run: Callable[[ExperimentConfig], tuple[int, dict[str, str]]]
 
 
 # Flags default to None so values from --config are not shadowed;
@@ -683,17 +676,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        return run(cfg)
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    return run(cfg, started)
 
 
 if __name__ == "__main__":

@@ -446,8 +446,12 @@ def build_pattern_node(
         0, sqrt_iv(grad_long.sq() + grad_perp.sq()).hi
     )  # Euclidean sup bound
 
-    if not (ball_sq.certainly_le(Iv(eps_h * eps_h)) and grad_dev.certainly_le(Iv(dev_cap))):
-        raise BuildError(f"certification did not converge for node {tag}")
+    if not ball_sq.certainly_le(Iv(eps_h * eps_h)):
+        raise BuildError(f"node {tag}: ramp Hessian boxes not certified within the eps_h "
+                         f"ball: squared distance {ball_sq} exceeds eps_h^2 = {eps_h * eps_h}")
+    if not grad_dev.certainly_le(Iv(dev_cap)):
+        raise BuildError(f"node {tag}: gradient deviation {grad_dev} not certified "
+                         f"within the cap {dev_cap}")
     return PatternNode(
         tag=tag,
         level=level,

@@ -7,6 +7,7 @@ the goal is the contract (artifacts, determinism, exit codes), not depth.
 
 import csv
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -459,6 +460,90 @@ class TestCouldNotCertify:
         man = json.loads((out / "manifest.json").read_text())
         assert man["note"] == ("could not certify: CertificationError: "
                                "residual floor unresolved")
+
+
+# small arguments for each command, and the first library call its runner makes
+SMALL_RUNS = {
+    "laminate": (["laminate", "--p", "3/2"], "doubling_laminate"),
+    "realize": (["realize", "--p", "3/2", "--eps", "1/10"], "realize_laminate"),
+    "staircase": (["staircase", "--J", "1"], "staircase_build"),
+    "wavecone": (["wavecone", "--n", "2", "--trials", "1"], "agreement_suite"),
+    "obstacle-solve": (["obstacle", "solve", "--n", "9"], "obstacle_solve"),
+    "obstacle-selfcheck": (["obstacle", "selfcheck", "--depth", "1", "--n", "9"],
+                           "staircase_build"),
+}
+
+
+class TestFailedRun:
+    """Whatever a runner raises, `run` leaves only a manifest that names it."""
+
+    def test_every_command_has_a_case(self):
+        assert set(SMALL_RUNS) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_unexpected_exception_exits_5(self, tmp_path, capsys, monkeypatch, command):
+        argv, first_call = SMALL_RUNS[command]
+
+        def planted(*args, **kwargs):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr(cli, first_call, planted)
+        code, out = run(tmp_path, *argv)
+        assert code == 5
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["note"].startswith("failed: ZeroDivisionError")
+        assert man["traceback"][-1] == "ZeroDivisionError: planted"
+        assert man["outputs"] == {}
+        assert os.listdir(out) == ["manifest.json"]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "failed: ZeroDivisionError: planted\n"
+
+    def test_audit_failure_leaves_only_manifest(self, tmp_path, monkeypatch):
+        def seam_jump(pot):
+            raise cli.BuildError("planted seam jump")
+
+        monkeypatch.setattr(verifier, "continuity_audit", seam_jump)
+        code, out = run(tmp_path, "realize", "--p", "3/2", "--eps", "1/20")
+        assert code == 5
+        assert os.listdir(out) == ["manifest.json"]
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["note"] == "could not certify: BuildError: planted seam jump"
+
+    def test_late_value_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        # only `prepare` refuses an input with exit 2
+        def planted(*args, **kwargs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cli, "tally", planted)
+        code, out = run(tmp_path, "realize", "--p", "3/2", "--eps", "1/20")
+        assert code == 5
+        assert capsys.readouterr().err == "failed: ValueError: planted\n"
+        assert os.listdir(out) == ["manifest.json"]
+
+
+class TestRunPath:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_runner_touches_no_file(self, tmp_path, command):
+        argv, _ = SMALL_RUNS[command]
+        never = tmp_path / "never"
+        cfg = cli.config_from_args(cli.build_parser().parse_args(["--out", str(never), *argv]))
+        status, files = cli._COMMANDS[command].run(cfg)
+        assert not never.exists() and os.listdir(tmp_path) == []
+        assert status == 0 and files and all(isinstance(text, str) for text in files.values())
+
+    def test_runtime_covers_prepare(self, tmp_path, monkeypatch):
+        real = cli.doubling_laminate
+
+        def slow(*args):
+            time.sleep(0.2)
+            return real(*args)
+
+        # `prepare` builds the realize laminate before `run` is called
+        monkeypatch.setattr(cli, "doubling_laminate", slow)
+        code, out = run(tmp_path, "realize", "--p", "3/2", "--eps", "1/20")
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["runtime_seconds"] >= 0.2
 
 
 class TestConfigFile:

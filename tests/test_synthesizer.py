@@ -718,6 +718,21 @@ class TestErrors:
         with pytest.raises(ValueError):
             staircase_build(0)
 
+    def test_uncertified_ball_named(self, monkeypatch):
+        # planted: one ramp box lies far outside the eps_h ball around [B, C]
+        monkeypatch.setattr(synthesizer, "_seg_dist_sq_box", lambda *args: Iv(10**6))
+        with pytest.raises(BuildError, match=r"node 0: ramp Hessian boxes not certified "
+                           r"within the eps_h ball: squared distance \[0\.0+, 1000000\.0+\] "
+                           r"exceeds eps_h\^2 = 9/64$"):
+            pattern_node(SymMat2.diag(1, 1), SymMat2.diag(2, 1), SymMat2.diag(0, 1), F(1, 2))
+
+    def test_uncertified_gradient_named(self, monkeypatch):
+        # planted: the gradient bound blows past the deviation cap
+        monkeypatch.setattr(synthesizer, "sqrt_iv", lambda *args: Iv(10**6))
+        with pytest.raises(BuildError, match=r"node 0: gradient deviation "
+                           r"\[0\.0+, 1000000\.0+\] not certified within the cap 1/2$"):
+            pattern_node(SymMat2.diag(1, 1), SymMat2.diag(2, 1), SymMat2.diag(0, 1), F(1, 2))
+
 
 class TestRationalFamily:
     @settings(max_examples=8, deadline=None)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import subhess.cli as cli
-from subhess.cli import _report_items_rows, _write_csv, main as cli_main
+from subhess.cli import _csv_text, _report_items_rows, main as cli_main
 from subhess.constructions import doubling_cascade, doubling_laminate
 from subhess.laminate import moment
 from subhess.scalars import Iv
@@ -324,8 +324,8 @@ class TestReports:
     def test_csv_deterministic(self, tmp_path):
         items = potential_report(SIMPLE)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        _write_csv(p1, _report_items_rows(items, "certified-interval", 30))
-        _write_csv(p2, _report_items_rows(potential_report(SIMPLE), "certified-interval", 30))
+        p1.write_text(_csv_text(_report_items_rows(items, "certified-interval", 30)))
+        p2.write_text(_csv_text(_report_items_rows(potential_report(SIMPLE), "certified-interval", 30)))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().startswith(b"name,lower,upper,note")
 
