@@ -94,6 +94,12 @@ class ExperimentConfig:
     def validated(self) -> "ExperimentConfig":
         """Check the config and run its command's `prepare`, before any
         output directory exists."""
+        # --out must be a directory, or be creatable as one
+        for path in (self.out_dir, *self.out_dir.parents):
+            if path.exists():
+                _require(path.is_dir(), f"--out {self.out_dir}: {path} exists and is "
+                         "not a directory")
+                break
         if self.scalar_mode not in SCALAR_MODES:
             raise ValueError(f"scalar mode {self.scalar_mode!r} not in {SCALAR_MODES}")
         if self.digits < 1:
@@ -239,12 +245,6 @@ def _jsonable(x, mode: str, digits: int):
                 (("a11", a11), ("a12", a12), ("a22", a22))}
     if isinstance(x, Fraction):
         return fr_str(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: _jsonable(getattr(x, f.name), mode, digits)
                 for f in dataclasses.fields(x)}
@@ -252,8 +252,6 @@ def _jsonable(x, mode: str, digits: int):
         return {str(k): _jsonable(v, mode, digits) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v, mode, digits) for v in x]
-    if isinstance(x, Path):
-        return str(x)
     return x
 
 

@@ -2,10 +2,11 @@
 
 A `Laminate` is a binary split tree: the root carries the barycenter, each
 split replaces a Dirac mass delta_M by s*delta_B + (1-s)*delta_C where
-M = s*B + (1-s)*C and B - C has rank one, and the leaves in depth-first
-order are the atoms. The tree is the object the synthesizer walks — the flat
-atom list forgets the order of splits, which is exactly the data a nested
-stripe construction needs.
+M = s*B + (1-s)*C and B - C has rank one along a coordinate axis, and the
+leaves in depth-first order are the atoms, which every laminate carries.
+The tree is the object the synthesizer walks — the flat atom list forgets
+the order of splits, which is exactly the data a nested stripe construction
+needs.
 
 All scalars are certified intervals. `elementary_split` certifies each
 split (fraction range, barycenter identity, rank-one connection) as it is
@@ -49,32 +50,16 @@ class Atom:
 
 
 class Laminate:
-    """Immutable laminate; construct via `dirac` and `elementary_split`."""
+    """Immutable laminate; construct via `dirac` and `elementary_split`,
+    which carry the atoms (the leaves in depth-first order) forward."""
 
-    def __init__(self, root: SplitNode, atoms: Optional[tuple[Atom, ...]] = None):
-        # `atoms` is seeded only by `elementary_split`
+    def __init__(self, root: SplitNode, atoms: tuple[Atom, ...]):
         self.root = root
-        self._atoms = atoms
+        self.atoms = atoms
 
     @staticmethod
     def dirac(matrix: SymMat2) -> "Laminate":
-        return Laminate(SplitNode(matrix))
-
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        if self._atoms is None:
-            out: list[Atom] = []
-
-            def walk(node: SplitNode, weight: Iv):
-                if node.is_leaf():
-                    out.append(Atom(node.matrix, weight))
-                    return
-                walk(node.left, weight * node.s)
-                walk(node.right, weight * (1 - node.s))
-
-            walk(self.root, Iv(1))
-            self._atoms = tuple(out)
-        return self._atoms
+        return Laminate(SplitNode(matrix), (Atom(matrix, Iv(1)),))
 
     def depth(self) -> int:
         return self.root.depth()
@@ -93,10 +78,10 @@ def elementary_split(
     """Split atom `atom_index` into s*delta_B + (1-s)*delta_C.
 
     Certifies s in (0,1), M = s*B + (1-s)*C, and that B - C is rank one
-    before rebuilding the tree. Raises ValueError on violations and
-    Undecided when enclosures are too wide to certify. The child's atoms are
-    the parent's with the split atom's weight w replaced by w*s and w*(1-s),
-    the products a fresh tree walk forms, so no later call re-walks the tree.
+    along a coordinate axis before rebuilding the tree; raises ValueError
+    otherwise, also when an enclosure is too wide to certify. The child's
+    atoms are the parent's with the split atom's weight w replaced by w*s and
+    w*(1-s), the products a walk of the tree would form, so nothing walks it.
     """
     sv = as_iv(s)
     if not (sv.certainly_gt(0) and sv.certainly_lt(1)):
@@ -105,7 +90,8 @@ def elementary_split(
     if not 0 <= atom_index < n:
         raise ValueError(f"atom index {atom_index} out of range (have {n})")
     if rank_one_connected(b, c) is None:
-        raise ValueError("split endpoints are not rank-one connected")
+        raise ValueError("split endpoints are not rank-one connected along a coordinate "
+                         "axis: B - C must be c e_i (x) e_i")
 
     atoms = lam.atoms
     target, w = atoms[atom_index].matrix, atoms[atom_index].weight

@@ -30,7 +30,7 @@ import numpy as np
 
 from subhess.verifier import tally
 
-GridData = Union[np.ndarray, Callable, float, int]
+GridData = Union[np.ndarray, Callable]
 
 _COMPAT_SLACK = 1e-12  # float slack when checking g >= phi on the boundary
 _CHECK_EVERY = 4  # sweeps between residual checks
@@ -100,10 +100,7 @@ def _sample(data: GridData, X, Y) -> np.ndarray:
     if callable(data):
         out = np.asarray(data(X, Y), dtype=float)
         return np.broadcast_to(out, X.shape).copy()
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 0:
-        return np.full(X.shape, float(arr))
-    return arr.copy()
+    return np.asarray(data, dtype=float).copy()
 
 
 def square_instance(n: int, phi: GridData, g: Optional[GridData] = None) -> ObstacleInstance:
@@ -277,8 +274,6 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
             triple = _residual_triple(u, phi, interior, scratch)
             if max(triple[0], triple[1], triple[3]) <= tol:
                 converged = True
-    if iterations % _CHECK_EVERY != 0 and iterations != max_iter:
-        triple = _residual_triple(u, phi, interior, scratch)
 
     return VISolution(
         u=u,

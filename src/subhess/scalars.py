@@ -13,8 +13,8 @@ not pay for endpoints thousands of bits long. An exact interval is never
 rounded.
 
 Comparisons are certified: `certainly_*` returns True only when the claim
-holds for every point of both intervals, and the query helpers raise
-`Undecided` when the enclosures overlap, instead of guessing.
+holds for every point of both intervals. A caller that needs a decision
+raises `Undecided` when the enclosures overlap, instead of guessing.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ class Iv:
         v = _fr(x)
         return self.lo <= v <= self.hi
 
-    def contains_iv(self, other: IvLike) -> bool:
-        o = as_iv(other)
-        return self.lo <= o.lo and o.hi <= self.hi
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: IvLike) -> "Iv":
@@ -163,8 +159,7 @@ class Iv:
         return Iv(a.lo * a.lo, a.hi * a.hi)
 
     def pow_int(self, n: int) -> "Iv":
-        if n < 0:
-            return Iv(1) / self.pow_int(-n)
+        """self^n for an integer n >= 0."""
         out = Iv(1)
         base = self
         k = n
@@ -190,16 +185,6 @@ class Iv:
 
     def certainly_ge(self, other: IvLike) -> bool:
         return as_iv(other).certainly_le(self)
-
-    def sign(self) -> int:
-        """Certified sign: -1, 0 (exact zero only), +1; raises Undecided."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == 0 and self.hi == 0:
-            return 0
-        raise Undecided(f"sign of {self} undecided")
 
     # -- misc -----------------------------------------------------------------
 
@@ -378,14 +363,7 @@ def ln_iv(x: IvLike) -> Iv:
 
 
 def log2_iv(x: IvLike) -> Iv:
-    xv = as_iv(x)
-    if xv.is_exact():
-        n, d = xv.lo.numerator, xv.lo.denominator
-        if n > 0 and d == 1 and (n & (n - 1)) == 0:
-            return Iv(n.bit_length() - 1)
-        if n == 1 and (d & (d - 1)) == 0:
-            return Iv(-(d.bit_length() - 1))
-    return ln_iv(xv) / ln_iv(Iv(2))
+    return ln_iv(x) / ln_iv(2)
 
 
 # -- directed decimal rendering ------------------------------------------------

@@ -60,10 +60,6 @@ class BuildError(ValueError):
     pass
 
 
-class NonAxisRankOne(BuildError):
-    """Split direction is rank one but not a coordinate axis."""
-
-
 class BudgetExceeded(RuntimeError):
     pass
 
@@ -352,9 +348,8 @@ def _split_waves(mat_b: SymMat2, mat_c: SymMat2, t: Iv) -> tuple[int, Iv, Iv, Iv
     (axis, axis) with entry gamma, and W'' averages to 0 at fraction t."""
     conn = rank_one_connected(mat_b, mat_c)
     if conn is None:
-        raise BuildError("targets are not rank-one connected")
-    if conn.axis is None:
-        raise NonAxisRankOne("only axis-aligned rank-one directions are realizable")
+        raise BuildError("targets are not rank-one connected along a coordinate axis: "
+                         "only B - C = c e_i (x) e_i is realizable")
     gamma = conn.scale
     return conn.axis, gamma, gamma * (1 - t), -(gamma * t)
 
@@ -392,8 +387,8 @@ def build_pattern_node(
     """One certified pattern level on a rect of the given size, whose
     gradient deviates from the base affine map by at most dev_cap.
 
-    Raises NonAxisRankOne when B - C is not supported on a coordinate axis,
-    BuildError when the barycenter identity or any certification fails.
+    Raises BuildError when B - C is not supported on a coordinate axis, and
+    when the barycenter identity or any certification fails.
     """
     t_iv = as_iv(t)
     if not (t_iv.certainly_gt(0) and t_iv.certainly_lt(1)):

@@ -10,9 +10,9 @@ reads what it sums. Within a level, each term and running sum of an
 integral is rounded outward to `ENCLOSURE_BITS` significant bits
 (`round_out`), so it still brackets the true value. Exact sums, areas and
 the fold of the levels are not rounded, so the levels add up to the whole
-exactly. `Tally.over(region)` folds the levels a region selects:
+exactly. The tally itself is the whole domain, and `Tally.over(region)`
+folds the levels a region selects:
 
-* None: the whole domain;
 * ("level", j): cells built at construction level j;
 * ("omega", j): cells built at level j or deeper, the nested region
   Omega_j of a staircase.
@@ -30,7 +30,7 @@ from subhess.scalars import Iv, as_iv, round_out, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import BuildError, PiecewisePotential
 
-Region = Optional[tuple]
+Region = tuple[str, int]
 
 ZERO = Iv(0)
 
@@ -68,8 +68,6 @@ class Tally:
 
     def over(self, region: Region) -> "Tally":
         """The tally of a region: the fold of the levels it selects."""
-        if region is None:
-            return self
         kind, j = region
         if kind not in ("level", "omega"):
             raise ValueError(f"unknown region selector: {region!r}")

@@ -12,9 +12,13 @@ route of its own, so agreement with the package is evidence, not an echo:
   by Taylor shifts of the node data. The class walk (`cell_classes`) and the
   stored ramp boxes are checked against the Hessians, tiling, C^1 seams and
   divergence identity of these cells.
-* `validate` re-derives every laminate invariant from a fresh walk of the
-  split tree, never from the atoms `elementary_split` seeded.
-* `loads` parses the `laminate.json` artifact that `laminate.dumps` writes.
+* `tree_atoms` walks a split tree for its atoms. `elementary_split` never
+  walks the tree: it carries the atoms forward split by split, so the walk
+  is a route of its own.
+* `validate` re-derives every laminate invariant from `tree_atoms`, never
+  from the atoms a laminate carries.
+* `loads` parses the `laminate.json` artifact that `laminate.dumps` writes,
+  and takes the atoms of the parsed tree from `tree_atoms`.
 * `harmonic_extension` is a sparse direct solve of the unconstrained
   problem; projected SOR must reach it when the obstacle never binds.
 * `radial_contact_radius_shooting` finds the radial free boundary by RK4
@@ -30,8 +34,9 @@ route of its own, so agreement with the package is evidence, not an echo:
   must not exceed.
 
 `one_split` is a test helper, not an oracle: the one-split laminate
-realized by `realize_laminate`. `apply`, `frob`, `phi_trace` and
-`phi_frobenius` are matrix helpers and moment functionals only tests use.
+realized by `realize_laminate`. `apply`, `frob`, `contains_iv`, `phi_trace`
+and `phi_frobenius` are matrix and interval helpers and moment functionals
+only tests use.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from subhess.constructions import DoublingParams, l1_growth_constant
-from subhess.laminate import Laminate, SplitNode, barycenter, elementary_split
+from subhess.laminate import Atom, Laminate, SplitNode, barycenter, elementary_split
 from subhess.obstacle import (
     ObstacleInstance,
     radial_contact_radius,
@@ -88,6 +93,12 @@ def frob(m: SymMat2) -> Iv:
     """Frobenius norm, counting the off-diagonal entry twice, matching
     integration of symmetric-matrix fields component by component."""
     return sqrt_iv(m.a11.sq() + 2 * m.a12.sq() + m.a22.sq())
+
+
+def contains_iv(outer: Iv, inner: IvLike) -> bool:
+    """Whether the interval `outer` encloses `inner`."""
+    o = as_iv(inner)
+    return outer.lo <= o.lo and o.hi <= outer.hi
 
 
 def phi_trace(m: SymMat2) -> Iv:
@@ -373,6 +384,23 @@ def _stripe_cells(node, stripe, xi0, ox, oy, c, g):
 # -- laminate validation and parsing ---------------------------------------------------
 
 
+def tree_atoms(root: SplitNode) -> tuple[Atom, ...]:
+    """The atoms of a split tree from a walk of it: its leaves in
+    depth-first order, each weighted by the product of the split fractions
+    (s to the left, 1 - s to the right) on its path."""
+    out: list[Atom] = []
+
+    def walk(node: SplitNode, weight: Iv):
+        if node.is_leaf():
+            out.append(Atom(node.matrix, weight))
+            return
+        walk(node.left, weight * node.s)
+        walk(node.right, weight * (1 - node.s))
+
+    walk(root, Iv(1))
+    return tuple(out)
+
+
 def validate(lam: Laminate, width_tol: Fraction = Fraction(1, 10**9)) -> dict:
     """Re-derive every laminate invariant; returns a report dict.
 
@@ -381,8 +409,8 @@ def validate(lam: Laminate, width_tol: Fraction = Fraction(1, 10**9)) -> dict:
     identities, rank-one connections, fraction ranges.
     """
     problems: list[str] = []
-    # weights from a fresh walk of the tree, never from atoms a split seeded
-    walked = Laminate(lam.root)
+    # weights from a walk of the tree, never from the atoms a split carried
+    walked = Laminate(lam.root, tree_atoms(lam.root))
 
     mass = Iv(0)
     for atom in walked.atoms:
@@ -457,7 +485,8 @@ def _node_parse(obj) -> SplitNode:
 def from_jsonable(obj: dict) -> Laminate:
     if obj.get("kind") != "laminate":
         raise ValueError("not a laminate payload")
-    return Laminate(_node_parse(obj["tree"]))
+    root = _node_parse(obj["tree"])
+    return Laminate(root, tree_atoms(root))
 
 
 def loads(payload: str) -> Laminate:

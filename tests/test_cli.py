@@ -223,6 +223,23 @@ class TestValidation:
         assert exc.value.code == 2
 
 
+class TestOutDir:
+    @pytest.mark.parametrize("below", [None, "sub"], ids=["file", "below-a-file"])
+    def test_out_that_is_a_file_refused(self, tmp_path, capsys, monkeypatch, below):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile if below is None else afile / below
+        built = []
+        monkeypatch.setattr(cli, "doubling_laminate",
+                            lambda *a: built.append(a) or constructions.doubling_laminate(*a))
+        code = main(["--out", str(out), "realize", "--p", "3/2", "--eps", "1/20"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid parameters: --out {out}: {afile} exists and is not a directory" in err
+        assert built == []  # refused before prepare built anything
+        assert afile.read_text() == "" and sorted(tmp_path.iterdir()) == [afile]
+
+
 class TestBudget:
     def test_exhaustion_writes_partial_manifest(self, tmp_path):
         code, out = run(tmp_path, "realize", "--p", "1.5", "--eps", "1/10",
@@ -603,6 +620,18 @@ class TestConfigFile:
                          for d in ("o", "f"))
         assert man["config"]["params"]["n"] == 3
         assert man["config_sha256"] == man_flag["config_sha256"]
+
+    def test_list_value_for_comma_list_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": 1, "n": [9, 17]}))
+        parser = cli.build_parser()
+        from_file = cli.config_from_args(parser.parse_args(
+            ["--out", str(tmp_path / "o"), "--config", str(cfg), "obstacle", "selfcheck"]))
+        from_flag = cli.config_from_args(parser.parse_args(
+            ["--out", str(tmp_path / "o"), "obstacle", "selfcheck", "--depth", "1",
+             "--n", "9,17"]))
+        assert from_file.params == from_flag.params
+        assert from_file.params["n"] == [9, 17]
 
     def test_missing_config_file(self, tmp_path):
         code = main(["--out", str(tmp_path / "o"), "--config",

@@ -16,7 +16,7 @@ from subhess.laminate import (
 from subhess.scalars import Iv, pow2
 from subhess.sym2 import SymMat2, rank_one_connected
 
-from oracles import loads, phi_frobenius, phi_trace, validate
+from oracles import contains_iv, loads, phi_frobenius, phi_trace, tree_atoms, validate
 
 
 def two_level() -> Laminate:
@@ -71,6 +71,15 @@ class TestSplitting:
         with pytest.raises(ValueError, match="rank-one"):
             elementary_split(lam, 0, Fraction(1, 2), SymMat2.diag(2, 2), SymMat2.diag(0, 0))
 
+    def test_rejects_off_axis_rank_one(self):
+        # B - C = (1,1)(x)(1,1) is rank one, but not along a coordinate axis
+        lam = Laminate.dirac(SymMat2.diag(1, 1))
+        half = Fraction(1, 2)
+        b = SymMat2.of(1 + half, half, 1 + half)
+        c = SymMat2.of(half, -half, half)
+        with pytest.raises(ValueError, match="along a coordinate axis"):
+            elementary_split(lam, 0, half, b, c)
+
     def test_rejects_bad_fraction_and_index(self):
         lam = Laminate.dirac(SymMat2.diag(1, 1))
         with pytest.raises(ValueError, match="fraction"):
@@ -97,9 +106,8 @@ def split_e1(lam: Laminate, i: int, s) -> Laminate:
 
 
 def assert_seeded_atoms_match_walk(lam: Laminate):
-    seeded = lam._atoms
-    assert seeded is not None  # elementary_split seeded them; no walk ran
-    walked = Laminate(lam.root).atoms
+    seeded = lam.atoms
+    walked = tree_atoms(lam.root)
     assert [a.matrix for a in seeded] == [a.matrix for a in walked]
     assert [(a.weight.lo, a.weight.hi) for a in seeded] == [
         (a.weight.lo, a.weight.hi) for a in walked
@@ -124,7 +132,7 @@ class TestSeededAtoms:
 
     def test_validate_ignores_seeded_atoms(self):
         lam = two_level()
-        lam._atoms = tuple(Atom(a.matrix + SymMat2.diag(1, 0), a.weight * 2) for a in lam.atoms)
+        lam.atoms = tuple(Atom(a.matrix + SymMat2.diag(1, 0), a.weight * 2) for a in lam.atoms)
         assert moment(lam, lambda m: Iv(1)) == Iv(2)  # the planted tuple is read elsewhere
         rep = validate(lam)
         # mass and barycenter are those of the tree
@@ -155,7 +163,7 @@ class TestMoments:
         # non-integer exponent through the certified power
         v = moment(lam, ("neg_pow", 1, Fraction(3, 2)))
         assert v.width < Fraction(1, 2**80)
-        assert v.contains_iv(v)
+        assert contains_iv(v, v)
 
     def test_interval_weights_flow_through(self):
         s = pow2(Fraction(1, 2)) / 4  # irrational fraction in (0,1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subhess import obstacle
 from subhess.constructions import doubling_laminate
 from subhess.obstacle import (
     disk_instance,
@@ -384,7 +385,9 @@ class TestSelfObstacle:
             self_obstacle_check(AXIS1, 33)
 
     def test_quadratic_frame_full_contact(self):
-        rep = self_obstacle_check(quadratic_frame_potential(), 33, tol=1e-12)
+        pot = quadratic_frame_potential()
+        assert pot.grad_deviation() == 0  # no pattern node moves the gradient
+        rep = self_obstacle_check(pot, 33, tol=1e-12)
         assert rep["sup_dev"] == 0.0
         assert rep["iterations"] == 0
         assert rep["converged"]
@@ -401,6 +404,16 @@ class TestSelfObstacle:
         assert rep["fitted_c"] == 0.0
         assert rep["shrinking"]
         assert rep["suggestion"] is None
+
+    def test_growing_deviation_gets_a_suggestion(self, monkeypatch):
+        # a planted deviation column that grows under refinement
+        devs = {65: 1e-3, 129: 2e-3}
+        monkeypatch.setattr(obstacle, "self_obstacle_check", lambda pot, n, tol: {
+            "n": n, "h": 1 / (n - 1), "sup_dev": devs[n], "dev_over_h": devs[n] * (n - 1)})
+        rep = self_obstacle_suite(BAND, (65, 129))
+        assert rep["fitted_c"] == 2e-3 * 128
+        assert not rep["shrinking"]
+        assert "does not shrink" in rep["suggestion"]
 
     def test_staircase_fixed_point(self):
         rep = self_obstacle_check(STAIR2, 129, tol=1e-10)

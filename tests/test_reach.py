@@ -26,7 +26,8 @@ Four `ast` scans.
 * Imports. Every name a module in `src/` or `tests/` imports is used in it.
 
 `python tests/test_reach.py` prints the number of defaulted parameters in
-`src/`.
+`src/`. `test_statement_reach.py` traces what the commands run, statement by
+statement, and so sees what these name-based scans miss.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from subhess.scalars import (
     ENCLOSURE_BITS,
     Iv,
-    Undecided,
     as_iv,
     dec_ceil,
     dec_floor,
@@ -24,6 +23,8 @@ from subhess.scalars import (
     rpow,
     sqrt_iv,
 )
+
+from oracles import contains_iv
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
 
@@ -78,10 +79,12 @@ class TestIvAlgebra:
         a, b = Iv(0, 1), Iv(2, 3)
         assert a.certainly_lt(b) and b.certainly_gt(a)
         assert not a.certainly_lt(Iv(Fraction(1, 2), 2))
-        assert Iv(1).sign() == 1 and Iv(-1, Fraction(-1, 2)).sign() == -1
-        assert Iv(0).sign() == 0
-        with pytest.raises(Undecided):
-            Iv(-1, 1).sign()
+
+    def test_equality_and_hash(self):
+        assert Iv(Fraction(1, 2)) == Fraction(1, 2) and Iv(0, 1) != Iv(0)
+        assert len({Iv(1), Iv(1), Iv(0, 1), Iv(0, 1)}) == 2
+        # a value that is not an exact rational is unequal, not an error
+        assert Iv(1) != None and not Iv(1) == 1.0  # noqa: E711
 
     def test_hull(self):
         assert Iv.hull([Iv(0, 1), Iv(3), Fraction(-2)]) == Iv(-2, 3)
@@ -118,14 +121,14 @@ class TestTranscendentalBridge:
     def test_pow2_encloses_float_oracle(self, p):
         v = pow2(p)
         # float evaluation sits well inside the 120-bit enclosure
-        assert float(v.lo) <= 2.0 ** float(p) <= float(v.hi) or v.contains_iv(v)
+        assert float(v.lo) <= 2.0 ** float(p) <= float(v.hi) or contains_iv(v, v)
         assert v.lo <= v.hi and v.width <= Fraction(1, 2**90) * (1 + v.hi)
 
     def test_pow2_interval_argument(self):
         v = pow2(Iv(Fraction(1, 2), Fraction(3, 2)))
         assert v.lo < Fraction(15, 10) and v.hi > Fraction(28, 10)
-        assert v.contains_iv(pow2(Fraction(1, 2)))
-        assert v.contains_iv(pow2(Fraction(3, 2)))
+        assert contains_iv(v, pow2(Fraction(1, 2)))
+        assert contains_iv(v, pow2(Fraction(3, 2)))
 
     @given(
         st.fractions(min_value=0, max_value=20, max_denominator=100),
@@ -152,8 +155,6 @@ class TestTranscendentalBridge:
         assert rpow(Iv(0, 4), Fraction(3, 2)).lo == 0
 
     def test_log2(self):
-        assert log2_iv(Fraction(1, 8)) == Iv(-3)
-        assert log2_iv(8) == Iv(3)
         l3 = log2_iv(3)
         assert l3.contains(Fraction(15849625007211562, 10**16)) or (
             float(l3.lo) < 1.5849625008 < float(l3.hi) + 1e-9
@@ -161,7 +162,7 @@ class TestTranscendentalBridge:
 
     def test_ln_monotone(self):
         v = ln_iv(Iv(2, 3))
-        assert v.contains_iv(ln_iv(2)) and v.contains_iv(ln_iv(3))
+        assert contains_iv(v, ln_iv(2)) and contains_iv(v, ln_iv(3))
 
     def test_global_precision_restored(self):
         # enclosures run at DEFAULT_PREC whatever the global precision, and
@@ -230,7 +231,7 @@ class TestRoundOut:
     @given(long_ivs)
     def test_contains_input_at_bounded_bits(self, significant_bits, v):
         r = round_out(v)
-        assert r.contains_iv(v)
+        assert contains_iv(r, v)
         if v.is_exact():
             assert r is v  # an exact interval is never rounded
             return

@@ -20,10 +20,10 @@ from subhess.synthesizer import (
     BudgetExceeded,
     BuildError,
     FrameCell,
-    NonAxisRankOne,
     PiecewisePotential,
     SIGMA_BITS,
     _node_cell_classes,
+    _quad_ranges,
     _ramp_rows,
     _seg_dist_sq_box,
     _sigma_bits,
@@ -33,7 +33,7 @@ from subhess.synthesizer import (
 )
 from subhess.verifier import continuity_audit, report_phis, tally
 
-from oracles import eval_all, iter_cells, one_split
+from oracles import contains_iv, eval_all, iter_cells, one_split
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -363,7 +363,7 @@ def assert_ramp_cells_inside_class_boxes(pot, cells):
         points = ((0, 0), (w, 0), (0, h), (w, h), (w / 2, h / 2))
         hessians = [poly_hess(mc.coeffs, F(dx), F(dy)) for dx, dy in points]
         assert any(
-            all(b.contains_iv(e) for hess in hessians for b, e in zip(box, hess))
+            all(contains_iv(b, e) for hess in hessians for b, e in zip(box, hess))
             for box in boxes.get((mc.node_tag, w * h), ())
         ), (mc.node_tag, mc.rect)
 
@@ -678,6 +678,19 @@ class TestCompensatorBits:
         assert bits == SIGMA_BITS or F(1, 2**(bits - 1)) > eps_a / 2
 
 
+class TestQuadRanges:
+    def test_coarse_bound_when_curvature_sign_is_unknown(self):
+        # W'' in [-1, 3] straddles 0 while the slope changes sign: no vertex
+        # value exists, and the sweep bound must still hold every value
+        v0, s0, w2 = Iv(0), Iv(-1), Iv(-1, 3)
+        vals, slope, _, _ = _quad_ranges(v0, s0, w2, F(1))
+        for c in (F(-1), F(0), F(1, 2), F(3)):
+            for k in range(11):
+                x = F(k, 10)
+                assert vals.contains(-x + c * x * x / 2)
+                assert slope.contains(-1 + c * x)
+
+
 def pattern_node(base, b, c, t):
     return build_pattern_node(tag="0", level=0, base=base, mat_b=b, mat_c=c, t=t,
                               rect_w=F(1), rect_h=F(1), eps_h=F(3, 8), eps_a=F(1, 4),
@@ -690,7 +703,7 @@ class TestErrors:
         d = SymMat2.of(1, 1, 1)  # e (x) e for e = (1,1): rank one, off-axis
         b = base + d.scale(F(1, 2))
         c = base + d.scale(-F(1, 2))
-        with pytest.raises(NonAxisRankOne):
+        with pytest.raises(BuildError, match="along a coordinate axis"):
             pattern_node(base, b, c, F(1, 2))
 
     def test_rank_two_rejected(self):

@@ -9,8 +9,8 @@ import pytest
 import subhess.cli as cli
 from subhess.cli import _csv_text, _report_items_rows, main as cli_main
 from subhess.constructions import doubling_cascade, doubling_laminate
-from subhess.laminate import moment
-from subhess.scalars import Iv
+from subhess.laminate import Laminate, elementary_split, moment
+from subhess.scalars import Iv, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
     BuildError,
@@ -72,8 +72,6 @@ class TestRegions:
         assert tally(SIMPLE).area == 1
         assert tally(DOUBLING).area == 1
         assert tally(STAIR.potential).area == 1
-        t = tally(DOUBLING)
-        assert t.over(None) is t
 
     def test_level_partition(self):
         total = tally(DOUBLING).over(("level", 0)).area + tally(DOUBLING).over(("level", 1)).area
@@ -227,6 +225,21 @@ class TestFractionsAndAudit:
         audit = continuity_audit(DOUBLING)
         assert audit["max_width"] <= TINY
         assert audit["exact"] >= 3  # child handoff entries are exact
+
+    def test_continuity_audit_interval_handoff(self):
+        # atom matrices with an irrational entry: the child's base meets its
+        # host atom only within their enclosure, so that handoff entry counts
+        # toward the width and not as exact
+        g = sqrt_iv(2) / 4
+        one = SymMat2.diag(1, 1)
+        lam = elementary_split(Laminate.dirac(one), 0, F(1, 2),
+                               one + SymMat2.of(g, 0, 0), one - SymMat2.of(g, 0, 0))
+        b = lam.atoms[0].matrix
+        lam = elementary_split(lam, 0, F(1, 2),
+                               b + SymMat2.diag(F(1, 2), 0), b - SymMat2.diag(F(1, 2), 0))
+        audit = continuity_audit(realize_laminate(lam, UNIT, F(1, 4)))
+        assert audit["exact"] == 2  # the child's a12 and a22 handoff entries
+        assert 0 < audit["max_width"] <= TINY
 
     def test_dropped_atom_class_fails(self, monkeypatch, tmp_path):
         # planted fault: the first atom class vanishes from the walk

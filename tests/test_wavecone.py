@@ -176,6 +176,19 @@ class TestSuites:
         rep3 = lattice_suite(3, radius=1)
         assert rep3["all_ok"] and rep3["vectors"] == 27
 
+    @pytest.mark.parametrize("kind, planted", [
+        ("oracle", lambda exact, v: exact(v) != any(x == 0 for x in v)),
+        ("scaling", lambda exact, v: exact(v) != any(abs(x) > 2 for x in v)),
+        ("permutation", lambda exact, v: exact(v) != (v[0] < v[-1])),
+        ("sign-step", lambda exact, v: exact(v) or sum(v) >= 0),
+    ])
+    def test_lattice_suite_names_each_planted_fault(self, monkeypatch, kind, planted):
+        exact = wavecone.member
+        monkeypatch.setattr(wavecone, "member", lambda v: planted(exact, tuple(v)))
+        rep = lattice_suite(2, radius=2)
+        assert not rep["all_ok"]
+        assert kind in {name for name, _ in rep["failures"]}
+
     def test_gate_catches_flipped_member(self, monkeypatch, tmp_path):
         # planted fault: `member` misjudges every vector with a zero entry
         exact = wavecone.member
