@@ -172,18 +172,29 @@ def _neighbor_sum(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residual_triple(u, phi, interior, scratch):
+def _residual_workspace(interior: np.ndarray) -> tuple:
+    """The buffers of `_residual_triple`, made once per solve: a zeroed grid
+    for the neighbour sum, the flat indices of the interior nodes, and four
+    float buffers of that length."""
+    index = np.flatnonzero(interior)
+    return (np.zeros(interior.shape), index, *(np.empty(index.size) for _ in range(4)))
+
+
+def _residual_triple(u, phi, workspace):
     """(positive 5-point sum, obstacle violation, complementarity product,
     complementarity min) over the interior, as `VISolution` reports them.
 
-    Gathers u, phi and the neighbour sum once each, then works in place;
-    `scratch` holds the neighbour sum and then serves as the work buffer.
-    phi - u and u - phi stay two subtractions: negating one would turn +0.0
-    into -0.0 at contact nodes.
+    Gathers u, phi and the neighbour sum once each into the buffers of
+    `_residual_workspace`, in the row-major order of a boolean-mask gather,
+    then works in place, allocating nothing.  phi - u and
+    u - phi stay two subtractions: negating one would turn +0.0 into -0.0 at
+    contact nodes.
     """
-    u_i, phi_i = u[interior], phi[interior]
-    s = _neighbor_sum(u, scratch)[interior]
-    work = scratch.reshape(-1)[:s.size]
+    scratch, index, u_i, phi_i, s, work = workspace
+    # mode="clip" takes straight into `out`; "raise" would buffer a copy first
+    np.take(u, index, out=u_i, mode="clip")
+    np.take(phi, index, out=phi_i, mode="clip")
+    np.take(_neighbor_sum(u, scratch), index, out=s, mode="clip")
     s -= np.multiply(u_i, 4.0, out=work)
     neg_lap = max(float(s.max(initial=0.0)), 0.0)
     violation = max(float(np.subtract(phi_i, u_i, out=work).max(initial=0.0)), 0.0)
@@ -250,11 +261,11 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
 
     plan = _sweep_plan(u, phi, interior)
     keep, pull = 1.0 - omega, 0.25 * omega
-    scratch = np.zeros_like(u)
+    workspace = _residual_workspace(interior)
 
     iterations = 0
     converged = False
-    triple = _residual_triple(u, phi, interior, scratch)
+    triple = _residual_triple(u, phi, workspace)
     if max(triple[0], triple[1], triple[3]) <= tol:
         converged = True
     while not converged and iterations < max_iter:
@@ -271,7 +282,7 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
             np.maximum(cand, phi_v, out=cand)
             np.copyto(node, cand, where=interior_v)
         if iterations % _CHECK_EVERY == 0 or iterations == max_iter:
-            triple = _residual_triple(u, phi, interior, scratch)
+            triple = _residual_triple(u, phi, workspace)
             if max(triple[0], triple[1], triple[3]) <= tol:
                 converged = True
 

@@ -4,38 +4,40 @@ A direction vector v collects the pure second derivatives (d_11 v, ..., d_nn v)
 that a one-dimensional profile oscillating along a frequency xi can produce;
 those are proportional to (xi_1^2, ..., xi_n^2), so v is attainable exactly
 when its entries share one sign (zero entries allowed, since frequency
-components may vanish). `member` decides that in exact arithmetic.
+components may vanish): the wave cone of the system (De Philippis and Rindler,
+Ann. Math. 184, 2016). `member` decides that in exact arithmetic.
 
 `member_bruteforce` is the independent oracle: it minimizes the pairwise
 residual max_{i<j} |xi_i^2 v_j - xi_j^2 v_i| over the frequency sphere.
 The residual depends on xi only through zeta = xi^2, and |xi| = 1 makes zeta
 range over the probability simplex, so the search runs in zeta: an exact
 candidate zeta = |v| / sum|v| pins members at residual zero, and a
-non-member's minimum over the simplex is a small LP whose rationalized duals
-bound it from below exactly (never just a solver-reported minimum; Neumaier
-and Shcherbina, Math. Program. 99, 2004).
+non-member's minimum over the simplex is a small LP, solved exactly at an
+optimal basis (Applegate, Cook, Dash and Espinoza, "Exact solutions to
+linear programming problems", Oper. Res. Lett. 35, 2007). That basis gives
+both a dual bound from below and a primal point that attains it, so the
+floor is the exact minimum, certified from both sides.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.optimize import linprog
 
 Vec = Sequence[Fraction]
 
-# largest denominator kept when rationalizing the LP's float duals
-_MAX_DEN = 10**6
+# consecutive degenerate pivots, per row of the dual LP, before Bland's rule prices
+_DEGENERATE_RUN = 2
 
 
 class CertificationError(RuntimeError):
-    """The wave-cone LP failed, or its dual bound did not certify a positive
-    residual floor for a non-member."""
+    """The wave-cone dual bound did not certify a positive residual floor for
+    a non-member, or the primal point did not attain it."""
 
 
 def member(v: Iterable) -> bool:
@@ -66,37 +68,101 @@ def exact_candidate(v: Vec) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class BruteForceResult:
     member: bool
-    floor: Fraction  # certified min residual over the whole sphere (0 for members)
+    floor: Fraction  # exact min residual over the whole sphere (0 for members)
     patches: int  # LP solves: 0 for members, 1 for non-members
 
 
-def _rational(x: float) -> Fraction:
-    return Fraction(float(x)).limit_denominator(_MAX_DEN)
+def _solve_dual(vs: Vec) -> tuple[dict[tuple[int, int, int], Fraction], tuple[Fraction, ...]]:
+    """(y, zeta) at an optimal basis of the dual LP of a non-member
 
+        maximize s  subject to  coef_k(y) >= s for k < n,  sum y = 1,  y >= 0,
 
-def _solve_lp(vs: Vec):
-    """(pairs, result) of the LP min t s.t. +-(zeta_i v_j - zeta_j v_i) <= t,
-    sum zeta = 1, zeta >= 0, solved in floats on v / max|v|."""
+    whose columns are the signed pair rows (i, j, sign) of the residual LP:
+    coef_i(y) gains sign * y * v_j and coef_j(y) loses sign * y * v_i.  y maps
+    each basic pair row to its weight, and zeta = -pi[:n] is the primal point
+    of the basis's dual prices pi.
+
+    A revised simplex in integers (Edmonds' integer pivoting).  v is scaled to
+    coprime integers, which keeps every basis and its optimality, and B^-1 is
+    held as M / d with M integer and d = |det B|, so each pivot's division is
+    exact.  pi is the s-row of B^-1, so a reduced cost is a 3-term dot product.
+    The start basis holds s, the first cross pair (v_i v_j < 0) with the sign
+    that makes both of its coefficients positive, and the slacks of every row
+    but the first of least coefficient: the pivot that brings s in, done in
+    closed form.  Entering column: Dantzig's rule (largest reduced cost, the
+    first on ties); after 2(n+1) consecutive degenerate pivots, Bland's rule
+    (the first column with a positive reduced cost) until a pivot moves the
+    objective.  Leaving row: the least ratio, ties to the least column index.
+    Bland's rule cannot cycle and every other pivot raises the objective, so
+    no basis repeats and the method terminates.
+    """
     n = len(vs)
     pairs = list(itertools.combinations(range(n), 2))
-    scale = max(abs(x) for x in vs)
-    w = [float(x / scale) for x in vs]
-    rows = np.zeros((len(pairs), n))
-    for r, (i, j) in enumerate(pairs):
-        rows[r, i], rows[r, j] = w[j], -w[i]
-    # variables (zeta, t); the first half of the rows is +pair, the second -pair
-    a_ub = np.hstack([np.vstack([rows, -rows]), -np.ones((2 * len(pairs), 1))])
-    lp = linprog(np.append(np.zeros(n), 1.0), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
-                 A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0], method="highs")
-    return pairs, lp
+    # column 2p is pair p's +row, 2p + 1 its -row; the slack of row k is column m + k
+    signed = [(i, j, sign) for i, j in pairs for sign in (1, -1)]
+    m = len(signed)
+    den = math.lcm(*(x.denominator for x in vs))
+    w = [int(x * den) for x in vs]
+    g = math.gcd(*w)
+    w = [x // g for x in w]
+
+    i, j = next((i, j) for i, j in pairs if w[i] * w[j] < 0)
+    sign = 1 if w[j] > 0 else -1
+    a = [0] * n
+    a[i], a[j] = sign * w[j], -sign * w[i]
+    low = min(range(n), key=a.__getitem__)
+    # rows of M: s, the pair, then the slacks; the last column is the basic solution
+    rows = [[-(k == low) for k in range(n)] + [a[low]], [0] * n + [1]]
+    basis = [m + n, signed.index((i, j, sign))]
+    for k in range(n):
+        if k != low:
+            rows.append([(c == low) - (c == k) for c in range(n)] + [a[k] - a[low]])
+            basis.append(m + k)
+    d = 1
+    degenerate = 0
+
+    def reduced_costs(pi):
+        for p, (i, j) in enumerate(pairs):
+            q = pi[i] * w[j] - pi[j] * w[i]
+            yield 2 * p, -q - pi[n]
+            yield 2 * p + 1, q - pi[n]
+        for k in range(n):
+            yield m + k, pi[k]
+
+    while True:
+        entering = ((col, rc) for col, rc in reduced_costs(rows[0]) if rc > 0)
+        enter = (next(entering, None) if degenerate >= _DEGENERATE_RUN * (n + 1)
+                 else max(entering, key=itemgetter(1), default=None))
+        if enter is None:
+            break
+        col = enter[0]
+        if col < m:
+            i, j, sign = signed[col]
+            alpha = [sign * (r[i] * w[j] - r[j] * w[i]) + r[n] for r in rows]
+        else:
+            alpha = [-r[col - m] for r in rows]
+        # s is free and never leaves; the dual LP is bounded, so some row limits
+        out = min((pos for pos in range(1, n + 1) if alpha[pos] > 0),
+                  key=lambda pos: (Fraction(rows[pos][n], alpha[pos]), basis[pos]))
+        degenerate = degenerate + 1 if rows[out][n] == 0 else 0
+        pivot, pivot_row = alpha[out], rows[out]
+        for pos, r in enumerate(rows):
+            if pos != out:
+                rows[pos] = [(x * pivot - alpha[pos] * z) // d for x, z in zip(r, pivot_row)]
+        d = pivot
+        basis[out] = col
+
+    y = {signed[col]: Fraction(r[n], d) for col, r in zip(basis, rows) if col < m}
+    return y, tuple(Fraction(-x, d) for x in rows[0][:n])
 
 
 def member_bruteforce(v: Iterable) -> BruteForceResult:
     """Members return at their exact candidate.  For a non-member, solve the
-    LP of `_solve_lp`.  Any row duals y >= 0 bound every residual below by
-    min_k (A^T y)_k / sum y (weak duality), so the rationalized duals give an
-    exact floor.  Raises CertificationError when the LP fails or that floor
-    is not positive."""
+    dual LP of `_solve_dual` exactly.  Its weights y >= 0 bound every residual
+    below by min_k coef_k(y) / sum y (weak duality), and its primal point zeta
+    on the simplex attains that floor, so the floor is the exact minimum.
+    Raises CertificationError when the floor is not positive or zeta does not
+    attain it."""
     vs = tuple(Fraction(x) for x in v)
     n = len(vs)
     if n < 2:
@@ -105,19 +171,17 @@ def member_bruteforce(v: Iterable) -> BruteForceResult:
     if residual(vs, cand) == 0:
         return BruteForceResult(True, Fraction(0), 0)
 
-    pairs, lp = _solve_lp(vs)
-    if lp.status != 0:
-        raise CertificationError(f"wave-cone LP failed for {vs}: {lp.message}")
-
-    # marginals of <= rows are <= 0 when minimizing; y is their negation
-    y = [max(-_rational(d), Fraction(0)) for d in lp.ineqlin.marginals]
+    y, zeta = _solve_dual(vs)
     coef = [Fraction(0)] * n
-    for (i, j), up, down in zip(pairs, y, y[len(pairs):]):
-        coef[i] += (up - down) * vs[j]
-        coef[j] -= (up - down) * vs[i]
-    floor = min(coef) / sum(y) if any(y) else Fraction(0)
-    if floor <= 0:
+    for (i, j, sign), weight in y.items():
+        coef[i] += sign * weight * vs[j]
+        coef[j] -= sign * weight * vs[i]
+    floor = min(coef) / sum(y.values()) if any(y.values()) else Fraction(0)
+    if floor <= 0 or min(y.values()) < 0:
         raise CertificationError(f"dual bound {floor} does not certify {vs}")
+    if min(zeta) < 0 or sum(zeta) != 1 or residual(vs, zeta) != floor:
+        raise CertificationError(f"primal point {zeta} does not attain the floor {floor} "
+                                 f"of {vs}")
     return BruteForceResult(False, floor, 1)
 
 

@@ -29,9 +29,11 @@ route of its own, so agreement with the package is evidence, not an echo:
   value they approach, read from one tally.
 * `l1_limit_constant` and `weights` are closed forms of the doubling
   construction, checked against cascade moments and laminate atoms.
-* `lp_primal` re-solves the wave-cone LP of `member_bruteforce` and
-  rationalizes its primal: an exact residual that the certified dual floor
-  must not exceed.
+* `lp_primal` solves the wave-cone residual LP in floats with HiGHS
+  (`scipy.optimize.linprog`) and rationalizes its primal: an exact residual
+  that the exact floor of `member_bruteforce` must not exceed.
+  `vertex_optimum` enumerates the vertices of the same LP in `Fraction`s,
+  for n <= 3: the exact minimum that the floor must equal.
 
 `one_split` is a test helper, not an oracle: the one-split laminate
 realized by `realize_laminate`. `apply`, `frob`, `contains_iv`, `phi_trace`
@@ -41,6 +43,7 @@ only tests use.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -49,6 +52,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 from scipy.sparse.linalg import spsolve
 
 from subhess.constructions import DoublingParams, l1_growth_constant
@@ -72,7 +76,7 @@ from subhess.synthesizer import (
     realize_laminate,
 )
 from subhess.verifier import tally
-from subhess.wavecone import _rational, _solve_lp, exact_candidate, residual
+from subhess.wavecone import exact_candidate, residual
 
 ZERO = Iv(0)
 HALF = Fraction(1, 2)
@@ -695,19 +699,82 @@ def weights(params: DoublingParams) -> tuple[Iv, Iv, Iv]:
     )
 
 
-# -- the wave-cone LP primal -----------------------------------------------------------
+# -- the wave-cone residual LP -----------------------------------------------------------
+
+# largest denominator kept when rationalizing the LP's float primal
+_MAX_DEN = 10**6
+
+
+def _rational(x: float) -> Fraction:
+    return Fraction(float(x)).limit_denominator(_MAX_DEN)
+
+
+def _solve_lp(vs):
+    """The LP min t s.t. +-(zeta_i v_j - zeta_j v_i) <= t, sum zeta = 1,
+    zeta >= 0, solved in floats on v / max|v|."""
+    n = len(vs)
+    pairs = list(itertools.combinations(range(n), 2))
+    scale = max(abs(x) for x in vs)
+    w = [float(x / scale) for x in vs]
+    rows = np.zeros((len(pairs), n))
+    for r, (i, j) in enumerate(pairs):
+        rows[r, i], rows[r, j] = w[j], -w[i]
+    # variables (zeta, t); the first half of the rows is +pair, the second -pair
+    a_ub = np.hstack([np.vstack([rows, -rows]), -np.ones((2 * len(pairs), 1))])
+    return linprog(np.append(np.zeros(n), 1.0), A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                   A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0], method="highs")
 
 
 def lp_primal(v) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(residual, zeta) at the rationalized primal of the LP that
-    `member_bruteforce` solves; at the exact candidate for a member."""
+    """(residual, zeta) at the rationalized float primal of the residual LP;
+    at the exact candidate for a member."""
     vs = tuple(Fraction(x) for x in v)
     cand = exact_candidate(vs)
     if residual(vs, cand) == 0:
         return Fraction(0), cand
-    _, lp = _solve_lp(vs)
+    lp = _solve_lp(vs)
     assert lp.status == 0, lp.message
     zeta = [max(_rational(z), Fraction(0)) for z in lp.x[:len(vs)]]
     mass = sum(zeta)
     best_zeta = tuple(z / mass for z in zeta)
     return residual(vs, best_zeta), best_zeta
+
+
+def _solve_square(a, b):
+    """x with a x = b in exact arithmetic, or None when a is singular."""
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    size = len(m)
+    for c in range(size):
+        piv = next((r for r in range(c, size) if m[r][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(size):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [m[r][size] / m[r][r] for r in range(size)]
+
+
+def vertex_optimum(v) -> Fraction:
+    """The exact minimum of `residual(v, .)` over the simplex, by vertex
+    enumeration of the residual LP in (zeta, t): every choice of n of its
+    inequality rows (the signed pair rows and zeta_k >= 0), together with
+    sum zeta = 1, fixes a candidate point, and the minimum is attained at one
+    of them.  C(n^2, n) exact solves, so small n only."""
+    vs = tuple(Fraction(x) for x in v)
+    n = len(vs)
+    zero, one = Fraction(0), Fraction(1)
+    rows = []
+    for i, j in itertools.combinations(range(n), 2):
+        for sign in (1, -1):
+            row = [zero] * n + [-one]
+            row[i], row[j] = sign * vs[j], -sign * vs[i]
+            rows.append(row)
+    rows += [[-one if c == k else zero for c in range(n)] + [zero] for k in range(n)]
+    values = []
+    for active in itertools.combinations(rows, n):
+        x = _solve_square([*active, [one] * n + [zero]], [zero] * n + [one])
+        if x is not None and min(x[:n]) >= 0:
+            values.append(residual(vs, x[:n]))
+    return min(values)

@@ -8,8 +8,11 @@ the goal is the contract (artifacts, determinism, exit codes), not depth.
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,8 +97,23 @@ class TestDeterminism:
         assert code == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["versions"]["package"]
+        assert set(man["versions"]) == {"package", "python", "numpy"}
         assert man["runtime_seconds"] >= 0
         assert man["command"] == "wavecone"
+
+    def test_run_path_loads_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: a fresh interpreter that imports
+        # the CLI and runs the wave-cone suites never loads it
+        argv = ["--out", str(tmp_path / "out"), "wavecone", "--n", "3", "--trials", "20"]
+        code = ("import sys\n"
+                "import subhess.cli\n"
+                f"assert subhess.cli.main({argv!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestValidation:
@@ -164,20 +182,21 @@ class TestValidation:
         args = parser.parse_args(["realize", "--p", "81", "--eps", "1/10"])
         assert cli.config_from_args(args).params["p"] == 81
 
-    @pytest.mark.parametrize("argv, bound", [
-        (["obstacle", "solve", "--n", "2050"], "cap of 2049"),
-        (["obstacle", "selfcheck", "--depth", "1", "--n", "65,2050"], "cap of 2049"),
-        (["wavecone", "--n", "65"], "cap of 64"),
-        (["wavecone", "--n", "3", "--radius", "9"], "cap of 8"),
+    @pytest.mark.parametrize("argv, bound, cost", [
+        (["obstacle", "solve", "--n", "2050"], "cap of 2049", "400 MB"),
+        (["obstacle", "selfcheck", "--depth", "1", "--n", "65,2050"], "cap of 2049", "400 MB"),
+        (["wavecone", "--n", "65"], "cap of 64", "0.3 s"),
+        (["wavecone", "--n", "3", "--radius", "9"], "cap of 8", "4,913"),
     ], ids=["solve-n", "selfcheck-n", "wavecone-n", "lattice-radius"])
-    def test_sizes_above_cap_refused(self, tmp_path, capsys, argv, bound):
-        # refused by the validator, before any grid, LP or lattice is built
+    def test_sizes_above_cap_refused(self, tmp_path, capsys, argv, bound, cost):
+        # refused by the validator, before any grid, LP or lattice is built,
+        # naming what the cap protects
         start = time.perf_counter()
         code, out = run(tmp_path, *argv)
         assert time.perf_counter() - start < 0.5
         assert code == 2
         err = capsys.readouterr().err
-        assert bound in err and ("MB" in err or "4,913" in err)
+        assert bound in err and cost in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

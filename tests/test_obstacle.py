@@ -23,6 +23,7 @@ from subhess.obstacle import (
     square_instance,
     _neighbor_sum,
     _residual_triple,
+    _residual_workspace,
 )
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
@@ -329,8 +330,9 @@ def masked_sweep_solve(instance, omega, tol, max_iter):
     parity = (np.arange(n)[:, None] + np.arange(n)[None, :]) % 2
     colors = (interior & (parity == 0), interior & (parity == 1))
     scratch = np.zeros_like(u)
+    workspace = _residual_workspace(interior)
     iterations = 0
-    triple = _residual_triple(u, phi, interior, scratch)
+    triple = _residual_triple(u, phi, workspace)
     converged = max(triple[0], triple[1], triple[3]) <= tol
     while not converged and iterations < max_iter:
         iterations += 1
@@ -340,14 +342,36 @@ def masked_sweep_solve(instance, omega, tol, max_iter):
             np.maximum(cand, phi, out=cand)
             u[mask] = cand[mask]
         if iterations % 4 == 0 or iterations == max_iter:
-            triple = _residual_triple(u, phi, interior, scratch)
+            triple = _residual_triple(u, phi, workspace)
             converged = max(triple[0], triple[1], triple[3]) <= tol
     if iterations % 4 != 0 and iterations != max_iter:
-        triple = _residual_triple(u, phi, interior, scratch)
+        triple = _residual_triple(u, phi, workspace)
     return u, iterations, triple[:3], triple[3], converged
 
 
+def masked_residual_triple(u, phi, interior):
+    """Reference residual triple: boolean-mask gathers and fresh arrays, in
+    the operation order of `_residual_triple`."""
+    u_i, phi_i = u[interior], phi[interior]
+    s = _neighbor_sum(u, np.zeros_like(u))[interior] - u_i * 4.0
+    slack = np.maximum(u_i - phi_i, 0.0)
+    ell = np.maximum(-s, 0.0)
+    return (max(float(s.max(initial=0.0)), 0.0),
+            max(float((phi_i - u_i).max(initial=0.0)), 0.0),
+            float((slack * ell).max(initial=0.0)),
+            float(np.minimum(slack, ell).max(initial=0.0)))
+
+
 class TestSweepOracle:
+    @pytest.mark.parametrize("inst", [radial_instance(65), square_instance(33, bowl)],
+                             ids=["radial", "bowl"])
+    def test_residual_triple_matches_mask_gathers(self, inst):
+        # the first 25 iterates of a solve, each checked on its last sweep
+        for max_iter in range(1, 26):
+            sol = solve(inst, max_iter=max_iter)
+            want = masked_residual_triple(sol.u, inst.phi, inst.interior)
+            assert (*sol.residuals, sol.complementarity_min) == want, max_iter
+
     @pytest.mark.parametrize("shape", ["square", "disk"])
     @pytest.mark.parametrize("n", [8, 9, 16, 17, 33])
     def test_bit_identical_to_masked_sweeps(self, shape, n):

@@ -2,7 +2,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +18,7 @@ from subhess.wavecone import (
     residual,
 )
 
-from oracles import lp_primal
+from oracles import lp_primal, vertex_optimum
 
 F = Fraction
 
@@ -94,7 +93,7 @@ class TestBruteForce:
         assert not bf.member
 
     @settings(max_examples=40, deadline=None)
-    @given(v=st.lists(rationals, min_size=2, max_size=5))
+    @given(v=st.lists(rationals, min_size=2, max_size=6))
     def test_floor_sound(self, v):
         bf = member_bruteforce(v)
         best_residual, best_zeta = lp_primal(v)
@@ -106,9 +105,14 @@ class TestBruteForce:
         assert residual([F(x) for x in v], best_zeta) == best_residual
         assert sum(best_zeta) == 1 and min(best_zeta) >= 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(v=st.lists(rationals, min_size=2, max_size=3))
+    def test_floor_equals_vertex_optimum(self, v):
+        assert member_bruteforce(v).floor == vertex_optimum(v)
+
     def test_floor_exact_on_acceptance_inputs(self):
-        # the inputs of acceptance criterion 6: there the rationalized duals
-        # certify the exact minimum, not just a positive floor
+        # the inputs of acceptance criterion 6: the exact floor meets the
+        # rationalized float primal of an independent LP solve
         for n in (2, 3):
             rng = random.Random(0)
             vectors = [wavecone._random_vector(rng, n) for _ in range(1000)]
@@ -118,19 +122,61 @@ class TestBruteForce:
                 assert bf.member == member(v)
                 assert bf.floor == lp_primal(v)[0]
 
+    @pytest.mark.parametrize("v", [
+        (F(1, 10**12), F(-1)),
+        (F(1, 10**12), F(-1, 10**12), F(5)),
+        (F(10**9), F(-1), F(1, 3)),
+        (F(1, 7**20), F(-3, 11**15), F(2)),
+    ])
+    def test_wide_magnitudes_certify(self, v):
+        # entries across many orders of magnitude, where float duals cancel
+        bf = member_bruteforce(v)
+        assert not bf.member and bf.floor > 0
+        assert bf.floor == vertex_optimum(v)
+
+    def test_bland_rule_alone_reaches_the_optimum(self, monkeypatch):
+        # no input met so far makes 2(n+1) degenerate pivots in a row; price
+        # by Bland's rule from the first pivot and meet Dantzig's floors
+        rng = random.Random(3)
+        vectors = [wavecone._random_vector(rng, n) for n in (2, 3, 4, 5, 6) for _ in range(40)]
+        vectors += itertools.product(range(-1, 2), repeat=4)
+        dantzig = [member_bruteforce(v).floor for v in vectors]
+        monkeypatch.setattr(wavecone, "_DEGENERATE_RUN", 0)
+        assert [member_bruteforce(v).floor for v in vectors] == dantzig
+
     def test_equal_duals_cannot_certify(self, monkeypatch):
         # planted fault: equal weights on the +pair and -pair rows cancel,
         # so the dual bound is 0 and no verdict may come back
-        solve = wavecone.linprog
+        solve = wavecone._solve_dual
 
-        def flatten_duals(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            res.ineqlin.marginals = np.full_like(res.ineqlin.marginals, -1.0)
-            return res
+        def flatten_duals(vs):
+            y, zeta = solve(vs)
+            return {(i, j, sign): F(1) for i, j, _ in y for sign in (1, -1)}, zeta
 
-        monkeypatch.setattr(wavecone, "linprog", flatten_duals)
-        with pytest.raises(CertificationError):
+        monkeypatch.setattr(wavecone, "_solve_dual", flatten_duals)
+        with pytest.raises(CertificationError, match="dual bound 0"):
             member_bruteforce((F(1), F(-1)))
+
+    @pytest.mark.parametrize("delta", [
+        (F(-1, 10**6), F(1, 10**6), F(0)),
+        (F(2, 10**6), F(-3, 10**6), F(1, 10**6)),
+        (F(0), F(0), F(-1, 10**6)),
+    ], ids=["off-optimum", "negative-entry", "off-simplex"])
+    def test_perturbed_primal_fails_strong_duality(self, monkeypatch, delta):
+        # planted fault: the primal point (1/2, 0, 1/2) moves along the
+        # simplex, off the optimum; or to a point with a negative entry, or
+        # off the plane sum = 1, whose residual still reads the floor 3/2.
+        # Each move fails exactly one of the three checks on the point.
+        solve = wavecone._solve_dual
+
+        def move_primal(vs):
+            y, zeta = solve(vs)
+            assert zeta == (F(1, 2), F(0), F(1, 2))
+            return y, tuple(z + e for z, e in zip(zeta, delta))
+
+        monkeypatch.setattr(wavecone, "_solve_dual", move_primal)
+        with pytest.raises(CertificationError, match="primal point"):
+            member_bruteforce((F(2), F(-3), F(1)))
 
     def test_residual_definition(self):
         v = (F(2), F(-3), F(1))
