@@ -219,6 +219,7 @@ def _prepare_obstacle_solve(p: dict):
 def _validate_obstacle_selfcheck(p: dict):
     _require(p["depth"] >= 1, "staircase depth must be >= 1")
     _require_depth_cap(p["depth"])
+    _require(len(p["n"]) > 0, "the grid size list is empty")
     _require(all(n >= 8 for n in p["n"]), "grid sizes must be >= 8")
     for n in p["n"]:
         _require_grid_cap(n)

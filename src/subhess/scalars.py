@@ -369,11 +369,24 @@ def log2_iv(x: IvLike) -> Iv:
 # -- directed decimal rendering ------------------------------------------------
 
 
+def _int_str(v: int) -> str:
+    """str(v) for any size of v: integers past the interpreter's int -> str
+    digit limit (4,300 digits by default) are split in halves at a power of
+    ten, each half rendered below the limit."""
+    if v < 0:
+        return "-" + _int_str(-v)
+    if v.bit_length() <= 2048:  # at most 617 digits, below any settable limit (640 at least)
+        return str(v)
+    half = v.bit_length() * 3 // 20  # about half of its log10(2) * bits digits
+    hi, lo = divmod(v, 10**half)
+    return _int_str(hi) + _int_str(lo).zfill(half)
+
+
 def _dec(v: int, digits: int) -> str:
     """The integer v / 10^digits as a decimal string with `digits` fractional digits."""
     whole, frac = divmod(abs(v), 10**digits)
-    sign = "-" if v < 0 else ""
-    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+    text = ("-" if v < 0 else "") + _int_str(whole)
+    return f"{text}.{_int_str(frac).zfill(digits)}" if digits else text
 
 
 def dec_floor(f: Fraction, digits: int) -> str:
@@ -393,7 +406,8 @@ def iv_dec(x: IvLike, digits: int = 30) -> tuple[str, str]:
 
 
 def fr_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+    num = _int_str(f.numerator)
+    return f"{num}/{_int_str(f.denominator)}" if f.denominator != 1 else num
 
 
 def dyadic_round(f: Fraction, bits: int) -> Fraction:

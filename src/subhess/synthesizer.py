@@ -44,7 +44,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from subhess.constructions import DoublingParams, StairLevel, staircase_params
+from subhess.constructions import StairLevel, doubling_laminate, staircase_params
 from subhess.laminate import Laminate, SplitNode
 from subhess.scalars import Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, round_out, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
@@ -585,13 +585,9 @@ class PiecewisePotential:
             yield from walk(self.root)
 
     def cell_count(self) -> int:
-        total = len(self.frame_cells)
-        for node in self.nodes():
-            rows = len(node.etas)
-            total += node.mult * 6 * node.n_pairs * rows
-            # hosted cores are replaced by child instances, subtract them
-            total -= len(node.children) * node.mult * 2 * node.n_pairs
-        return total
+        # per node, so that the one cell_classes() walk stays the measurement's
+        return len(self.frame_cells) + sum(cc.count for node in self.nodes()
+                                           for cc in _node_cell_classes(node))
 
     def grad_deviation(self) -> Iv:
         """Certified sup over the domain of |grad u - base affine| (per axis)."""
@@ -728,6 +724,28 @@ def check_compensators(lam: Laminate, eps: Fraction) -> None:
     walk(lam.root)
 
 
+def _build_tree(split: SplitNode, tag: str, level: int, step: int, rw: Fraction, rh: Fraction,
+                weight: Iv, eps_h: Fraction, eps_a: Fraction, dev_cap: Fraction,
+                atoms: dict[str, AtomInfo]) -> PatternNode:
+    """One pattern node per split of the tree under `split`, on a rw x rh
+    rect; returns the root node. Each leaf is recorded in `atoms` as
+    `<tag>.<role>` weighted by `weight` times its path's split fractions, and
+    each child split lives in the core cell of its role, `step` levels
+    deeper under the cap `dev_cap / 2**step`."""
+    node = build_pattern_node(tag=tag, level=level, base=split.matrix, mat_b=split.left.matrix,
+                              mat_c=split.right.matrix, t=split.s, rect_w=rw, rect_h=rh,
+                              eps_h=eps_h, eps_a=eps_a, dev_cap=dev_cap)
+    for role, child, share in (("B", split.left, split.s), ("C", split.right, 1 - split.s)):
+        if child.is_leaf():
+            atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, weight * share)
+            continue
+        child_node = _build_tree(child, f"{tag}.{role}", level + step, step,
+                                 *_core_cell_dims(node, role), weight * share, eps_h, eps_a,
+                                 dev_cap / 2**step, atoms)
+        node.children[role] = ChildLink(child_node, 1, 1)
+    return node
+
+
 def realize_laminate(
     lam: Laminate,
     rect: tuple[Fraction, Fraction, Fraction, Fraction],
@@ -746,35 +764,7 @@ def realize_laminate(
     eps_a = _ramp_fraction(lam, eps)
     total_dev = Fraction(dev_cap) if dev_cap is not None else eps
     atoms: dict[str, AtomInfo] = {}
-
-    def build(split: SplitNode, tag: str, level: int, rw: Fraction, rh: Fraction, weight: Iv) -> PatternNode:
-        node = build_pattern_node(
-            tag=tag,
-            level=level,
-            base=split.matrix,
-            mat_b=split.left.matrix,
-            mat_c=split.right.matrix,
-            t=split.s,
-            rect_w=rw,
-            rect_h=rh,
-            eps_h=eps_h,
-            eps_a=eps_a,
-            dev_cap=total_dev / (2 ** (level + 1)),
-        )
-        for role, child, share in (
-            ("B", split.left, split.s),
-            ("C", split.right, 1 - split.s),
-        ):
-            child_weight = weight * share
-            if child.is_leaf():
-                atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, child_weight)
-                continue
-            crw, crh = _core_cell_dims(node, role)
-            child_node = build(child, f"{tag}.{role}", level + 1, crw, crh, child_weight)
-            node.children[role] = ChildLink(child_node, 1, 1)
-        return node
-
-    root = build(lam.root, "0", 0, w, h, Iv(1))
+    root = _build_tree(lam.root, "0", 0, 1, w, h, Iv(1), eps_h, eps_a, total_dev / 2, atoms)
     _fix_mults(root)
     return PiecewisePotential(
         domain=(x0, y0, w, h),
@@ -817,10 +807,14 @@ class StaircaseResult:
 def staircase_build(levels: int) -> StaircaseResult:
     """Nested realization over the schedule `staircase_params(levels)`.
 
-    Layer j realizes the doubling laminate at (p_j, k_j = 2^(j-1)) inside
-    every current doubling cell, after subdividing those cells to diameter
-    <= eps_j. u = |x|^2/2 outside the inner rectangle Omega_1, whose margin
-    is eps_1 / 4 floored to 30 bits. Raises ValueError when levels < 1.
+    Layer j is `doubling_laminate(p_j, k_j = 2^(j-1))` realized by
+    `_build_tree` at level j, inside every doubled 2k*Id cell of layer j-1
+    after subdividing those cells to diameter <= eps_j. Tags follow the
+    split roles: layer 1's nodes are `s1` and `s1.C`, its atoms `s1.B` and
+    `s1.C.C`, and its doubled cell `s1.C.B` is the root of layer 2 (or, at
+    the last layer, the terminal atom). u = |x|^2/2 outside the inner
+    rectangle Omega_1, whose margin is eps_1 / 4 floored to 30 bits. Raises
+    ValueError when levels < 1.
     """
     schedule = staircase_params(levels)
     m = dyadic_floor_iv(Iv(schedule[0].eps / 4), 30)
@@ -835,57 +829,23 @@ def staircase_build(levels: int) -> StaircaseResult:
     )
 
     atoms: dict[str, AtomInfo] = {}
-    def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, tag: str) -> PatternNode:
-        """Level `idx` (nodes a and b) and every deeper level; returns node a."""
-        lvl = schedule[idx]
-        params = DoublingParams.make(lvl.p, lvl.k)
-        j = lvl.j
-        dev_cap = Fraction(1, 2**j) / 4
-        eps_h = lvl.eps / 2
-        eps_a = lvl.eps / 8
-        node_a = build_pattern_node(
-            tag=f"{tag}.a",
-            level=j,
-            base=params.mat_id,
-            mat_b=params.mat_a,
-            mat_c=params.mat_m,
-            t=params.alpha,
-            rect_w=rw,
-            rect_h=rh,
-            eps_h=eps_h,
-            eps_a=eps_a,
-            dev_cap=dev_cap,
-        )
-        atoms[f"{tag}.a.B"] = AtomInfo(params.mat_a, weight * params.alpha)
-        arw, arh = _core_cell_dims(node_a, "C")
-        w_mid = weight * (1 - params.alpha)
-        node_b = build_pattern_node(
-            tag=f"{tag}.b",
-            level=j,
-            base=params.mat_m,
-            mat_b=params.mat_2id,
-            mat_c=params.mat_b,
-            t=params.beta,
-            rect_w=arw,
-            rect_h=arh,
-            eps_h=eps_h,
-            eps_a=eps_a,
-            dev_cap=dev_cap,
-        )
-        node_a.children["C"] = ChildLink(node_b, 1, 1)
-        atoms[f"{tag}.b.C"] = AtomInfo(params.mat_b, w_mid * (1 - params.beta))
-        w_dbl = w_mid * params.beta
 
-        brw, brh = _core_cell_dims(node_b, "B")
+    def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, tag: str) -> PatternNode:
+        """Level `idx` and every deeper level, each hosted in the doubled
+        2k*Id cell `<tag>.C.B` of the level above; returns the level's root."""
+        lvl = schedule[idx]
+        root = _build_tree(doubling_laminate(lvl.p, lvl.k)[0].root, tag, lvl.j, 0, rw, rh,
+                           weight, lvl.eps / 2, lvl.eps / 8, Fraction(1, 2**lvl.j) / 4, atoms)
         if idx + 1 < len(schedule):
+            dbl = f"{tag}.C.B"
+            host = root.children["C"].node
+            brw, brh = _core_cell_dims(host, "B")
             nxt = schedule[idx + 1]
             nx = max(1, _ceil_div(brw, nxt.eps / 2))
             ny = max(1, _ceil_div(brh, nxt.eps / 2))
-            child = build_layer(idx + 1, brw / nx, brh / ny, w_dbl, f"{tag}.b.B")
-            node_b.children["B"] = ChildLink(child, nx, ny)
-        else:
-            atoms[f"{tag}.b.B"] = AtomInfo(params.mat_2id, w_dbl)
-        return node_a
+            child = build_layer(idx + 1, brw / nx, brh / ny, atoms.pop(dbl).weight, dbl)
+            host.children["B"] = ChildLink(child, nx, ny)
+        return root
 
     root = build_layer(0, inner, inner, Iv(1), "s1")
     _fix_mults(root)

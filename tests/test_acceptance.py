@@ -183,7 +183,7 @@ def test_criterion_5_staircase_divergence():
     ok &= all(lay.grad_step.hi <= F(1, 2**lay.level.j) for lay in r4.layers)
     # (b) nested-region areas inside the two-sided product bounds
     t4 = tally(pot4, ("l1_diag",))
-    (terminal,) = [a for tag, a in t4.atom_areas.items() if tag.endswith(".b.B")]
+    (terminal,) = [a for tag, a in t4.atom_areas.items() if tag.endswith(".C.B")]
     areas = [t4.over(("omega", lay.j)).area for lay in layers] + [terminal]
     ok &= (1 - layers[0].eps) <= areas[0] <= 1
     for idx in range(1, 5):

@@ -19,6 +19,7 @@ import pytest
 
 import subhess.cli as cli
 import subhess.constructions as constructions
+import subhess.synthesizer as synthesizer
 import subhess.verifier as verifier
 from subhess.cli import main
 from subhess.constructions import cascade_moment_table
@@ -211,6 +212,19 @@ class TestValidation:
         assert "level 16 epsilon underflow" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["", ",", None], ids=["empty", "comma", "config"])
+    def test_empty_grid_list_refused(self, tmp_path, capsys, n):
+        # refused by the validator, before the output directory exists
+        if n is None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": []}))
+            code, out = run(tmp_path, "--config", str(cfg), "obstacle", "selfcheck", "--depth", "1")
+        else:
+            code, out = run(tmp_path, "obstacle", "selfcheck", "--depth", "1", "--n", n)
+        assert code == 2
+        assert "grid size list is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_size_caps_in_validators(self):
         parser = cli.build_parser()
 
@@ -293,8 +307,19 @@ class TestRealizeCommand:
         assert fr["rows"] and all(row["ok"] for row in fr["rows"])
 
 
+    # per command: laminate builds, seam walks, nodes() walks (the tally's
+    # class walk and ball_sq read, then cell_count or the staircase's
+    # per-level gradient sum, then the audit), pattern-node builds and
+    # cell_classes() passes
+    WORK = (
+        (["realize", "--p", "3/2", "--eps", "1/20"],
+         {"laminate": 1, "audit": 1, "nodes": 4, "build": 2, "classes": 1}),
+        (["staircase", "--J", "3"],
+         {"laminate": 3, "audit": 1, "nodes": 4, "build": 6, "classes": 1}),
+    )
+
     def test_one_build_and_one_seam_walk(self, tmp_path, monkeypatch):
-        calls = {"laminate": 0, "audit": 0, "nodes": 0}
+        calls = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -302,15 +327,22 @@ class TestRealizeCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "doubling_laminate", counted("laminate", cli.doubling_laminate))
+        # the staircase builds each level's laminate in the synthesizer
+        for module in (cli, synthesizer):
+            monkeypatch.setattr(module, "doubling_laminate",
+                                counted("laminate", module.doubling_laminate))
         monkeypatch.setattr(verifier, "continuity_audit",
                             counted("audit", verifier.continuity_audit))
-        monkeypatch.setattr(PiecewisePotential, "nodes",
-                            counted("nodes", PiecewisePotential.nodes))
-        code, _ = run(tmp_path, "realize", "--p", "3/2", "--eps", "1/20")
-        assert code == 0
-        # nodes(): the tally's class walk and ball_sq read, cell_count, the audit
-        assert calls == {"laminate": 1, "audit": 1, "nodes": 4}
+        monkeypatch.setattr(synthesizer, "build_pattern_node",
+                            counted("build", synthesizer.build_pattern_node))
+        for method, name in (("nodes", "nodes"), ("cell_classes", "classes")):
+            monkeypatch.setattr(PiecewisePotential, method,
+                                counted(name, getattr(PiecewisePotential, method)))
+        for idx, (argv, expected) in enumerate(self.WORK):
+            calls.update(dict.fromkeys(expected, 0))
+            code, _ = run(tmp_path / str(idx), *argv)
+            assert code == 0
+            assert calls == expected, argv
 
 
 class TestStaircaseCommand:
@@ -328,6 +360,21 @@ class TestStaircaseCommand:
         by_name = {r[0]: r for r in report[1:]}
         assert float(by_name["min_trace"][1]) >= 0
 
+
+    def test_exact_endpoints_past_the_int_str_limit(self, tmp_path):
+        # grad_deviation's endpoints run past Python's 4,300-digit int -> str
+        # limit from J = 5 on, and so do the decimals of --digits 5000
+        code, out = run(tmp_path / "stair", "--scalar-mode", "rational", "staircase", "--J", "5")
+        assert code == 0
+        by_name = {r[0]: r for r in read_csv(out / "staircase_report.csv")[1:]}
+        num, den = by_name["grad_deviation"][2].split("/")
+        assert len(num) > 4300 and num.isdigit() and den.isdigit()
+        code, out = run(tmp_path / "digits", "--digits", "5000", "realize", "--p", "3/2",
+                        "--eps", "1/10")
+        assert code == 0
+        by_name = {r[0]: r for r in read_csv(out / "realize_report.csv")[1:]}
+        whole, frac = by_name["hessian_l1_mean"][1].split(".")
+        assert whole.isdigit() and len(frac) == 5000 and frac.isdigit()
 
 class TestWaveconeCommand:
     def test_agreement_and_lattice(self, tmp_path):

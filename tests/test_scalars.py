@@ -1,6 +1,9 @@
 import copy
 import pickle
+import random
+import sys
 from fractions import Fraction
+from math import floor
 
 import mpmath
 import pytest
@@ -15,6 +18,7 @@ from subhess.scalars import (
     dec_floor,
     dyadic_floor_iv,
     dyadic_round,
+    fr_str,
     iv_dec,
     ln_iv,
     log2_iv,
@@ -197,6 +201,25 @@ class TestRendering:
     def test_iv_dec_outward(self):
         lo, hi = iv_dec(Iv(Fraction(1, 3), Fraction(2, 3)), 3)
         assert lo == "0.333" and hi == "0.667"
+
+    def test_past_the_int_str_digit_limit(self):
+        # exact and decimal strings longer than the interpreter's 4,300-digit
+        # int -> str limit render as str() renders them with the limit lifted
+        rng = random.Random(7)
+        ints = [rng.getrandbits(bits) for bits in (2047, 2048, 2049, 14300, 30000, 100000)]
+        ints += [10**5000, 10**5000 - 1, -(3**21000)]
+        f = Fraction(3**21000 + 1, 7**12000)
+        got = [fr_str(Fraction(v)) for v in ints] + [fr_str(f), dec_floor(f, 5000),
+                                                      dec_ceil(-f, 5000)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            scaled = floor(f * 10**5000)
+            dec = f"{scaled // 10**5000}.{scaled % 10**5000:05000d}"
+            expected = [str(v) for v in ints] + [f"{f.numerator}/{f.denominator}", dec, "-" + dec]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == expected
 
 
 class TestDyadics:

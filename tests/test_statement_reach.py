@@ -6,8 +6,9 @@ other four). It has two parts.
 * The driver, `trace()`. In a fresh interpreter it installs a line tracer
   limited to `src/subhess`, imports `subhess`, and then runs `COMMANDS`
   through `cli.main`, each into a directory of its own: the reference and
-  refusal commands, two `--config` cases and one `obstacle solve --obstacle
-  file.csv` case. It then calls the `PERFBENCH_NAMES` functions of
+  refusal commands, one run with decimals longer than the interpreter's
+  int -> str digit limit, two `--config` cases and one `obstacle solve
+  --obstacle file.csv` case. It then calls the `PERFBENCH_NAMES` functions of
   `test_reach.py` on a small cascade, as the `cascade-deep` benchmark
   workload calls them. It returns the executed lines of each module.
 * The classifier, `classify()`, is pure: it takes module sources and
@@ -65,6 +66,8 @@ COMMANDS = (
     (2, ["realize", "--p", "3/2", "--eps", "1/100000000000"]),
     (3, ["realize", "--p", "3/2", "--eps", "1/20", "--budget", "10"]),
     (2, ["obstacle", "solve", "--n", "2050"]),
+    # decimals past the interpreter's 4,300-digit int -> str limit
+    (0, ["--digits", "5000", "laminate", "--p", "3/2", "--m", "1"]),
     # config files, a list for a repeatable flag and for a comma-list flag,
     # and an obstacle read from a file
     (0, ["--config", "{dir}/laminate.json", "laminate"]),

@@ -33,7 +33,7 @@ from subhess.synthesizer import (
 )
 from subhess.verifier import continuity_audit, report_phis, tally
 
-from oracles import contains_iv, eval_all, iter_cells, one_split
+from oracles import contains_iv, eval_all, iter_cells, one_split, tree_atoms
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -604,7 +604,7 @@ class TestStaircase:
         w = pow2(-lay1.level.p)
         assert ratio <= w.hi
         assert ratio >= (1 - lay1.level.eps) * w.lo
-        (terminal,) = [area for tag, area in t.atom_areas.items() if tag.endswith(".b.B")]
+        (terminal,) = [area for tag, area in t.atom_areas.items() if tag.endswith(".C.B")]
         term_ratio = terminal / omega2
         w2 = pow2(-lay2.level.p)
         assert term_ratio <= w2.hi
@@ -659,6 +659,22 @@ class TestStaircase:
         assert deep
         assert {n.tag for d in deep for n in subtree(d)} == {
             n.tag for n in self.POT.nodes() if n.level == 2}
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_atoms_are_the_nested_laminate_leaves(self, levels):
+        # level j's leaves are those of doubling_laminate(p_j, k_j): B, the
+        # doubled 2k*Id cell C.B and C.C, depth first; the doubled leaf of
+        # every level but the last is replaced by the next level
+        expected, tag, weight = {}, "s1", Iv(1)
+        for lvl in staircase_params(levels):
+            a, dbl, b = tree_atoms(doubling_laminate(lvl.p, lvl.k)[0].root)
+            assert dbl.matrix == SymMat2.identity(2 * lvl.k)
+            expected[f"{tag}.B"] = (a.matrix, weight * a.weight)
+            expected[f"{tag}.C.C"] = (b.matrix, weight * b.weight)
+            tag, weight = f"{tag}.C.B", weight * dbl.weight
+        expected[tag] = (dbl.matrix, weight)
+        atoms = staircase_build(levels).potential.atoms
+        assert {t: (info.matrix, info.weight) for t, info in atoms.items()} == expected
 
 
 class TestCompensatorBits:

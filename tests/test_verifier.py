@@ -101,7 +101,7 @@ class TestRegions:
         # cross-check: Omega_j is the union of the level-j pattern rectangles
         rects = {}
         for node in pot.nodes():
-            if node.tag.endswith(".a"):
+            if node.tag == "s1" or node.tag.endswith(".C.B"):  # level roots
                 rects[node.level] = rects.get(node.level, 0) + node.mult * node.rect_w * node.rect_h
         assert (a1, a2) == (rects[1], rects[2])
         assert 0 < a2 < a1 < 1
@@ -205,11 +205,11 @@ class TestFractionsAndAudit:
 
     def test_staircase_terminal_fraction(self):
         rows = area_fractions(STAIR.potential, F(0))
-        terminal = [r for r in rows if r.atom_tag.endswith(".b.B")]
+        terminal = [r for r in rows if r.atom_tag.endswith(".C.B")]
         assert len(terminal) == 1
         # |Omega_{J+1}| summed straight from the classes
         direct = sum(cc.area * cc.count for cc in STAIR.potential.cell_classes()
-                     if cc.kind == "atom" and cc.atom_tag.endswith(".b.B"))
+                     if cc.kind == "atom" and cc.atom_tag.endswith(".C.B"))
         assert terminal[0].area == direct
 
     def test_boundary_report(self):
