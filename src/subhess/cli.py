@@ -359,18 +359,17 @@ def _run_realize(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     p, lam = cfg.params, cfg.inputs
     unit = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
     pot = realize_laminate(lam, unit, p["eps"])
-    cells = pot.cell_count()
-    if p["budget"] is not None and cells > p["budget"]:
-        raise BudgetExceeded(f"{cells} cells exceed the budget {p['budget']}")
-    # the report and the area fractions read one tally
+    # the budget, the report and the area fractions read one tally
     t = tally(pot, report_phis(p["q"]))
+    if p["budget"] is not None and t.cells > p["budget"]:
+        raise BudgetExceeded(f"{t.cells} cells exceed the budget {p['budget']}")
     items = report_items(pot, t, p["q"])
     fr = area_fractions(pot, p["eps"], t=t)
     exact = next(item for item in items if item.name == "boundary_deviation").note == "exact"
     return (EXIT_OK if exact and all(row.ok for row in fr) else EXIT_VERDICT), {
         "laminate.json": laminate_dumps(lam, indent=2) + "\n",
         "realize_report.csv": _csv_text(_report_items_rows(items, cfg.scalar_mode, cfg.digits)),
-        "area_fractions.json": _json_text({"rows": fr, "cell_count": cells}, cfg),
+        "area_fractions.json": _json_text({"rows": fr, "cell_count": t.cells}, cfg),
     }
 
 

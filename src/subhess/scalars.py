@@ -6,10 +6,11 @@ created only where an irrational function enters (2^p, x^q, sqrt, log); those
 enter through outward enclosures and never silently. An exact rational is a
 zero-width interval.
 
-Width also enters through `round_out`, which widens a derived enclosure
-outward to endpoints of `ENCLOSURE_BITS` significant bits (as a binary
-interval library rounds at a fixed precision), so that long sums of boxes do
-not pay for endpoints thousands of bits long. An exact interval is never
+Width also enters through `Dy`, the dyadic enclosure [a, b] * 2^e with
+integer mantissas of `ENCLOSURE_BITS` bits: every derived enclosure that is
+rounded on purpose lives in one and is rounded outward after each operation
+(as a binary interval library rounds at a fixed precision), so that long sums
+of boxes do not pay for endpoints thousands of bits long. An `Iv` is never
 rounded.
 
 Comparisons are certified: `certainly_*` returns True only when the claim
@@ -25,8 +26,8 @@ from typing import Iterable, Union
 
 import mpmath
 
-DEFAULT_PREC = 120  # bits of every mpmath enclosure and of `sqrt_iv`
-ENCLOSURE_BITS = 256  # significant bits of an endpoint `round_out` leaves
+DEFAULT_PREC = 120  # bits of every mpmath enclosure
+ENCLOSURE_BITS = 256  # mantissa bits of every `Dy` endpoint
 
 RationalLike = Union[int, str, Fraction]
 IvLike = Union["Iv", int, str, Fraction]
@@ -52,7 +53,7 @@ class Iv:
     def __init__(self, lo: RationalLike, hi: RationalLike | None = None):
         flo = _fr(lo)
         fhi = flo if hi is None else _fr(hi)
-        if flo > fhi:
+        if fhi is not flo and flo > fhi:
             raise ValueError(f"empty interval: [{flo}, {fhi}]")
         object.__setattr__(self, "lo", flo)
         object.__setattr__(self, "hi", fhi)
@@ -99,16 +100,16 @@ class Iv:
 
     def __add__(self, other: IvLike) -> "Iv":
         o = as_iv(other)
-        return Iv(self.lo + o.lo, self.hi + o.hi)
+        return _ordered(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Iv":
-        return Iv(-self.hi, -self.lo)
+        return _ordered(-self.hi, -self.lo)
 
     def __sub__(self, other: IvLike) -> "Iv":
         o = as_iv(other)
-        return Iv(self.lo - o.hi, self.hi - o.lo)
+        return _ordered(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other: IvLike) -> "Iv":
         return as_iv(other) - self
@@ -123,12 +124,12 @@ class Iv:
         if self.is_exact():
             f = self.lo
             if f >= 0:
-                return Iv(f * o.lo, f * o.hi)
-            return Iv(f * o.hi, f * o.lo)
+                return _ordered(f * o.lo, f * o.hi)
+            return _ordered(f * o.hi, f * o.lo)
         if o.is_exact():
             return o * self
         cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Iv(min(cands), max(cands))
+        return _ordered(min(cands), max(cands))
 
     __rmul__ = __mul__
 
@@ -139,10 +140,10 @@ class Iv:
         if o.is_exact():
             f = o.lo
             if f > 0:
-                return Iv(self.lo / f, self.hi / f)
-            return Iv(self.hi / f, self.lo / f)
+                return _ordered(self.lo / f, self.hi / f)
+            return _ordered(self.hi / f, self.lo / f)
         cands = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Iv(min(cands), max(cands))
+        return _ordered(min(cands), max(cands))
 
     def __rtruediv__(self, other: IvLike) -> "Iv":
         return as_iv(other) / self
@@ -156,7 +157,7 @@ class Iv:
 
     def sq(self) -> "Iv":
         a = abs(self)
-        return Iv(a.lo * a.lo, a.hi * a.hi)
+        return _ordered(a.lo * a.lo, a.hi * a.hi)
 
     def pow_int(self, n: int) -> "Iv":
         """self^n for an integer n >= 0."""
@@ -190,14 +191,14 @@ class Iv:
 
     def neg_part(self) -> "Iv":
         """Range of max(-x, 0) over the interval."""
-        return abs(Iv(min(self.lo, 0), min(self.hi, 0)))
+        return (-self).pos_part()
 
     def pos_part(self) -> "Iv":
         return Iv(max(self.lo, 0), max(self.hi, 0))
 
     def union(self, other: IvLike) -> "Iv":
         o = as_iv(other)
-        return Iv(min(self.lo, o.lo), max(self.hi, o.hi))
+        return _ordered(min(self.lo, o.lo), max(self.hi, o.hi))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Iv, int, Fraction, str)):
@@ -223,57 +224,147 @@ class Iv:
 def as_iv(x: IvLike) -> Iv:
     if isinstance(x, Iv):
         return x
+    if isinstance(x, Dy):
+        return x.iv()
     return Iv(_fr(x))
+
+
+def _ordered(lo: Fraction, hi: Fraction) -> Iv:
+    """[lo, hi] of Fractions that arithmetic orders: long endpoints go uncompared."""
+    v = object.__new__(Iv)
+    object.__setattr__(v, "lo", lo)
+    object.__setattr__(v, "hi", hi)
+    return v
 
 
 ZERO = Iv(0)
 
 
-def _round_endpoint(f: Fraction, up: bool) -> Fraction:
-    """f rounded toward +inf (up) or -inf to a dyadic of at most
-    ENCLOSURE_BITS significant bits; f itself when its numerator and
-    denominator both fit in ENCLOSURE_BITS bits."""
-    n, d = f.numerator, f.denominator
-    nb, db = n.bit_length(), d.bit_length()
-    if nb <= ENCLOSURE_BITS and db <= ENCLOSURE_BITS:
-        return f
-    # 2^(nb-db-1) < |f| < 2^(nb-db+1), so |f| * 2^shift < 2^ENCLOSURE_BITS
-    shift = ENCLOSURE_BITS - 1 - (nb - db)
-    q, r = divmod(n << shift, d) if shift >= 0 else divmod(n, d << -shift)
-    if up and r:
-        q += 1
-    return Fraction(q, 1 << shift) if shift >= 0 else Fraction(q << -shift)
+# -- dyadic enclosures: the rounded counterpart of Iv --------------------------
 
 
-def round_out(x: Iv) -> Iv:
-    """Outward rounding of x to endpoints of ENCLOSURE_BITS significant bits;
-    x itself when it is exact or when no endpoint needs rounding."""
-    if x.lo == x.hi:
-        return x
-    lo, hi = _round_endpoint(x.lo, False), _round_endpoint(x.hi, True)
-    if lo is x.lo and hi is x.hi:
-        return x
-    return Iv(lo, hi)
+def _dyadic(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-# -- integer-sqrt based square roots (directed, exact rational bounds) --------
+def _dy(a: int, b: int, e: int) -> "Dy":
+    """[a, b] * 2^e with both mantissas rounded outward to ENCLOSURE_BITS bits."""
+    k = max(a.bit_length(), b.bit_length()) - ENCLOSURE_BITS
+    if k <= 0:
+        return Dy(a, b, e)
+    a, b = a >> k, -(-b >> k)
+    if max(a.bit_length(), b.bit_length()) > ENCLOSURE_BITS:  # the rounding carried
+        a, b, k = a >> 1, -(-b >> 1), k + 1
+    return Dy(a, b, e + k)
 
 
-def _sqrt_directed(f: Fraction, up: bool) -> Fraction:
-    """sqrt(f) rounded down, or up, to a multiple of 2^-DEFAULT_PREC / f.denominator."""
-    m = (f.numerator * f.denominator) << (2 * DEFAULT_PREC)
-    s = isqrt(m)
-    if up and s * s < m:
-        s += 1
-    return Fraction(s, f.denominator << DEFAULT_PREC)
+class Dy:
+    """The closed interval [a, b] * 2^e, integer mantissas of at most
+    ENCLOSURE_BITS bits: every operation rounds outward with integer shifts
+    and pays no gcd. The endpoints are stored, not a midpoint and radius, as
+    a ramp box is as wide as it is large. `lo` and `hi` read them as
+    Fractions, so a Dy reads like an Iv."""
+
+    __slots__ = ("a", "b", "e")
+
+    def __init__(self, a: int, b: int, e: int):
+        self.a, self.b, self.e = a, b, e
+
+    @staticmethod
+    def of(x: Union["Dy", IvLike]) -> "Dy":
+        """x itself if it is a Dy, else the outward enclosure of the Iv or rational x."""
+        if isinstance(x, Dy):
+            return x
+        if isinstance(x, int):
+            return _dy(x, x, 0)
+        v = as_iv(x)
+        lo = Dy.quot(v.lo.numerator, v.lo.denominator)
+        return lo if v.lo is v.hi else lo.union(Dy.quot(v.hi.numerator, v.hi.denominator))
+
+    @staticmethod
+    def quot(n: int, d: int) -> "Dy":
+        """The outward enclosure of the rational n / d, for d > 0."""
+        e = n.bit_length() - d.bit_length() - ENCLOSURE_BITS
+        q, r = divmod(n << -e, d) if e <= 0 else divmod(n, d << e)
+        return _dy(q, q + (r > 0), e)
+
+    @property
+    def lo(self) -> Fraction:
+        return _dyadic(self.a, self.e)
+
+    @property
+    def hi(self) -> Fraction:
+        return _dyadic(self.b, self.e)
+
+    def iv(self) -> Iv:
+        return _ordered(self.lo, self.hi)
+
+    def __add__(self, other: Union["Dy", IvLike]) -> "Dy":
+        o = Dy.of(other)
+        x, y = (self, o) if self.e <= o.e else (o, self)
+        k = y.e - x.e
+        return _dy(x.a + (y.a << k), x.b + (y.b << k), x.e)
+
+    def __neg__(self) -> "Dy":
+        return Dy(-self.b, -self.a, self.e)
+
+    def __sub__(self, other: Union["Dy", IvLike]) -> "Dy":
+        return self + -Dy.of(other)
+
+    def __mul__(self, other: Union["Dy", IvLike]) -> "Dy":
+        o = Dy.of(other)
+        a, b, c, d = self.a, self.b, o.a, o.b
+        if a >= 0 and c >= 0:
+            return _dy(a * c, b * d, self.e + o.e)
+        cands = (a * c, a * d, b * c, b * d)
+        return _dy(min(cands), max(cands), self.e + o.e)
+
+    __rmul__ = __mul__
+
+    def __abs__(self) -> "Dy":
+        if self.a >= 0:
+            return self
+        if self.b <= 0:
+            return -self
+        return Dy(0, max(-self.a, self.b), self.e)
+
+    def sq(self) -> "Dy":
+        m = abs(self)
+        return _dy(m.a * m.a, m.b * m.b, 2 * m.e)
+
+    def pos_part(self) -> "Dy":
+        return Dy(max(self.a, 0), max(self.b, 0), self.e)
+
+    def neg_part(self) -> "Dy":
+        """Range of max(-x, 0) over the interval."""
+        return Dy(max(-self.b, 0), max(-self.a, 0), self.e)
+
+    def union(self, other: Union["Dy", IvLike]) -> "Dy":
+        o = Dy.of(other)
+        x, y = (self, o) if self.e <= o.e else (o, self)
+        k = y.e - x.e
+        return _dy(min(x.a, y.a << k), max(x.b, y.b << k), x.e)
+
+    def sqrt(self) -> "Dy":
+        """Outward enclosure of sqrt on a nonnegative interval."""
+        if self.a < 0:
+            raise ValueError(f"sqrt of interval with negative part: {self.iv()}")
+        # 2 * ENCLOSURE_BITS bits under an even exponent: each root keeps ENCLOSURE_BITS
+        s = max(0, 2 * ENCLOSURE_BITS - self.b.bit_length())
+        s += (self.e - s) & 1
+        a, b = self.a << s, self.b << s
+        lo, hi = isqrt(a), isqrt(b)
+        return _dy(lo, hi + (hi * hi < b), (self.e - s) // 2)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Dy, Iv)):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
 
 
 def sqrt_iv(x: IvLike) -> Iv:
-    """Outward enclosure of sqrt on a nonnegative interval."""
-    v = as_iv(x)
-    if v.lo < 0:
-        raise ValueError(f"sqrt of interval with negative part: {v}")
-    return Iv(_sqrt_directed(v.lo, False), _sqrt_directed(v.hi, True))
+    """Outward enclosure of sqrt on a nonnegative interval, rounded through a `Dy`."""
+    return Dy.of(x).sqrt().iv()
 
 
 # -- mpmath bridge (the only place width is created from transcendentals) -----
@@ -326,7 +417,7 @@ def rpow(x: IvLike, q: IvLike) -> Iv:
         raise ValueError(f"rpow base must be nonnegative: {xv}")
     if qv.is_exact() and qv.lo.denominator == 1:
         return xv.pow_int(int(qv.lo))
-    if not qv.certainly_gt(0):
+    if not qv.lo > 0:
         raise ValueError(f"rpow exponent must be certainly positive: {qv}")
     if xv.hi == 0:
         return ZERO

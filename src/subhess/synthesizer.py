@@ -29,11 +29,13 @@ Two exactness devices make the symbolic representation certified:
   (bits is SIGMA_BITS, raised for tiny ramp fractions so that compensators
   take at most half the area the ramps take);
 * every numeric claim (Hessian boxes, segment distances, gradient
-  deviations) is an interval computed from exact rational endpoints; each
-  ramp Hessian box is rounded outward once (`round_out`), certified by the
-  build and kept on its node as `PatternNode.ramp_rows`, so every
-  measurement sums the very boxes the build certified. Geometry, areas,
-  seams and closure residuals stay exact.
+  deviations) is an interval that encloses the exact value; each ramp
+  Hessian box is a dyadic enclosure (`Dy`), certified by the build and kept
+  on its node as `PatternNode.ramp_rows`, so every measurement sums the very
+  boxes the build certified. Geometry, areas, seams and closure residuals
+  stay exact. Each node builds its profiles at unit scale and scales them
+  exactly (`_scale_profile`, `_scale_etas`), so its cost does not grow with
+  the bits its geometry gains per level.
 """
 
 from __future__ import annotations
@@ -46,13 +48,14 @@ import numpy as np
 
 from subhess.constructions import StairLevel, doubling_laminate, staircase_params
 from subhess.laminate import Laminate, SplitNode
-from subhess.scalars import Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, round_out, sqrt_iv
+from subhess.scalars import Dy, Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
 
 T_BITS = 80
 SIGMA_BITS = 20  # compensator width sigma = delta / 2^SIGMA_BITS at the least
 
 ZERO = Iv(0)
+DZERO = Dy(0, 0, 0)
 HALF = Fraction(1, 2)
 
 
@@ -83,6 +86,11 @@ class EtaPiece:
     d_rng: Iv
     dd: Fraction
     core: bool = False
+    height: Optional[Fraction] = None  # hi - lo, set from the endpoints when not given
+
+    def __post_init__(self):
+        if self.height is None:
+            object.__setattr__(self, "height", self.hi - self.lo)
 
     def value(self, u: Fraction) -> Fraction:
         return self.c0 + self.c1 * u + self.c2 * u * u
@@ -133,6 +141,15 @@ def _build_etas(perp: Fraction, rho: Fraction) -> tuple[EtaPiece, ...]:
     return pieces
 
 
+def _scale_etas(unit: tuple[EtaPiece, ...], perp: Fraction) -> tuple[EtaPiece, ...]:
+    """The ramp profile across height perp from its build at perp = 1: u
+    scales by perp, eta' by 1 / perp and eta'' by 1 / perp^2, exactly, so
+    the seam identities checked at perp = 1 hold."""
+    p2 = perp * perp
+    return tuple(EtaPiece(e.lo * perp, e.hi * perp, e.c0, e.c1 / perp, e.c2 / p2, e.rng,
+                          e.d_rng / perp, e.dd / p2, e.core, e.height * perp) for e in unit)
+
+
 # -- stripe profile W ----------------------------------------------------------------
 
 
@@ -144,8 +161,9 @@ class StripeClass:
     w2: Iv  # W'' on the stripe
     s0: Iv  # W' at x_lo (every pair starts from the exact state (0, 0))
     v0: Iv  # W  at x_lo
-    slope_rng: Iv
-    value_rng: Iv
+    # ranges of W' and W: exact at delta = 1, rounded (`Dy`) once scaled
+    slope_rng: Iv | Dy
+    value_rng: Iv | Dy
 
 
 def _quad_ranges(v0: Iv, s0: Iv, w2: Iv, width: Fraction) -> tuple[Iv, Iv, Iv, Iv]:
@@ -176,9 +194,13 @@ class _Profile:
     period: Fraction  # 2*delta + 2*sigma
     c1: Iv
     c2: Iv
-    closure_width: Fraction  # certification width of the residual identities
-    w_sup: Iv  # sup |W| over the pattern
-    dw_sup: Iv  # sup |W'|
+    closure: tuple[Fraction, Fraction]  # widths of the W' and W residual identities
+    w_sup: Iv | Dy  # sup |W| over the pattern
+    dw_sup: Iv | Dy  # sup |W'|
+
+    @property
+    def closure_width(self) -> Fraction:  # certification width of the residual identities
+        return max(self.closure)
 
 
 def _build_profile(
@@ -212,7 +234,6 @@ def _build_profile(
     comp2, resid_s, resid_v = _stripe("comp", end + sigma, end + 2 * sigma, c2, s_cur, v_cur)
     if not (resid_s.contains(0) and resid_v.contains(0)):
         raise BuildError("compensator closure identities failed")
-    closure_width = max(resid_s.width, resid_v.width)
     stripes += (comp1, comp2)
 
     w_sup = Iv.hull([abs(s.value_rng) for s in stripes])
@@ -222,10 +243,25 @@ def _build_profile(
         period=2 * delta + 2 * sigma,
         c1=c1,
         c2=c2,
-        closure_width=closure_width,
+        closure=(resid_s.width, resid_v.width),
         w_sup=Iv(0, w_sup.hi),
         dw_sup=Iv(0, dw_sup.hi),
     )
+
+
+def _scale_profile(unit: _Profile, delta: Fraction) -> _Profile:
+    """The profile of half-period delta from its build at delta = 1. The
+    closure identities are scale-invariant: x and W' scale by delta and W by
+    delta^2, exactly, while W'' and the compensator offsets stay. The ranges
+    only ramp boxes read are scaled as rounded enclosures."""
+    d1, delta2 = Dy.of(delta), delta * delta
+    d2 = d1.sq()
+    stripes = tuple(StripeClass(st.role, st.x_lo * delta, st.x_hi * delta, st.w2, st.s0 * delta,
+                                st.v0 * delta2, Dy.of(st.slope_rng) * d1,
+                                Dy.of(st.value_rng) * d2) for st in unit.stripes)
+    w_s, w_v = unit.closure
+    return _Profile(stripes, unit.period * delta, unit.c1, unit.c2, (w_s * delta, w_v * delta2),
+                    Dy.of(unit.w_sup) * d2, Dy.of(unit.dw_sup) * d1)
 
 
 # -- pattern nodes -------------------------------------------------------------------
@@ -254,7 +290,7 @@ class PatternNode:
     profile: _Profile
     ball_sq: Iv  # certified sup over ramp cells of dist^2 to [B, C]
     # per stripe: the (row height, global Hessian box) rows ball_sq certifies
-    ramp_rows: tuple[tuple[tuple[Fraction, tuple[Iv, Iv, Iv]], ...], ...]
+    ramp_rows: tuple[tuple[tuple[Fraction, tuple[Dy, Dy, Dy]], ...], ...]
     grad_dev: Iv  # certified sup |grad psi| of this level alone
     children: dict[str, ChildLink] = field(default_factory=dict)
     mult: int = 1
@@ -283,9 +319,11 @@ def split_dyadic(t: IvLike) -> Fraction:
     return t_hat
 
 
-def _seg_dist_sq_box(b: SymMat2, c: SymMat2, axis: int, h11: Iv, h12: Iv, h22: Iv) -> Iv:
+def _seg_dist_sq_box(b: SymMat2, c: SymMat2, axis: int, h11: Dy | Iv, h12: Dy | Iv,
+                     h22: Dy | Iv) -> Dy | Iv:
     """Worst-case dist^2 from a global Hessian box to the segment [B, C],
-    where B - C is supported on the (axis, axis) entry."""
+    where B - C is supported on the (axis, axis) entry: a `Dy` for a ramp
+    box, exact for a box of Ivs."""
     if axis == 0:
         seg_var, fix_off, fix_perp = b.a11.union(c.a11), b.a12, b.a22
         var, off, perp = h11, h12, h22
@@ -293,10 +331,9 @@ def _seg_dist_sq_box(b: SymMat2, c: SymMat2, axis: int, h11: Iv, h12: Iv, h22: I
         seg_var, fix_off, fix_perp = b.a22.union(c.a22), b.a12, b.a11
         var, off, perp = h22, h12, h11
 
-    def coord(viv: Iv, seg: Iv) -> Iv:
-        below = (seg.lo - viv).pos_part()
-        above = (viv - seg.hi).pos_part()
-        return Iv(0, max(below.hi, above.hi))
+    def coord(viv: Dy | Iv, seg: Iv) -> Dy | Iv:
+        # [0, sup of the distance from a point of viv to the range of seg]
+        return (-viv + seg.lo).union(viv - seg.hi).pos_part().union(ZERO)
 
     d_var = coord(var, seg_var)
     d_off = coord(off, fix_off)
@@ -309,31 +346,31 @@ def _ramp_rows(
     etas: tuple[EtaPiece, ...],
     base: SymMat2,
     axis: int,
-) -> Iterator[tuple[Fraction, tuple[Iv, Iv, Iv]]]:
+) -> Iterator[tuple[Fraction, tuple[Dy, Dy, Dy]]]:
     """(row height, global Hessian box) for every ramp row of one stripe,
-    then for its core row if it is a compensator; each box entry is rounded
-    outward (`round_out`).
+    then for its core row if it is a compensator; each box entry is a `Dy`.
 
     Ramp rows add eta*W'' along the axis, eta'*W' mixed and eta''*W across
     it; a compensator core row (eta = 1) sits within |c_i| of the base.
     """
+    w2 = Dy.of(stripe.w2)
     rows = [
         (
-            eta.hi - eta.lo,
-            eta.rng * stripe.w2,
-            eta.d_rng * stripe.slope_rng,
-            Iv(eta.dd) * stripe.value_rng,
+            eta.height,
+            Dy.of(eta.rng) * w2,
+            Dy.of(eta.d_rng) * stripe.slope_rng,
+            Dy.of(eta.dd) * stripe.value_rng,
         )
         for eta in etas
         if not eta.core
     ]
     if stripe.role == "comp":
         core = next(eta for eta in etas if eta.core)
-        rows.append((core.hi - core.lo, stripe.w2.union(ZERO), ZERO, ZERO))
+        rows.append((core.height, Dy.of(stripe.w2.union(ZERO)), DZERO, DZERO))
+    a11, a12, a22 = (Dy.of(entry) for entry in base.entries())
     for height, h_long2, h_mixed, h_perp2 in rows:
         h11, h22 = (h_long2, h_perp2) if axis == 0 else (h_perp2, h_long2)
-        yield height, (round_out(base.a11 + h11), round_out(base.a12 + h_mixed),
-                       round_out(base.a22 + h22))
+        yield height, (a11 + h11, a12 + h_mixed, a22 + h22)
 
 
 def _sigma_bits(eps_a: Fraction) -> int:
@@ -419,10 +456,10 @@ def build_pattern_node(
     pscale = 2 * (1 + Fraction(1, 1 << bits))
     n_pairs = max(1, _ceil_div(long, delta_cap * pscale))
 
-    etas = _build_etas(perp, rho)
-    delta = long / n_pairs / pscale
-    profile = _build_profile(delta, delta / (1 << bits), t_hat, w2_b, w2_c)
-    _check_compensators(profile, w2_b, w2_c, t_iv, bits)
+    etas = _scale_etas(_build_etas(Fraction(1), eps_a / 2), perp)
+    unit = _build_profile(Fraction(1), Fraction(1, 1 << bits), t_hat, w2_b, w2_c)
+    _check_compensators(unit, w2_b, w2_c, t_iv, bits)
+    profile = _scale_profile(unit, long / n_pairs / pscale)
 
     # ramp-cell certification: every ramp-row Hessian box within eps_h of
     # [B, C]; the only place a box is derived or its segment distance
@@ -436,7 +473,7 @@ def build_pattern_node(
     ))
 
     grad_long = profile.dw_sup
-    grad_perp = Iv(0, Fraction(2) / rho) * profile.w_sup
+    grad_perp = Dy.of(Iv(0, Fraction(2) / rho)) * profile.w_sup
     grad_dev = Iv(
         0, sqrt_iv(grad_long.sq() + grad_perp.sq()).hi
     )  # Euclidean sup bound
@@ -478,22 +515,29 @@ class CellClass:
     and the verifier reads it from the nodes."""
 
     kind: str  # 'atom' | 'ramp' | 'frame'
-    area: Fraction  # of one cell
+    width: Fraction  # of one cell: its area is width * height
+    height: Fraction
     count: int  # across the whole potential
     hess: Optional[SymMat2]  # exact Hessian ('atom'/'frame')
-    h_box: Optional[tuple[Iv, Iv, Iv]]  # global entry enclosures ('ramp')
+    h_box: Optional[tuple[Dy, Dy, Dy]]  # global entry enclosures ('ramp')
     level: int
     atom_tag: Optional[str]  # terminal atom id for fraction accounting
+
+    @property
+    def area(self) -> Fraction:
+        return self.width * self.height
 
 
 def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
     count = node.n_pairs * node.mult
+    core = node.perp - 2 * node.rho
     for stripe, rows in zip(node.profile.stripes, node.ramp_rows):
         w = stripe.x_hi - stripe.x_lo
         for height, box in rows:
             yield CellClass(
                 kind="ramp",
-                area=w * height,
+                width=w,
+                height=height,
                 count=count,
                 hess=None,
                 h_box=box,
@@ -503,7 +547,8 @@ def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
         if stripe.role != "comp" and stripe.role not in node.children:
             yield CellClass(
                 kind="atom",
-                area=w * (node.perp - 2 * node.rho),
+                width=w,
+                height=core,
                 count=count,
                 hess=node.atom_for_role(stripe.role),
                 h_box=None,
@@ -565,7 +610,8 @@ class PiecewisePotential:
             x0, y0, w, h = fc.rect
             yield CellClass(
                 kind="frame",
-                area=w * h,
+                width=w,
+                height=h,
                 count=1,
                 hess=fc.matrix,
                 h_box=None,

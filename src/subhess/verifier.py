@@ -6,11 +6,12 @@ boxes. Results are intervals that provably bracket the true value of the
 functional for the exact piecewise-polynomial function the synthesizer
 defines; nothing here samples or approximates. `tally` makes the one walk
 over the classes and sums each construction level; every measurement below
-reads what it sums. Within a level, each term and running sum of an
-integral is rounded outward to `ENCLOSURE_BITS` significant bits
-(`round_out`), so it still brackets the true value. Exact sums, areas and
-the fold of the levels are not rounded, so the levels add up to the whole
-exactly. The tally itself is the whole domain, and `Tally.over(region)`
+reads what it sums. Within a level, each phi value, each term (the phi
+value times the rounded enclosure of area * count) and each running sum of
+an integral is a dyadic enclosure (`Dy`), rounded outward to
+`ENCLOSURE_BITS` bits, so it still brackets the true value. Areas, the cell
+count and the fold of the levels are exact, so the levels add up to the
+whole exactly. The tally itself is the whole domain, and `Tally.over(region)`
 folds the levels a region selects:
 
 * ("level", j): cells built at construction level j;
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from subhess.laminate import PhiLike, resolve_phi
-from subhess.scalars import Iv, as_iv, round_out, sqrt_iv
+from subhess.scalars import Dy, Iv, as_iv, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import BuildError, PiecewisePotential
 
@@ -47,6 +48,7 @@ class Tally:
     # certified once per node at build time; 0 on a frame-only level
     ball_sq_hi: Fraction
     atom_areas: dict[str, Fraction]  # exact area per terminal atom tag
+    cells: int  # geometric cells, each translate of a class counted
     levels: dict[int, "Tally"] = dataclasses.field(default_factory=dict)  # per level
 
     def mean(self, k: int) -> Iv:
@@ -90,6 +92,7 @@ def _fold(parts: list[Tally]) -> Tally:
         Iv(min(t.min_trace.lo for t in parts), min(t.min_trace.hi for t in parts)),
         max(t.ball_sq_hi for t in parts),
         atom_areas,
+        sum(t.cells for t in parts),
     )
 
 
@@ -97,46 +100,52 @@ class _LevelSums:
     """Running sums of one construction level during the walk."""
 
     def __init__(self, n_phis: int):
-        self.area = Fraction(0)
-        self.total = [ZERO] * n_phis
-        self.exact = [ZERO] * n_phis
+        self.area: dict[int, int] = {}  # exact area, summed as numerators per denominator
+        self.cells = 0
+        self.total = [Dy(0, 0, 0)] * n_phis
+        self.exact = [Dy(0, 0, 0)] * n_phis
         self.trace: Optional[Iv] = None  # min of lo and of hi over the cells
         self.atom_areas: dict[str, Fraction] = {}
 
 
 def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
-    """Certified integrals of each phi(D^2 u), min trace, trail distance and
-    per-atom areas, per construction level and over the whole domain, from
-    one cell_classes() walk. The trail distance is each level's largest
-    node certificate `node.ball_sq`, not re-derived from the classes."""
+    """Certified integrals of each phi(D^2 u), min trace, trail distance,
+    per-atom areas and the cell count, per construction level and over the
+    whole domain, from one cell_classes() walk. The trail distance is each
+    level's largest node certificate `node.ball_sq`, not re-derived from the
+    classes."""
     fns = [resolve_phi(phi) for phi in phis]
     sums: dict[int, _LevelSums] = {}
     for cc in pot.cell_classes():
         s = sums.get(cc.level)
         if s is None:
             s = sums[cc.level] = _LevelSums(len(fns))
-        w = cc.area * cc.count
-        s.area += w
-        h = cc.hess if cc.hess is not None else SymMat2.of(*cc.h_box)
+        n = cc.width.numerator * cc.height.numerator * cc.count  # area * count = n / d
+        d = cc.width.denominator * cc.height.denominator
+        s.area[d] = s.area.get(d, 0) + n
+        s.cells += cc.count
+        w_dy = Dy.quot(n, d) if fns else None
+        h = cc.hess if cc.hess is not None else SymMat2(*cc.h_box)
         for k, fn in enumerate(fns):
             v = fn(h)
-            if v.lo == v.hi == 0:
+            if v == ZERO:
                 continue  # exact zeros add nothing
-            term = round_out(v * w)
-            s.total[k] = round_out(s.total[k] + term)
+            term = Dy.of(v) * w_dy
+            s.total[k] += term
             if cc.hess is not None:
-                s.exact[k] = round_out(s.exact[k] + term)
-        tr = h.trace()
+                s.exact[k] += term
+        tr = as_iv(h.trace())
         s.trace = tr if s.trace is None else Iv(min(s.trace.lo, tr.lo), min(s.trace.hi, tr.hi))
         if cc.kind == "atom" and cc.atom_tag is not None:
-            s.atom_areas[cc.atom_tag] = s.atom_areas.get(cc.atom_tag, Fraction(0)) + w
+            s.atom_areas[cc.atom_tag] = s.atom_areas.get(cc.atom_tag, 0) + cc.area * cc.count
     if not sums:
         raise ValueError("potential has no cells")
     ball_sq_hi = dict.fromkeys(sums, Fraction(0))
     for node in pot.nodes():
         ball_sq_hi[node.level] = max(ball_sq_hi[node.level], node.ball_sq.hi)
-    levels = {lv: Tally(s.area, tuple(s.total), tuple(s.exact), s.trace, ball_sq_hi[lv],
-                        s.atom_areas) for lv, s in sums.items()}
+    levels = {lv: Tally(sum((Fraction(n, d) for d, n in s.area.items()), Fraction(0)),
+                        tuple(v.iv() for v in s.total), tuple(v.iv() for v in s.exact),
+                        s.trace, ball_sq_hi[lv], s.atom_areas, s.cells) for lv, s in sums.items()}
     return dataclasses.replace(_fold(list(levels.values())), levels=levels)
 
 

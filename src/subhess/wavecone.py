@@ -10,13 +10,14 @@ Ann. Math. 184, 2016). `member` decides that in exact arithmetic.
 `member_bruteforce` is the independent oracle: it minimizes the pairwise
 residual max_{i<j} |xi_i^2 v_j - xi_j^2 v_i| over the frequency sphere.
 The residual depends on xi only through zeta = xi^2, and |xi| = 1 makes zeta
-range over the probability simplex, so the search runs in zeta: an exact
+range over the probability simplex, so the search runs in zeta: the
 candidate zeta = |v| / sum|v| pins members at residual zero, and a
 non-member's minimum over the simplex is a small LP, solved exactly at an
 optimal basis (Applegate, Cook, Dash and Espinoza, "Exact solutions to
 linear programming problems", Oper. Res. Lett. 35, 2007). That basis gives
 both a dual bound from below and a primal point that attains it, so the
-floor is the exact minimum, certified from both sides.
+floor is the exact minimum, certified from both sides. Every check runs in
+integers, on v scaled to coprime integers once.
 """
 
 from __future__ import annotations
@@ -46,30 +47,24 @@ def member(v: Iterable) -> bool:
     return all(x >= 0 for x in vs) or all(x <= 0 for x in vs)
 
 
-def residual(v: Vec, zeta: Vec) -> Fraction:
-    """max over pairs of |zeta_i v_j - zeta_j v_i|, exact."""
-    n = len(v)
-    worst = Fraction(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(worst, abs(zeta[i] * v[j] - zeta[j] * v[i]))
-    return worst
-
-
-def exact_candidate(v: Vec) -> tuple[Fraction, ...]:
-    """zeta = |v| / sum|v|; the barycenter when v = 0."""
-    total = sum(abs(x) for x in v)
-    n = len(v)
-    if total == 0:
-        return tuple(Fraction(1, n) for _ in range(n))
-    return tuple(abs(x) / total for x in v)
-
-
 @dataclass(frozen=True)
 class BruteForceResult:
     member: bool
     floor: Fraction  # exact min residual over the whole sphere (0 for members)
     patches: int  # LP solves: 0 for members, 1 for non-members
+
+
+def _over_one_denominator(xs) -> tuple[list[int], int]:
+    """(numerators, d): the rationals xs as numerators / d."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _integers(vs: Vec) -> tuple[list[int], int, int]:
+    """(w, g, den): v = w * g / den with w coprime integers."""
+    w, den = _over_one_denominator(vs)
+    g = math.gcd(*w) or 1
+    return [x // g for x in w], g, den
 
 
 def _solve_dual(vs: Vec) -> tuple[dict[tuple[int, int, int], Fraction], tuple[Fraction, ...]]:
@@ -85,7 +80,8 @@ def _solve_dual(vs: Vec) -> tuple[dict[tuple[int, int, int], Fraction], tuple[Fr
     A revised simplex in integers (Edmonds' integer pivoting).  v is scaled to
     coprime integers, which keeps every basis and its optimality, and B^-1 is
     held as M / d with M integer and d = |det B|, so each pivot's division is
-    exact.  pi is the s-row of B^-1, so a reduced cost is a 3-term dot product.
+    exact, and the ratio test compares by cross-multiplication.  pi is the
+    s-row of B^-1, so a reduced cost is a 3-term dot product.
     The start basis holds s, the first cross pair (v_i v_j < 0) with the sign
     that makes both of its coefficients positive, and the slacks of every row
     but the first of least coefficient: the pivot that brings s in, done in
@@ -101,10 +97,7 @@ def _solve_dual(vs: Vec) -> tuple[dict[tuple[int, int, int], Fraction], tuple[Fr
     # column 2p is pair p's +row, 2p + 1 its -row; the slack of row k is column m + k
     signed = [(i, j, sign) for i, j in pairs for sign in (1, -1)]
     m = len(signed)
-    den = math.lcm(*(x.denominator for x in vs))
-    w = [int(x * den) for x in vs]
-    g = math.gcd(*w)
-    w = [x // g for x in w]
+    w, _, _ = _integers(vs)
 
     i, j = next((i, j) for i, j in pairs if w[i] * w[j] < 0)
     sign = 1 if w[j] > 0 else -1
@@ -141,9 +134,13 @@ def _solve_dual(vs: Vec) -> tuple[dict[tuple[int, int, int], Fraction], tuple[Fr
             alpha = [sign * (r[i] * w[j] - r[j] * w[i]) + r[n] for r in rows]
         else:
             alpha = [-r[col - m] for r in rows]
-        # s is free and never leaves; the dual LP is bounded, so some row limits
-        out = min((pos for pos in range(1, n + 1) if alpha[pos] > 0),
-                  key=lambda pos: (Fraction(rows[pos][n], alpha[pos]), basis[pos]))
+        # s is free and never leaves; the dual LP is bounded, so some row
+        # limits: the least ratio rows[pos][n] / alpha[pos], then the least column
+        out = None
+        for pos in range(1, n + 1):
+            if alpha[pos] > 0 and (out is None or (rows[pos][n] * alpha[out], basis[pos])
+                                   < (rows[out][n] * alpha[pos], basis[out])):
+                out = pos
         degenerate = degenerate + 1 if rows[out][n] == 0 else 0
         pivot, pivot_row = alpha[out], rows[out]
         for pos, r in enumerate(rows):
@@ -167,19 +164,26 @@ def member_bruteforce(v: Iterable) -> BruteForceResult:
     n = len(vs)
     if n < 2:
         raise ValueError("need dimension >= 2")
-    cand = exact_candidate(vs)
-    if residual(vs, cand) == 0:
+    w, g, den = _integers(vs)
+    pairs = list(itertools.combinations(range(n), 2))
+    # the candidate |v| / sum|v| has residual 0 exactly when |w_i| w_j = |w_j| w_i
+    if all(abs(w[i]) * w[j] == abs(w[j]) * w[i] for i, j in pairs):
         return BruteForceResult(True, Fraction(0), 0)
 
     y, zeta = _solve_dual(vs)
-    coef = [Fraction(0)] * n
-    for (i, j, sign), weight in y.items():
-        coef[i] += sign * weight * vs[j]
-        coef[j] -= sign * weight * vs[i]
-    floor = min(coef) / sum(y.values()) if any(y.values()) else Fraction(0)
-    if floor <= 0 or min(y.values()) < 0:
+    weights, d_y = _over_one_denominator(y.values())
+    coef = [0] * n  # d_y * den / g times coef_k(y)
+    for (i, j, sign), weight in zip(y, weights):
+        coef[i] += sign * weight * w[j]
+        coef[j] -= sign * weight * w[i]
+    total = sum(weights)
+    floor = Fraction(min(coef) * g, total * den) if total else Fraction(0)
+    if floor <= 0 or min(weights) < 0:
         raise CertificationError(f"dual bound {floor} does not certify {vs}")
-    if min(zeta) < 0 or sum(zeta) != 1 or residual(vs, zeta) != floor:
+    z, d_z = _over_one_denominator(zeta)
+    # d_z * den / g times the residual of zeta, which must equal the floor
+    worst = max(abs(z[i] * w[j] - z[j] * w[i]) for i, j in pairs)
+    if min(z) < 0 or sum(z) != d_z or worst * total != min(coef) * d_z:
         raise CertificationError(f"primal point {zeta} does not attain the floor {floor} "
                                  f"of {vs}")
     return BruteForceResult(False, floor, 1)

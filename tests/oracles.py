@@ -33,12 +33,15 @@ route of its own, so agreement with the package is evidence, not an echo:
   (`scipy.optimize.linprog`) and rationalizes its primal: an exact residual
   that the exact floor of `member_bruteforce` must not exceed.
   `vertex_optimum` enumerates the vertices of the same LP in `Fraction`s,
-  for n <= 3: the exact minimum that the floor must equal.
+  for n <= 3: the exact minimum that the floor must equal. `residual` and
+  `exact_candidate` evaluate that LP's objective in `Fraction`s, the
+  definition `member_bruteforce` checks in integers.
 
 `one_split` is a test helper, not an oracle: the one-split laminate
 realized by `realize_laminate`. `apply`, `frob`, `contains_iv`, `phi_trace`
 and `phi_frobenius` are matrix and interval helpers and moment functionals
-only tests use.
+only tests use; `round_out` rounds each endpoint of an `Iv` to
+`ENCLOSURE_BITS` significant bits, the reference the tests hold `Dy` to.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from subhess.obstacle import (
     solve,
     square_instance,
 )
-from subhess.scalars import Iv, IvLike, Undecided, as_iv, sqrt_iv
+from subhess.scalars import ENCLOSURE_BITS, Iv, IvLike, Undecided, as_iv, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
 from subhess.synthesizer import (
     BudgetExceeded,
@@ -76,7 +79,6 @@ from subhess.synthesizer import (
     realize_laminate,
 )
 from subhess.verifier import tally
-from subhess.wavecone import exact_candidate, residual
 
 ZERO = Iv(0)
 HALF = Fraction(1, 2)
@@ -85,6 +87,34 @@ DEFAULT_BUDGET = 10**7
 
 
 # -- test helpers ----------------------------------------------------------------------
+
+
+def _round_endpoint(f: Fraction, up: bool) -> Fraction:
+    """f rounded toward +inf (up) or -inf to a dyadic of at most
+    ENCLOSURE_BITS significant bits; f itself when its numerator and
+    denominator both fit in ENCLOSURE_BITS bits."""
+    n, d = f.numerator, f.denominator
+    nb, db = n.bit_length(), d.bit_length()
+    if nb <= ENCLOSURE_BITS and db <= ENCLOSURE_BITS:
+        return f
+    # 2^(nb-db-1) < |f| < 2^(nb-db+1), so |f| * 2^shift < 2^ENCLOSURE_BITS
+    shift = ENCLOSURE_BITS - 1 - (nb - db)
+    q, r = divmod(n << shift, d) if shift >= 0 else divmod(n, d << -shift)
+    if up and r:
+        q += 1
+    return Fraction(q, 1 << shift) if shift >= 0 else Fraction(q << -shift)
+
+
+def round_out(x: Iv) -> Iv:
+    """Outward rounding of x to endpoints of ENCLOSURE_BITS significant bits
+    each; x itself when it is exact or when no endpoint needs rounding. The
+    per-endpoint reference for `Dy`, which shares one exponent."""
+    if x.lo == x.hi:
+        return x
+    lo, hi = _round_endpoint(x.lo, False), _round_endpoint(x.hi, True)
+    if lo is x.lo and hi is x.hi:
+        return x
+    return Iv(lo, hi)
 
 
 def apply(m: SymMat2, x: IvLike, y: IvLike) -> tuple[Iv, Iv]:
@@ -700,6 +730,25 @@ def weights(params: DoublingParams) -> tuple[Iv, Iv, Iv]:
 
 
 # -- the wave-cone residual LP -----------------------------------------------------------
+
+
+def residual(v, zeta) -> Fraction:
+    """max over pairs of |zeta_i v_j - zeta_j v_i|, exact."""
+    n = len(v)
+    worst = Fraction(0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            worst = max(worst, abs(zeta[i] * v[j] - zeta[j] * v[i]))
+    return worst
+
+
+def exact_candidate(v) -> tuple[Fraction, ...]:
+    """zeta = |v| / sum|v|; the barycenter when v = 0."""
+    total = sum(abs(x) for x in v)
+    n = len(v)
+    if total == 0:
+        return tuple(Fraction(1, n) for _ in range(n))
+    return tuple(abs(x) / total for x in v)
 
 # largest denominator kept when rationalizing the LP's float primal
 _MAX_DEN = 10**6

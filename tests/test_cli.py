@@ -308,17 +308,19 @@ class TestRealizeCommand:
 
 
     # per command: laminate builds, seam walks, nodes() walks (the tally's
-    # class walk and ball_sq read, then cell_count or the staircase's
-    # per-level gradient sum, then the audit), pattern-node builds and
-    # cell_classes() passes
+    # class walk and ball_sq read, then the staircase's per-level gradient
+    # sum, then the audit), pattern-node builds and per-node cell-class
+    # enumerations (`_node_cell_classes`): one per node, counted by the
+    # tally's walk alone
     WORK = (
         (["realize", "--p", "3/2", "--eps", "1/20"],
-         {"laminate": 1, "audit": 1, "nodes": 4, "build": 2, "classes": 1}),
+         {"laminate": 1, "audit": 1, "nodes": 3, "build": 2, "classes": 2}),
         (["staircase", "--J", "3"],
-         {"laminate": 3, "audit": 1, "nodes": 4, "build": 6, "classes": 1}),
+         {"laminate": 3, "audit": 1, "nodes": 4, "build": 6, "classes": 6}),
     )
 
-    def test_one_build_and_one_seam_walk(self, tmp_path, monkeypatch):
+    @staticmethod
+    def counted_work(monkeypatch) -> dict:
         calls = {}
 
         def counted(name, fn):
@@ -335,14 +337,29 @@ class TestRealizeCommand:
                             counted("audit", verifier.continuity_audit))
         monkeypatch.setattr(synthesizer, "build_pattern_node",
                             counted("build", synthesizer.build_pattern_node))
-        for method, name in (("nodes", "nodes"), ("cell_classes", "classes")):
-            monkeypatch.setattr(PiecewisePotential, method,
-                                counted(name, getattr(PiecewisePotential, method)))
+        monkeypatch.setattr(synthesizer, "_node_cell_classes",
+                            counted("classes", synthesizer._node_cell_classes))
+        monkeypatch.setattr(PiecewisePotential, "nodes",
+                            counted("nodes", PiecewisePotential.nodes))
+        return calls
+
+    def test_one_build_and_one_seam_walk(self, tmp_path, monkeypatch):
+        calls = self.counted_work(monkeypatch)
         for idx, (argv, expected) in enumerate(self.WORK):
             calls.update(dict.fromkeys(expected, 0))
             code, _ = run(tmp_path / str(idx), *argv)
             assert code == 0
             assert calls == expected, argv
+
+    def test_planted_second_tally_is_counted(self, tmp_path, monkeypatch):
+        calls = self.counted_work(monkeypatch)
+        once = cli.tally
+        monkeypatch.setattr(cli, "tally", lambda *args: (once(*args), once(*args))[1])
+        argv, expected = self.WORK[1]
+        calls.update(dict.fromkeys(expected, 0))
+        code, _ = run(tmp_path, *argv)
+        assert code == 0
+        assert calls["classes"] == 2 * expected["classes"] and calls != expected
 
 
 class TestStaircaseCommand:
@@ -362,13 +379,15 @@ class TestStaircaseCommand:
 
 
     def test_exact_endpoints_past_the_int_str_limit(self, tmp_path):
-        # grad_deviation's endpoints run past Python's 4,300-digit int -> str
-        # limit from J = 5 on, and so do the decimals of --digits 5000
+        # the decimals of --digits 5000 run past Python's 4,300-digit
+        # int -> str limit; exact endpoints render as num/den in full (the
+        # longer ones of tests/test_scalars.py too), grad_deviation's as the
+        # dyadic of its rounded square roots, no longer past the limit
         code, out = run(tmp_path / "stair", "--scalar-mode", "rational", "staircase", "--J", "5")
         assert code == 0
         by_name = {r[0]: r for r in read_csv(out / "staircase_report.csv")[1:]}
         num, den = by_name["grad_deviation"][2].split("/")
-        assert len(num) > 4300 and num.isdigit() and den.isdigit()
+        assert num.isdigit() and den.isdigit() and int(den) & (int(den) - 1) == 0
         code, out = run(tmp_path / "digits", "--digits", "5000", "realize", "--p", "3/2",
                         "--eps", "1/10")
         assert code == 0

@@ -356,7 +356,7 @@ def test_member_scan_names_a_planted_unread_method(tmp_path):
 def test_member_scan_counts_perfbench_and_serialized_reads(tmp_path):
     found = unread_members(perfbench=tmp_path)
     assert [m.split()[1] for m in found] == [
-        "ObstacleInstance.xs", "ObstacleInstance.ys",
+        "ObstacleInstance.xs", "ObstacleInstance.ys", "PiecewisePotential.cell_count",
         "BruteForceResult.floor", "BruteForceResult.patches"]
     found = unread_members(serialized=())
     assert [m.split()[1] for m in found] == ["FractionRow.fraction", "FractionRow.required"]

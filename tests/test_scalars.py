@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from subhess.scalars import (
     ENCLOSURE_BITS,
+    Dy,
     Iv,
     as_iv,
     dec_ceil,
@@ -23,12 +24,11 @@ from subhess.scalars import (
     ln_iv,
     log2_iv,
     pow2,
-    round_out,
     rpow,
     sqrt_iv,
 )
 
-from oracles import contains_iv
+from oracles import contains_iv, round_out
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
 
@@ -286,6 +286,55 @@ class TestRoundOut:
         assert r.lo < lo and hi < r.hi
         assert r.hi - r.lo <= Fraction(1, 2**(ENCLOSURE_BITS - 1))
         assert round_out(Iv(-hi, -lo)) == -r
+
+
+class TestDy:
+    @settings(max_examples=200, deadline=None)
+    @given(long_ivs)
+    def test_of_encloses_at_bounded_bits(self, v):
+        d = Dy.of(v)
+        assert contains_iv(d, v)
+        assert max(d.a.bit_length(), d.b.bit_length()) <= ENCLOSURE_BITS
+        # within two units in the last place of the larger endpoint
+        ulp = max(abs(v.lo), abs(v.hi)) / 2 ** (ENCLOSURE_BITS - 2)
+        assert v.lo - d.lo <= ulp and d.hi - v.hi <= ulp
+
+    def test_rounding_carry_keeps_the_mantissa_bound(self):
+        # -(2^257 - 1) floors to -2^256 at one shift, a 257-bit mantissa
+        n = -(2**257 - 1)
+        d = Dy.quot(n, 1)
+        assert max(d.a.bit_length(), d.b.bit_length()) <= ENCLOSURE_BITS
+        assert d.lo <= n <= d.hi
+
+    def test_exact_dyadics_stay_exact(self):
+        for x in (0, 1, -3, Fraction(5, 8), Fraction(-7, 2**300), Iv(Fraction(1, 4), 2)):
+            assert Dy.of(x) == as_iv(x)
+        assert Dy.of(Fraction(1, 3)) != Iv(Fraction(1, 3))
+        assert Dy.of(1) != None  # noqa: E711 -- not an interval: unequal, no error
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_ivs, long_ivs)
+    def test_operations_enclose_the_exact_result(self, u, v):
+        du, dv = Dy.of(u), Dy.of(v)
+        for got, want in ((du + dv, u + v), (du - dv, u - v), (du * dv, u * v),
+                          (du.sq(), u.sq()), (abs(du), abs(u)), (-du, -u),
+                          (du.neg_part(), u.neg_part()), (du.pos_part(), u.pos_part()),
+                          (du.union(dv), u.union(v)), (-du + 3, 3 - u)):
+            assert contains_iv(got, want)
+            assert max(got.a.bit_length(), got.b.bit_length()) <= ENCLOSURE_BITS
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_fractions(), st.integers(min_value=1, max_value=10**40))
+    def test_quot_encloses(self, f, k):
+        d = Dy.quot(f.numerator * k, f.denominator * k)
+        assert d.lo <= f <= d.hi and d.hi - d.lo <= abs(f) / 2 ** (ENCLOSURE_BITS - 2)
+
+    def test_sqrt_is_dyadic_and_bracketed(self, significant_bits):
+        for f in (Fraction(2), Fraction(10**40 + 1, 3**50), Fraction(1, 10**30)):
+            r = sqrt_iv(f)
+            assert r.lo * r.lo <= f <= r.hi * r.hi
+            assert max(significant_bits(r.lo), significant_bits(r.hi)) <= ENCLOSURE_BITS
+        assert sqrt_iv(4) == Iv(2)
 
 
 def test_as_iv_rejects_float():

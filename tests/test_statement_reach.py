@@ -6,11 +6,11 @@ other four). It has two parts.
 * The driver, `trace()`. In a fresh interpreter it installs a line tracer
   limited to `src/subhess`, imports `subhess`, and then runs `COMMANDS`
   through `cli.main`, each into a directory of its own: the reference and
-  refusal commands, one run with decimals longer than the interpreter's
-  int -> str digit limit, two `--config` cases and one `obstacle solve
-  --obstacle file.csv` case. It then calls the `PERFBENCH_NAMES` functions of
-  `test_reach.py` on a small cascade, as the `cascade-deep` benchmark
-  workload calls them. It returns the executed lines of each module.
+  refusal commands of `commands.ROWS`, among them one run with decimals
+  longer than the interpreter's int -> str digit limit, two `--config` cases
+  and one `obstacle solve --obstacle file.csv` case. It then calls the
+  `PERFBENCH_NAMES` functions of `test_reach.py` on a small cascade, as the
+  `cascade-deep` benchmark workload calls them. It returns the executed lines of each module.
 * The classifier, `classify()`, is pure: it takes module sources and
   executed lines and sorts every statement into reached, exempt or
   unreached. A statement is reached when any line of it fires, its body
@@ -39,48 +39,15 @@ import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+from commands import ROWS, prepare
 from test_reach import PERFBENCH_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subhess"
 
-# (exit status, argv) of each traced `cli.main` run; `{dir}` is a scratch directory
-COMMANDS = (
-    # the reference commands
-    (0, ["realize", "--p", "3/2", "--eps", "1/20", "--q", "3/2", "--q", "13/10"]),
-    (0, ["realize", "--p", "13/10", "--k", "2", "--eps", "1/40", "--q", "6/5"]),
-    (0, ["realize", "--p", "6/5", "--eps", "1/10"]),
-    (0, ["--scalar-mode", "rational", "realize", "--p", "3/2", "--eps", "1/10"]),
-    (0, ["staircase", "--J", "3", "--q", "5/4", "--i", "1"]),
-    (0, ["staircase", "--J", "4"]),
-    (0, ["laminate", "--p", "3/2", "--m", "8", "--q", "3/2"]),
-    (0, ["laminate", "--p", "2", "--m", "3"]),
-    (0, ["obstacle", "solve", "--n", "129"]),
-    (4, ["obstacle", "solve", "--n", "33", "--obstacle", "bowl", "--max-iter", "7"]),
-    (0, ["obstacle", "selfcheck", "--depth", "2", "--n", "33,65"]),
-    (0, ["wavecone", "--n", "3", "--trials", "200"]),
-    # the refusals
-    (2, ["staircase", "--J", "16"]),
-    (2, ["obstacle", "selfcheck", "--depth", "16"]),
-    (2, ["realize", "--p", "10000000", "--eps", "1/10"]),
-    (2, ["realize", "--p", "3/2", "--eps", "1/100000000000"]),
-    (3, ["realize", "--p", "3/2", "--eps", "1/20", "--budget", "10"]),
-    (2, ["obstacle", "solve", "--n", "2050"]),
-    # decimals past the interpreter's 4,300-digit int -> str limit
-    (0, ["--digits", "5000", "laminate", "--p", "3/2", "--m", "1"]),
-    # config files, a list for a repeatable flag and for a comma-list flag,
-    # and an obstacle read from a file
-    (0, ["--config", "{dir}/laminate.json", "laminate"]),
-    (0, ["--config", "{dir}/selfcheck.json", "obstacle", "selfcheck"]),
-    (0, ["obstacle", "solve", "--n", "9", "--obstacle", "{dir}/phi.csv"]),
-)
-
-# the files the last three commands read
-INPUT_FILES = {
-    "laminate.json": '{"p": "3/2", "m": 2, "q": ["1.5"]}\n',
-    "selfcheck.json": '{"depth": 1, "n": [9]}\n',
-    "phi.csv": "".join(",".join(["-1"] * 9) + "\n" for _ in range(9)),
-}
+# (exit status, argv) of each traced `cli.main` run, each from the working
+# directory that holds the files the config and obstacle-file rows read
+COMMANDS = tuple((row.status, list(row.argv)) for row in ROWS)
 
 # functions holding statements no traced run reaches: qualname -> what reaches them
 UNREACHED: dict[str, str] = {
@@ -101,6 +68,12 @@ UNREACHED: dict[str, str] = {
     "scalars.Iv.__reduce__": "pickle and deepcopy of an Iv or of a potential holding them "
                              "(test_pickle_and_deepcopy in tests/test_scalars.py and "
                              "tests/test_synthesizer.py)",
+    "scalars.Iv.__mul__": "a negative exact factor: the exact-rational laminate SIMPLE of "
+                          "tests/test_verifier.py test_continuity_audit_rational_exact",
+    "scalars._dy": "a rounding that carries into a new mantissa bit: tests/test_scalars.py "
+                   "TestDy test_rounding_carry_keeps_the_mantissa_bound",
+    "scalars.Dy.__eq__": "comparing a Dy with a value that is not an interval, such as None "
+                         "(tests/test_scalars.py TestDy test_exact_dyadics_stay_exact)",
     "scalars.Iv.__truediv__": "a negative exact divisor: `realize --p 81`, the largest p "
                               "below T_BITS + 2 (tests/test_cli.py "
                               "test_p_within_t_bits_accepted)",
@@ -115,6 +88,8 @@ UNREACHED: dict[str, str] = {
                           "TestCouldNotCertify) and the refused splits and builds",
     "scalars.rpow": "an integer moment exponent, `laminate --q 2`: acceptance criterion 1 "
                     "and tests/test_laminate.py test_neg_pow",
+    "sym2.SymMat2.of": "a matrix written entry by entry as rationals: the matrices of "
+                       "tests/test_sym2.py and tests/test_synthesizer.py",
     "sym2.rank_one_connected": "a split that is not along one coordinate axis, refused by "
                                "elementary_split and build_pattern_node (tests/test_sym2.py "
                                "TestRankOne, tests/test_synthesizer.py TestErrors)",
@@ -167,10 +142,9 @@ def _drive(work: Path) -> dict[str, list[int]]:
     sys.settrace(on_call)
     import subhess.cli
 
-    for name, text in INPUT_FILES.items():
-        (work / name).write_text(text)
+    prepare(work)
+    os.chdir(work)
     for i, (status, argv) in enumerate(COMMANDS):
-        argv = [a.replace("{dir}", str(work)) for a in argv]
         got = subhess.cli.main(["--out", str(work / f"run{i}"), *argv])
         if got != status:
             raise RuntimeError(f"{' '.join(argv)} exited {got}, not {status}")
@@ -180,6 +154,7 @@ def _drive(work: Path) -> dict[str, list[int]]:
     p = F(13, 10)
     lam = constructions.doubling_cascade(p, 2)[0]
     pot = synthesizer.realize_laminate(lam, unit, F(1, 16), dev_cap=F(1, 2))
+    pot.cell_count()  # perfbench/tracing.py reads it after every build
     verifier.potential_report(pot, q_list=(p,))
     verifier.area_fractions(pot, F(1, 16))
     verifier.hessian_l1(pot)

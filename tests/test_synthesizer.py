@@ -14,7 +14,7 @@ from subhess.constructions import (
     staircase_params,
 )
 from subhess import synthesizer
-from subhess.scalars import ENCLOSURE_BITS, Iv, pow2
+from subhess.scalars import ENCLOSURE_BITS, Iv, as_iv, pow2
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
     BudgetExceeded,
@@ -438,7 +438,7 @@ class TestStoredRampRows:
         pot = TestCompensatedRational.POT
         node = pot.root
         (height, box), *rest = node.ramp_rows[0]
-        point = tuple(Iv(entry.mid) for entry in box)
+        point = tuple(Iv(as_iv(entry).mid) for entry in box)
         assert point != box
         monkeypatch.setattr(node, "ramp_rows",
                             (((height, point), *rest), *node.ramp_rows[1:]))
@@ -458,6 +458,69 @@ class TestStoredRampRows:
                 for v in (*part.integrals, *part.exact_integrals) if not v.is_exact()]
         assert sums
         assert max(significant_bits(e) for v in sums for e in (v.lo, v.hi)) <= ENCLOSURE_BITS
+
+
+class TestScaleFreeProfile:
+    """Each node builds its stripe profile at delta = 1 and scales it."""
+
+    @pytest.fixture(scope="class")
+    def cascade6(self):
+        # the p = 13/10 cascade of length 6 and the arguments of each node's build
+        built = {}
+
+        def recording(**kwargs):
+            node = build_pattern_node(**kwargs)
+            built[node.level] = (node, kwargs)
+            return node
+
+        lam = doubling_cascade(F(13, 10), 6)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesizer, "build_pattern_node", recording)
+            realize_laminate(lam, UNIT, F(1, 16), dev_cap=F(1, 2))
+        return [built[level] for level in sorted(built)]
+
+    def test_cascade_doubles_every_two_levels(self, cascade6):
+        nodes = [node for node, _ in cascade6]
+        assert len(nodes) == 12  # levels 0 to 11, one node each
+        for k in range(len(nodes) - 2):
+            low, high = nodes[k], nodes[k + 2]
+            for mat in ("base", "mat_b", "mat_c"):
+                assert getattr(high, mat) == getattr(low, mat).scale(2), (k, mat)
+            assert (high.profile.c1, high.profile.c2) == (2 * low.profile.c1,
+                                                          2 * low.profile.c2), k
+        assert len({(kw["eps_h"], kw["eps_a"]) for _, kw in cascade6}) == 1
+
+    def test_scaled_profile_is_the_direct_build(self, cascade6):
+        # the exact stripes match a build at the node's own delta; the
+        # rounded ranges enclose that build's exact ranges
+        node, kw = cascade6[-1]
+        delta = node.profile.period / (2 * (1 + F(1, 1 << _sigma_bits(kw["eps_a"]))))
+        _, _, w2_b, w2_c = synthesizer._split_waves(node.mat_b, node.mat_c, kw["t"])
+        direct = synthesizer._build_profile(delta, delta / (1 << _sigma_bits(kw["eps_a"])),
+                                            synthesizer.split_dyadic(kw["t"]), w2_b, w2_c)
+        assert direct.closure_width == node.profile.closure_width
+        for got, want in zip(node.profile.stripes, direct.stripes):
+            assert (got.x_lo, got.x_hi, got.w2, got.s0, got.v0) == (
+                want.x_lo, want.x_hi, want.w2, want.s0, want.v0)
+            assert contains_iv(got.slope_rng, want.slope_rng)
+            assert contains_iv(got.value_rng, want.value_rng)
+
+    def test_deepest_m20_node_stays_near_enclosure_bits(self, significant_bits):
+        # the numerator and denominator bits of each ramp box and ball_sq
+        # endpoint stay within 64 of ENCLOSURE_BITS, and each stripe range
+        # keeps ENCLOSURE_BITS significant bits under a tiny magnitude (the
+        # exact ranges ran to about 6,500 bits here, ball_sq to about 750)
+        node = max(cascade_pot(20).nodes(), key=lambda n: n.level)
+        assert node.level == 39
+        bits = [max(e.numerator.bit_length(), e.denominator.bit_length())
+                for rows in node.ramp_rows for _, box in rows for entry in box
+                for e in (entry.lo, entry.hi)]
+        bits += [max(e.numerator.bit_length(), e.denominator.bit_length())
+                 for e in (node.ball_sq.lo, node.ball_sq.hi)]
+        assert max(bits) <= ENCLOSURE_BITS + 64
+        assert max(significant_bits(e) for st in node.profile.stripes
+                   for rng in (st.slope_rng, st.value_rng)
+                   for e in (rng.lo, rng.hi)) <= ENCLOSURE_BITS
 
 
 class TestIrrationalFraction:

@@ -11,14 +11,12 @@ from subhess.cli import main
 from subhess.wavecone import (
     CertificationError,
     agreement_suite,
-    exact_candidate,
     lattice_suite,
     member,
     member_bruteforce,
-    residual,
 )
 
-from oracles import lp_primal, vertex_optimum
+from oracles import exact_candidate, lp_primal, residual, vertex_optimum
 
 F = Fraction
 
