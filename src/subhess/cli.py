@@ -39,8 +39,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 import subhess
 from subhess.constructions import (
     MAX_LEVELS,
@@ -49,12 +47,6 @@ from subhess.constructions import (
     verify_doubling,
 )
 from subhess.laminate import dumps as laminate_dumps
-from subhess.obstacle import (
-    radial_instance,
-    self_obstacle_suite,
-    solve as obstacle_solve,
-    square_instance,
-)
 from subhess.scalars import Iv, Undecided, fr_str, iv_dec
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
@@ -183,12 +175,16 @@ def _validate_wavecone(p: dict):
              f"(2r+1)^min(n,3) vectors, 4,913 at the cap")
 
 
+# built from the `obstacle` builders `_prepare_obstacle_solve` imports, with numpy
 _OBSTACLE_BUILTINS = {
-    "radial": lambda n: radial_instance(n, pinned=True),
-    "radial-flat": lambda n: radial_instance(n, pinned=False),
-    "cup": lambda n: square_instance(n, lambda X, Y: -0.5 * (X * X + Y * Y)),
-    "bowl": lambda n: square_instance(n, lambda X, Y: 0.5 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)),
-    "harmonic": lambda n: square_instance(n, lambda X, Y: 0 * X - 1e6, lambda X, Y: X * X - Y * Y),
+    "radial": lambda radial_instance, square_instance, n: radial_instance(n, pinned=True),
+    "radial-flat": lambda radial_instance, square_instance, n: radial_instance(n, pinned=False),
+    "cup": lambda radial_instance, square_instance, n: square_instance(
+        n, lambda X, Y: -0.5 * (X * X + Y * Y)),
+    "bowl": lambda radial_instance, square_instance, n: square_instance(
+        n, lambda X, Y: 0.5 * ((X - 0.5) ** 2 + (Y - 0.5) ** 2)),
+    "harmonic": lambda radial_instance, square_instance, n: square_instance(
+        n, lambda X, Y: 0 * X - 1e6, lambda X, Y: X * X - Y * Y),
 }
 
 
@@ -199,9 +195,11 @@ def _prepare_obstacle_solve(p: dict):
     _require(p["omega"] is None or 0 < p["omega"] < 2, "relaxation factor must lie in (0, 2)")
     _require(p["tol"] > 0, "tol must be positive")
     _require(p["max_iter"] >= 1, "max_iter must be positive")
+    import numpy as np
+    from subhess.obstacle import radial_instance, square_instance
     name, n = p["obstacle"], p["n"]
     if name in _OBSTACLE_BUILTINS:
-        return _OBSTACLE_BUILTINS[name](n)
+        return _OBSTACLE_BUILTINS[name](radial_instance, square_instance, n)
     _require(Path(name).is_file(),
              f"obstacle {name!r} is neither builtin {tuple(_OBSTACLE_BUILTINS)} nor a file")
     try:
@@ -311,6 +309,14 @@ def _config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _numpy_version() -> str:
+    """From numpy once an obstacle run loaded it, else from the lighter metadata."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"].__version__
+    import importlib.metadata
+    return importlib.metadata.version("numpy")
+
+
 def _manifest_text(cfg: ExperimentConfig, outputs: dict[str, str], started: float,
                    failure: dict) -> str:
     manifest = {
@@ -322,7 +328,7 @@ def _manifest_text(cfg: ExperimentConfig, outputs: dict[str, str], started: floa
         "versions": {
             "package": subhess.__version__,
             "python": sys.version.split()[0],
-            "numpy": np.__version__,
+            "numpy": _numpy_version(),
         },
         "runtime_seconds": time.perf_counter() - started,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -422,6 +428,8 @@ def _run_wavecone(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
 
 
 def _run_obstacle_solve(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
+    import numpy as np
+    from subhess.obstacle import solve as obstacle_solve
     p, inst = cfg.params, cfg.inputs
     sol = obstacle_solve(inst, p["omega"], tol=p["tol"], max_iter=p["max_iter"])
     grid = io.StringIO()
@@ -449,6 +457,7 @@ def _run_obstacle_solve(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
 
 
 def _run_obstacle_selfcheck(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
+    from subhess.obstacle import self_obstacle_suite
     p = cfg.params
     pot = staircase_build(p["depth"]).potential
     suite = self_obstacle_suite(pot, p["n"], tol=p["tol"])

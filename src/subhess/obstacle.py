@@ -9,14 +9,16 @@ with L_h the 5-point Laplacian and Dirichlet data fixed on the boundary
 layer.  Residuals are reported in stencil units (the raw 5-point sum, i.e.
 h^2 times the Laplacian), so tolerances transfer across grid sizes.
 
-Two node sets are supported: the full square grid, where sampled piecewise
-potentials live, and the grid approximation of the unit disk (active nodes
-strictly inside the circle, with the data imposed on the discrete boundary
-layer).  `self_obstacle_check` negates a certified trace-nonnegative
-potential, uses it as its own obstacle and boundary datum, and measures how
-far the discrete solution moves away from it; for a superharmonic obstacle
-the projected sweeps cannot lift the iterate off the obstacle by more than
-the truncation error, so the distance must vanish like the grid spacing.
+Two node sets: the full square grid, where sampled piecewise potentials
+live, and the grid approximation of the unit disk (active nodes strictly
+inside the circle, data imposed on the discrete boundary layer).  This is the
+package's float side and its only numpy import: `sample_potential` evaluates
+a constructed potential on the square grid in floats, `self_obstacle_check`
+negates a certified trace-nonnegative potential, uses it as its own obstacle
+and boundary datum, and measures how far the discrete solution moves away
+from it; for a superharmonic obstacle the projected sweeps cannot lift the
+iterate off it by more than the truncation error, so the distance must
+vanish like the grid spacing.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-import mpmath
 import numpy as np
 
+from subhess.synthesizer import PatternNode
 from subhess.verifier import tally
 
 GridData = Union[np.ndarray, Callable]
@@ -301,9 +303,9 @@ def solve(instance: ObstacleInstance, omega: Optional[float] = None, tol: float 
 def radial_contact_radius() -> float:
     """Contact radius of the radial obstacle: the harmonic tail -4c^2 log r
     glued C^1 at r = c reaches 0 at r = 1 iff 1 - 2c^2 + 4c^2 log c = 0, whose
-    root in (0, 1) is c = sqrt(-1 / (2 W_{-1}(-1/(2e)))) (Lambert W)."""
-    w = mpmath.lambertw(-1 / (2 * mpmath.e), -1)
-    return math.sqrt(-1 / (2 * float(w.real)))
+    root in (0, 1) is c = sqrt(-1 / (2 W_{-1}(-1/(2e)))) (Lambert W), the
+    double below as evaluated with 53-bit mpmath."""
+    return 0.43206748182527815
 
 
 def radial_profile(r, rstar: float):
@@ -339,14 +341,98 @@ def radial_instance(n: int, pinned: bool = True) -> ObstacleInstance:
 
 
 def sample_potential(pot, n: int, negate: bool = False) -> np.ndarray:
-    """Nodal samples of a piecewise potential on its (square) domain."""
+    """Nodal samples of a piecewise potential on its (square) domain: the
+    pattern-tree descent on float midpoints through the construction's affine
+    handoffs, vectorized over one x-line of the grid at a time."""
     x0, y0, w, h = pot.domain
     if w != h:
         raise ValueError("potential domain is not square")
-    xf, wf = float(x0), float(w)
-    coords = [xf + wf * i / (n - 1) for i in range(n - 1)] + [xf + wf]
-    out = pot.sample(coords, coords)
+    x0, y0, wf = float(x0), float(y0), float(w)
+    xs = [x0 + wf * i / (n - 1) for i in range(n - 1)] + [x0 + wf]
+    a0 = tuple(float(e.mid) for e in pot.base_matrix.entries())
+    tabs = {id(node): _NodeFloats(node) for node in pot.nodes()}
+    ys = np.asarray(xs, dtype=float)
+    out = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        a11, a12, a22 = a0
+        dx, dy = x - x0, ys - y0
+        out[i] = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
+        if pot.root is None:
+            continue
+        ox, oy = float(pot.root_origin[0]), float(pot.root_origin[1])
+        rw, rh = float(pot.root.rect_w), float(pot.root.rect_h)
+        j = np.flatnonzero((ox <= x) & (x <= ox + rw) & (oy <= ys) & (ys <= oy + rh))
+        dx, dy = ox - x0, oy - y0
+        c = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
+        gx, gy = a11 * dx + a12 * dy, a12 * dx + a22 * dy
+        work = [(pot.root, a0, j) + tuple(np.full(len(j), v) for v in (ox, oy, c, gx, gy))]
+        while work:
+            node, (a11, a12, a22), j, ox, oy, c, gx, gy = work.pop()
+            t = tabs[id(node)]
+            lx, ly = x - ox, ys[j] - oy
+            xi, up = (lx, ly) if node.axis == 0 else (ly, lx)
+            w, _, s, cell0 = t.wave(xi)
+            e = np.searchsorted(t.eta_hi, up, "right")
+            hosted = (xi < t.long) & t.core[e] & t.hosted[s]
+            hx, hy = a11 * lx + a12 * ly, a12 * lx + a22 * ly
+            ev = t.c0[e] + t.c1[e] * up + t.c2[e] * up * up
+            val = c + gx * lx + gy * ly + 0.5 * (hx * lx + hy * ly) + ev * w
+            out[i, j[~hosted]] = val[~hosted]
+            for role, link in node.children.items():
+                m = hosted & (t.role[s] == role)
+                if not m.any():
+                    continue
+                # the hosting core subcell, then the affine handoff at its corner
+                sub = (link.sub_nx, link.sub_ny)
+                n_xi, n_up = sub if node.axis == 0 else sub[::-1]
+                sw = t.width[s[m]]
+                i_xi = np.minimum((xi[m] - cell0[m]) / (sw / n_xi), n_xi - 1).astype(int)
+                i_up = np.minimum((up[m] - t.rho) / (t.ch / n_up), n_up - 1).astype(int)
+                sub_xi0 = cell0[m] + (sw / n_xi) * i_xi
+                sub_up0 = t.rho + (t.ch / n_up) * i_up
+                w0, dw0, _, _ = t.wave(sub_xi0)
+                lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
+                dgx, dgy = (dw0, 0.0) if node.axis == 0 else (0.0, dw0)
+                hx, hy = a11 * lx0 + a12 * ly0, a12 * lx0 + a22 * ly0
+                c_sub = c[m] + (gx[m] * lx0 + gy[m] * ly0 + 0.5 * (hx * lx0 + hy * ly0) + w0)
+                work.append((link.node, tabs[id(link.node)].base, j[m], ox[m] + lx0,
+                             oy[m] + ly0, c_sub, gx[m] + (hx + dgx), gy[m] + (hy + dgy)))
     return -out if negate else out
+
+
+class _NodeFloats:
+    """Float tables of one pattern node for `sample_potential`."""
+
+    def __init__(self, node: PatternNode):
+        stripes = node.profile.stripes
+        self.base = tuple(float(e.mid) for e in node.base.entries())
+        self.long, self.rho = float(node.long), float(node.rho)
+        self.ch = float(node.perp) - 2 * self.rho
+        self.period, self.last_pair = float(node.profile.period), float(node.n_pairs - 1)
+        # a point past the last boundary falls in the last stripe or ramp piece
+        self.x_hi = np.array([float(st.x_hi) for st in stripes[:-1]])
+        self.x_lo, self.width, self.w2, self.s0, self.v0 = np.array([
+            (float(st.x_lo), float(st.x_hi - st.x_lo), float(st.w2.mid), float(st.s0.mid),
+             float(st.v0.mid)) for st in stripes
+        ]).T
+        self.role = np.array([st.role for st in stripes])
+        self.hosted = np.array([st.role in node.children for st in stripes])
+        eta_hi = [float(e.hi) for e in node.etas]
+        self.eta_hi = np.array(eta_hi[: eta_hi.index(float(node.perp))])
+        self.c0, self.c1, self.c2 = np.array([(float(e.c0), float(e.c1), float(e.c2))
+                                              for e in node.etas]).T
+        self.core = np.array([e.core for e in node.etas])
+
+    def wave(self, xi: np.ndarray):
+        """(W, W', stripe index, stripe start) at profile coordinates xi."""
+        k = np.minimum(xi // self.period, self.last_pair)
+        xp = xi - self.period * k
+        s = np.searchsorted(self.x_hi, xp, "right")
+        d = xp - self.x_lo[s]
+        w = self.v0[s] + self.s0[s] * d + 0.5 * self.w2[s] * d * d
+        dw = self.s0[s] + self.w2[s] * d
+        beyond = xi >= self.long  # W = W' = 0 past the pattern
+        return np.where(beyond, 0.0, w), np.where(beyond, 0.0, dw), s, self.period * k + self.x_lo[s]
 
 
 def self_obstacle_check(pot, n: int, tol: float = 1e-10) -> dict:

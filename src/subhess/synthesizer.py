@@ -44,8 +44,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-import numpy as np
-
 from subhess.constructions import StairLevel, doubling_laminate, staircase_params
 from subhess.laminate import Laminate, SplitNode
 from subhess.scalars import Dy, Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, sqrt_iv
@@ -321,23 +319,26 @@ def split_dyadic(t: IvLike) -> Fraction:
 
 def _seg_dist_sq_box(b: SymMat2, c: SymMat2, axis: int, h11: Dy | Iv, h12: Dy | Iv,
                      h22: Dy | Iv) -> Dy | Iv:
-    """Worst-case dist^2 from a global Hessian box to the segment [B, C],
-    where B - C is supported on the (axis, axis) entry: a `Dy` for a ramp
-    box, exact for a box of Ivs."""
+    """Worst-case dist^2 from a global Hessian box to the segment [B, C] for
+    any B and C in their enclosures: a `Dy` for a ramp box, exact for Ivs.
+    B - C is supported on the (axis, axis) entry, so the other entries are
+    equal points. With g = min(B.hi, C.hi), G = max(B.lo, C.lo), each such
+    segment contains [g, G] if g <= G, else meets [G, g], measured to its far end."""
     if axis == 0:
-        seg_var, fix_off, fix_perp = b.a11.union(c.a11), b.a12, b.a22
+        seg_b, seg_c, fix_off, fix_perp = b.a11, c.a11, b.a12, b.a22
         var, off, perp = h11, h12, h22
     else:
-        seg_var, fix_off, fix_perp = b.a22.union(c.a22), b.a12, b.a11
+        seg_b, seg_c, fix_off, fix_perp = b.a22, c.a22, b.a12, b.a11
         var, off, perp = h22, h12, h11
 
-    def coord(viv: Dy | Iv, seg: Iv) -> Dy | Iv:
-        # [0, sup of the distance from a point of viv to the range of seg]
-        return (-viv + seg.lo).union(viv - seg.hi).pos_part().union(ZERO)
+    def coord(viv: Dy | Iv, lo: Fraction, hi: Fraction) -> Dy | Iv:
+        # [0, sup over viv of the distance to [lo, hi]], or with lo > hi, of
+        # the distance to the farthest point of [hi, lo]
+        return (-viv + lo).union(viv - hi).pos_part().union(ZERO)
 
-    d_var = coord(var, seg_var)
-    d_off = coord(off, fix_off)
-    d_perp = coord(perp, fix_perp)
+    d_var = coord(var, min(seg_b.hi, seg_c.hi), max(seg_b.lo, seg_c.lo))
+    d_off = coord(off, fix_off.lo, fix_off.hi)
+    d_perp = coord(perp, fix_perp.lo, fix_perp.hi)
     return d_var.sq() + 2 * d_off.sq() + d_perp.sq()
 
 
@@ -579,11 +580,9 @@ class AtomInfo:
 class PiecewisePotential:
     """u on a rectangle, gradient equal to base affine map on the boundary.
 
-    `root` may be None (pure frame). `sample` is the float grid sampler: it
-    descends the pattern tree in O(depth) on float midpoints, vectorized over
-    one grid line at a time, through the affine handoffs of the construction
-    (the exact interval descent that checks it lives with the tests).
-    Measurements aggregate cell classes. The base map is
+    `root` may be None (pure frame). Measurements aggregate cell classes;
+    the float grid sampler lives with its one caller, the obstacle check
+    (`obstacle.sample_potential`). The base map is
     grad u0 = A0 (x - origin) + b0 with u0(origin) = c0.
     """
 
@@ -649,97 +648,6 @@ class PiecewisePotential:
             return ZERO
         return walk(self.root)
 
-    # ---- float sampling -------------------------------------------------------
-
-    def sample(self, xs, ys) -> np.ndarray:
-        """u(xs[i], ys[j]) in floats: the pattern-tree descent on float
-        midpoints, vectorized over one x-line of the grid at a time."""
-        x0, y0 = float(self.domain[0]), float(self.domain[1])
-        a0 = tuple(float(e.mid) for e in self.base_matrix.entries())
-        tabs = {id(n): _NodeFloats(n) for n in self.nodes()}
-        ys = np.asarray(ys, dtype=float)
-        out = np.empty((len(xs), len(ys)))
-        for i, x in enumerate(xs):
-            a11, a12, a22 = a0
-            dx, dy = x - x0, ys - y0
-            out[i] = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
-            if self.root is None:
-                continue
-            ox, oy = float(self.root_origin[0]), float(self.root_origin[1])
-            rw, rh = float(self.root.rect_w), float(self.root.rect_h)
-            j = np.flatnonzero((ox <= x) & (x <= ox + rw) & (oy <= ys) & (ys <= oy + rh))
-            dx, dy = ox - x0, oy - y0
-            c = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
-            gx, gy = a11 * dx + a12 * dy, a12 * dx + a22 * dy
-            work = [(self.root, a0, j) + tuple(np.full(len(j), v) for v in (ox, oy, c, gx, gy))]
-            while work:
-                node, (a11, a12, a22), j, ox, oy, c, gx, gy = work.pop()
-                t = tabs[id(node)]
-                lx, ly = x - ox, ys[j] - oy
-                xi, up = (lx, ly) if node.axis == 0 else (ly, lx)
-                w, _, s, cell0 = t.wave(xi)
-                e = np.searchsorted(t.eta_hi, up, "right")
-                hosted = (xi < t.long) & t.core[e] & t.hosted[s]
-                hx, hy = a11 * lx + a12 * ly, a12 * lx + a22 * ly
-                ev = t.c0[e] + t.c1[e] * up + t.c2[e] * up * up
-                val = c + gx * lx + gy * ly + 0.5 * (hx * lx + hy * ly) + ev * w
-                out[i, j[~hosted]] = val[~hosted]
-                for role, link in node.children.items():
-                    m = hosted & (t.role[s] == role)
-                    if not m.any():
-                        continue
-                    # the hosting core subcell, then the affine handoff at its corner
-                    sub = (link.sub_nx, link.sub_ny)
-                    n_xi, n_up = sub if node.axis == 0 else sub[::-1]
-                    sw = t.width[s[m]]
-                    i_xi = np.minimum((xi[m] - cell0[m]) / (sw / n_xi), n_xi - 1).astype(int)
-                    i_up = np.minimum((up[m] - t.rho) / (t.ch / n_up), n_up - 1).astype(int)
-                    sub_xi0 = cell0[m] + (sw / n_xi) * i_xi
-                    sub_up0 = t.rho + (t.ch / n_up) * i_up
-                    w0, dw0, _, _ = t.wave(sub_xi0)
-                    lx0, ly0 = (sub_xi0, sub_up0) if node.axis == 0 else (sub_up0, sub_xi0)
-                    dgx, dgy = (dw0, 0.0) if node.axis == 0 else (0.0, dw0)
-                    hx, hy = a11 * lx0 + a12 * ly0, a12 * lx0 + a22 * ly0
-                    c_sub = c[m] + (gx[m] * lx0 + gy[m] * ly0 + 0.5 * (hx * lx0 + hy * ly0) + w0)
-                    work.append((link.node, tabs[id(link.node)].base, j[m], ox[m] + lx0,
-                                 oy[m] + ly0, c_sub, gx[m] + (hx + dgx), gy[m] + (hy + dgy)))
-        return out
-
-
-class _NodeFloats:
-    """Float tables of one pattern node for `PiecewisePotential.sample`."""
-
-    def __init__(self, node: PatternNode):
-        stripes = node.profile.stripes
-        self.base = tuple(float(e.mid) for e in node.base.entries())
-        self.long, self.rho = float(node.long), float(node.rho)
-        self.ch = float(node.perp) - 2 * self.rho
-        self.period, self.last_pair = float(node.profile.period), float(node.n_pairs - 1)
-        # a point past the last boundary falls in the last stripe or ramp piece
-        self.x_hi = np.array([float(st.x_hi) for st in stripes[:-1]])
-        self.x_lo, self.width, self.w2, self.s0, self.v0 = np.array([
-            (float(st.x_lo), float(st.x_hi - st.x_lo), float(st.w2.mid), float(st.s0.mid),
-             float(st.v0.mid)) for st in stripes
-        ]).T
-        self.role = np.array([st.role for st in stripes])
-        self.hosted = np.array([st.role in node.children for st in stripes])
-        eta_hi = [float(e.hi) for e in node.etas]
-        self.eta_hi = np.array(eta_hi[: eta_hi.index(float(node.perp))])
-        self.c0, self.c1, self.c2 = np.array([(float(e.c0), float(e.c1), float(e.c2))
-                                              for e in node.etas]).T
-        self.core = np.array([e.core for e in node.etas])
-
-    def wave(self, xi: np.ndarray):
-        """(W, W', stripe index, stripe start) at profile coordinates xi."""
-        k = np.minimum(xi // self.period, self.last_pair)
-        xp = xi - self.period * k
-        s = np.searchsorted(self.x_hi, xp, "right")
-        d = xp - self.x_lo[s]
-        w = self.v0[s] + self.s0[s] * d + 0.5 * self.w2[s] * d * d
-        dw = self.s0[s] + self.w2[s] * d
-        beyond = xi >= self.long  # W = W' = 0 past the pattern
-        return np.where(beyond, 0.0, w), np.where(beyond, 0.0, dw), s, self.period * k + self.x_lo[s]
-
 
 # -- builders ---------------------------------------------------------------------------
 
@@ -771,23 +679,24 @@ def check_compensators(lam: Laminate, eps: Fraction) -> None:
 
 
 def _build_tree(split: SplitNode, tag: str, level: int, step: int, rw: Fraction, rh: Fraction,
-                weight: Iv, eps_h: Fraction, eps_a: Fraction, dev_cap: Fraction,
+                weight: Iv, mult: int, eps_h: Fraction, eps_a: Fraction, dev_cap: Fraction,
                 atoms: dict[str, AtomInfo]) -> PatternNode:
     """One pattern node per split of the tree under `split`, on a rw x rh
-    rect; returns the root node. Each leaf is recorded in `atoms` as
-    `<tag>.<role>` weighted by `weight` times its path's split fractions, and
-    each child split lives in the core cell of its role, `step` levels
-    deeper under the cap `dev_cap / 2**step`."""
+    rect that the potential holds `mult` times; returns the root node. Each
+    leaf is recorded in `atoms` as `<tag>.<role>` weighted by `weight` times
+    its path's split fractions, and each child split lives in the core cells
+    of its role (two a pair), `step` levels deeper under `dev_cap / 2**step`."""
     node = build_pattern_node(tag=tag, level=level, base=split.matrix, mat_b=split.left.matrix,
                               mat_c=split.right.matrix, t=split.s, rect_w=rw, rect_h=rh,
                               eps_h=eps_h, eps_a=eps_a, dev_cap=dev_cap)
+    node.mult = mult
     for role, child, share in (("B", split.left, split.s), ("C", split.right, 1 - split.s)):
         if child.is_leaf():
             atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, weight * share)
             continue
         child_node = _build_tree(child, f"{tag}.{role}", level + step, step,
-                                 *_core_cell_dims(node, role), weight * share, eps_h, eps_a,
-                                 dev_cap / 2**step, atoms)
+                                 *_core_cell_dims(node, role), weight * share,
+                                 mult * 2 * node.n_pairs, eps_h, eps_a, dev_cap / 2**step, atoms)
         node.children[role] = ChildLink(child_node, 1, 1)
     return node
 
@@ -810,8 +719,7 @@ def realize_laminate(
     eps_a = _ramp_fraction(lam, eps)
     total_dev = Fraction(dev_cap) if dev_cap is not None else eps
     atoms: dict[str, AtomInfo] = {}
-    root = _build_tree(lam.root, "0", 0, 1, w, h, Iv(1), eps_h, eps_a, total_dev / 2, atoms)
-    _fix_mults(root)
+    root = _build_tree(lam.root, "0", 0, 1, w, h, Iv(1), 1, eps_h, eps_a, total_dev / 2, atoms)
     return PiecewisePotential(
         domain=(x0, y0, w, h),
         base_matrix=lam.root.matrix,
@@ -827,12 +735,6 @@ def _core_cell_dims(node: PatternNode, role: str) -> tuple[Fraction, Fraction]:
     sw = stripe.x_hi - stripe.x_lo
     ch = node.perp - 2 * node.rho
     return (sw, ch) if node.axis == 0 else (ch, sw)
-
-
-def _fix_mults(node: PatternNode, mult: int = 1):
-    node.mult = mult
-    for link in node.children.values():
-        _fix_mults(link.node, mult * 2 * node.n_pairs * link.sub_nx * link.sub_ny)
 
 
 # -- the staircase ------------------------------------------------------------------------
@@ -876,12 +778,15 @@ def staircase_build(levels: int) -> StaircaseResult:
 
     atoms: dict[str, AtomInfo] = {}
 
-    def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, tag: str) -> PatternNode:
-        """Level `idx` and every deeper level, each hosted in the doubled
-        2k*Id cell `<tag>.C.B` of the level above; returns the level's root."""
+    def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, mult: int,
+                    tag: str) -> PatternNode:
+        """Level `idx`, whose rect the potential holds `mult` times, and every
+        deeper level, each hosted in the doubled 2k*Id cell `<tag>.C.B` of the
+        level above; returns the level's root."""
         lvl = schedule[idx]
         root = _build_tree(doubling_laminate(lvl.p, lvl.k)[0].root, tag, lvl.j, 0, rw, rh,
-                           weight, lvl.eps / 2, lvl.eps / 8, Fraction(1, 2**lvl.j) / 4, atoms)
+                           weight, mult, lvl.eps / 2, lvl.eps / 8, Fraction(1, 2**lvl.j) / 4,
+                           atoms)
         if idx + 1 < len(schedule):
             dbl = f"{tag}.C.B"
             host = root.children["C"].node
@@ -889,12 +794,12 @@ def staircase_build(levels: int) -> StaircaseResult:
             nxt = schedule[idx + 1]
             nx = max(1, _ceil_div(brw, nxt.eps / 2))
             ny = max(1, _ceil_div(brh, nxt.eps / 2))
-            child = build_layer(idx + 1, brw / nx, brh / ny, atoms.pop(dbl).weight, dbl)
+            child = build_layer(idx + 1, brw / nx, brh / ny, atoms.pop(dbl).weight,
+                                host.mult * 2 * host.n_pairs * nx * ny, dbl)
             host.children["B"] = ChildLink(child, nx, ny)
         return root
 
-    root = build_layer(0, inner, inner, Iv(1), "s1")
-    _fix_mults(root)
+    root = build_layer(0, inner, inner, Iv(1), 1, "s1")
 
     pot = PiecewisePotential(
         domain=domain,

@@ -1,10 +1,12 @@
 """The reference commands and the bytes of their report artifacts.
 
-`ROWS` is one table of (argv, exit status, {report file: sha256}). Each row
-runs in a working directory that holds `INPUT_FILES`, with `--out` naming a
-fresh directory inside it; `manifest.json` is not a report (it holds runtimes
-and timestamps), so it is not hashed. A refusal (exit 2) must leave no
-`--out` directory, and a run that raises leaves only its manifest.
+`ROWS` is one table of (argv, exit status, {report file: sha256}), with a
+substring the run must write to stderr where a row names one. Each row runs
+in a working directory that holds `INPUT_FILES`, with `--out` naming a fresh
+directory inside it; `manifest.json` is not a report (it holds runtimes and
+timestamps), so it is not hashed, but it must hash exactly the files beside
+it. A refusal (exit 2) must leave no `--out` directory, and a run that raises
+leaves only its manifest.
 
 Exact-arithmetic artifacts do not depend on the platform. The obstacle rows
 compute in floats (`floats=True`), so their hashes hold for the numpy
@@ -18,7 +20,8 @@ same change and names it in CHANGES.md.
 
 runs every row through a console command (for example the installed
 `subhess` script, or `"python -m subhess.cli"`) in subdirectories of DIR
-and exits 1 on any mismatch, naming the command and the file;
+and exits 1 on any mismatch, naming the command (and the file or the
+missing stderr text);
 `--print` writes the table's rows as computed by the in-process entry point.
 """
 
@@ -38,7 +41,9 @@ NUMPY = "2.4.6"  # the numpy version the `floats` rows were hashed under
 INPUT_FILES = {
     "laminate.json": '{"p": "3/2", "m": 2, "q": ["1.5"]}\n',
     "selfcheck.json": '{"depth": 1, "n": [9]}\n',
+    "wavecone.json": '{"n": 40.0}\n',  # a float where the flag reads an int
     "phi.csv": "".join(",".join(["-1"] * 9) + "\n" for _ in range(9)),
+    "phi3.csv": "0,0,0\n0,0,0\n0,0,0\n",
 }
 
 
@@ -47,6 +52,7 @@ class Row(NamedTuple):
     status: int
     artifacts: dict[str, str]  # report file name -> sha256 of its bytes
     floats: bool = False  # computed in floats: the hashes hold for NUMPY only
+    stderr: str = ""  # a substring the run must write to stderr
 
     @property
     def command(self) -> str:
@@ -78,7 +84,7 @@ ROWS = (
     Row(("--scalar-mode", "rational", "realize", "--p", "3/2", "--eps", "1/10"), 0, {
         "area_fractions.json": "36de14519c02fd586bd764e12012589ef778108461caadc67ee593fe25df9abc",
         "laminate.json": "bf949b7743cdff2a69ce9847bb9930ec14c18fb2b8cb3b5ad5ef21acab1b2d4b",
-        "realize_report.csv": "837d6d20bbd3289a6781817c3ca107b78c7b6079e869e7e2b14b2f7137e46d86",
+        "realize_report.csv": "77e279d453c1c00debd43772319e66c3376b90e1a6e1371b88d06cbcfeef8d6a",
     }),
     Row(("staircase", "--J", "2"), 0, {
         "staircase_levels.csv": "22051ac4c78125f6ff2d0143049ed48e4571eac4440e4e7d92287dabd68f5558",
@@ -123,14 +129,36 @@ ROWS = (
         "wavecone_report.json": "7e3f64696e88f683a95f5011043abccc80e6dc549d9236727afffefcccd95b50",
         "wavecone_summary.csv": "63485120c405682a30eb5926e1ab53015674640d88edf5ca3ad1c222019f8619",
     }),
+    # the wave cone at its dimension cap, one exact LP solve per non-member
+    Row(("wavecone", "--n", "64", "--trials", "1"), 0, {
+        "wavecone_report.json": "2b2f4735449569426fcba45367c1cbb33202a72714ada7f59e9c96a7ef4150d5",
+        "wavecone_summary.csv": "41e892bbccacd8f32b9c286aad897f9740b1f155bb7358bbdd63aa053dfa75a2",
+    }),
+    Row(("staircase", "--J", "3", "--i", "0"), 0, {
+        "staircase_levels.csv": "37cbfd908e30dda90acc0a72734f3c0c309cf14f5e66640bd2e5e560c1a4a6af",
+        "staircase_report.csv": "181980da7b638c58b497c3e106cc51ae202e4cf3e2a55bb0a6a8ede021644a02",
+    }),
+    # compensators narrow with a tiny eps, so its own area gate passes
+    Row(("realize", "--p", "3/2", "--eps", "1/1000000"), 0, {
+        "area_fractions.json": "463c9465bba4b805cd73b35b3dc66e3542f424b692a007cd917489128cbb44c1",
+        "laminate.json": "bf949b7743cdff2a69ce9847bb9930ec14c18fb2b8cb3b5ad5ef21acab1b2d4b",
+        "realize_report.csv": "a0e7a6f8a8ba1d0ce8e38b441d3718e7d82b4fec82eaa54bf1308d66e38b81a6",
+    }),
     # the refusals
-    Row(("staircase", "--J", "16"), 2, {}),
+    Row(("staircase", "--J", "16"), 2, {}, stderr="underflow"),
     Row(("obstacle", "selfcheck", "--depth", "16"), 2, {}),
-    Row(("realize", "--p", "10000000", "--eps", "1/10"), 2, {}),
-    Row(("realize", "--p", "3/2", "--eps", "1/100000000000"), 2, {}),
+    Row(("realize", "--p", "10000000", "--eps", "1/10"), 2, {}, stderr="T_BITS"),
+    Row(("realize", "--p", "3/2", "--eps", "1/100000000000"), 2, {}, stderr="T_BITS"),
     Row(("realize", "--p", "3/2", "--eps", "1/20", "--budget", "10"), 3, {}),
-    Row(("obstacle", "solve", "--n", "2050"), 2, {}),
-    # decimals past the interpreter's 4,300-digit int -> str limit
+    Row(("obstacle", "solve", "--n", "2050"), 2, {}, stderr="cap of 2049"),
+    Row(("obstacle", "selfcheck", "--depth", "1", "--n", ""), 2, {}),
+    Row(("--config", "wavecone.json", "wavecone"), 2, {}),
+    Row(("obstacle", "solve", "--n", "9", "--obstacle", "phi3.csv"), 2, {}, stderr="3x3"),
+    # decimals and exact endpoints past the interpreter's 4,300-digit int -> str limit
+    Row(("--scalar-mode", "rational", "staircase", "--J", "5"), 0, {
+        "staircase_levels.csv": "7d5e559fda9bd262e9a23b1382ef9aa4dfbf4cf91d5d8948ae60d13c6facb388",
+        "staircase_report.csv": "5fa6cc2e90a5aa7208d680bd9ea899e9f05c76b59246b205a923948fc956c408",
+    }),
     Row(("--digits", "5000", "laminate", "--p", "3/2", "--m", "1"), 0, {
         "doubling_report.json": "b9bdcaf47fbf09e64862f91d2c2763adad52f54b328728ece736c80004b46d8a",
         "moment_table.csv": "2df6e43c0fa2a669b76a47a48feab598b9ee017a7f9a9a83e0d45be0706d62f4",
@@ -159,20 +187,25 @@ def digests(out: Path) -> dict[str, str]:
             for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
-def mismatches(row: Row, status: int, out: Path, numpy_version: str) -> list[str]:
-    """What differs between a row and its run into `out`, one line per
-    difference, each naming the command (and the file, for a hash)."""
+def mismatches(row: Row, status: int, err: str, out: Path, numpy_version: str) -> list[str]:
+    """What differs between a row and its run into `out`, which wrote `err`
+    to stderr, one line per difference, each naming the command (and the
+    file, for a hash)."""
     if status != row.status:
         return [f"{row.command}: exit {status}, expected {row.status}"]
+    found = [f"{row.command}: stderr lacks {row.stderr!r}"] if row.stderr not in err else []
     if row.status == 2:
-        return [f"{row.command}: a refusal left {out}"] if out.exists() else []
-    if row.floats and numpy_version != NUMPY:
-        return []
+        return found + ([f"{row.command}: a refusal left {out}"] if out.exists() else [])
     got = digests(out)
-    return [f"{row.command}: {name} has sha256 {got.get(name)}, expected "
-            f"{row.artifacts.get(name)}"
-            for name in sorted(set(got) | set(row.artifacts))
-            if got.get(name) != row.artifacts.get(name)]
+    manifest = out / "manifest.json"
+    if not manifest.is_file() or json.loads(manifest.read_text())["outputs"] != got:
+        found.append(f"{row.command}: manifest.json does not hash exactly the files beside it")
+    if row.floats and numpy_version != NUMPY:
+        return found
+    return found + [f"{row.command}: {name} has sha256 {got.get(name)}, expected "
+                    f"{row.artifacts.get(name)}"
+                    for name in sorted(set(got) | set(row.artifacts))
+                    if got.get(name) != row.artifacts.get(name)]
 
 
 def prepare(work: Path) -> None:
@@ -190,9 +223,9 @@ def _console(argv: list[str]) -> int:
     failed = []
     for i, row in enumerate(ROWS):
         out = root / f"row{i}"
-        status = subprocess.run([*console, "--out", str(out), *row.argv], cwd=root,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-        failed += mismatches(row, status, out, numpy.__version__)
+        proc = subprocess.run([*console, "--out", str(out), *row.argv], cwd=root,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        failed += mismatches(row, proc.returncode, proc.stderr, out, numpy.__version__)
     skipped = sum(row.floats for row in ROWS) if numpy.__version__ != NUMPY else 0
     print("\n".join(failed) or f"{len(ROWS)} rows match ({skipped} float rows not hashed "
                                f"under numpy {numpy.__version__}; pinned at {NUMPY})")
@@ -204,12 +237,15 @@ def _row_text(row: Row) -> str:
     argv = ", ".join(json.dumps(a) for a in row.argv)
     files = "".join(f"\n        {json.dumps(name)}: {json.dumps(digest)},"
                     for name, digest in row.artifacts.items())
-    tail = ", floats=True" if row.floats else ""
+    tail = (", floats=True" if row.floats else "") + (
+        f", stderr={json.dumps(row.stderr)}" if row.stderr else "")
     return f"    Row(({argv}), {row.status}, {{{files}{chr(10) + '    ' if files else ''}}}{tail}),"
 
 
 def _print() -> int:
     """The rows as the in-process entry point computes them today."""
+    import contextlib
+    import io
     import os
     import tempfile
 
@@ -220,7 +256,8 @@ def _print() -> int:
         os.chdir(work)
         for i, row in enumerate(ROWS):
             out = work / f"row{i}"
-            status = subhess.cli.main(["--out", str(out), *row.argv])
+            with contextlib.redirect_stderr(io.StringIO()):
+                status = subhess.cli.main(["--out", str(out), *row.argv])
             print(_row_text(row._replace(status=status, artifacts=digests(out))))
     return 0
 

@@ -6,7 +6,7 @@ route of its own, so agreement with the package is evidence, not an echo:
 
 * `eval_all` is the exact point evaluator: it descends the pattern tree at
   one point in certified intervals, through the same affine handoffs as the
-  construction. The float sampler `PiecewisePotential.sample` and the
+  construction. The float sampler `obstacle.sample_potential` and the
   class-based measurement never call it.
 * `iter_cells` materializes every geometric cell with its polynomial, built
   by Taylor shifts of the node data. The class walk (`cell_classes`) and the
@@ -27,6 +27,10 @@ route of its own, so agreement with the package is evidence, not an echo:
 * `hessian_plus_diagnostics` and `refinement_diagnostics` take float second
   differences of sampled grids; `hessian_negative_mass` is the certified
   value they approach, read from one tally.
+* `trail_dist_sq` is the exact squared distance from the corners of a
+  Hessian box to the segments [B, C] whose ends are corners of the atoms'
+  enclosures, by projection onto each segment; the certified `ball_sq`
+  must dominate it.
 * `l1_limit_constant` and `weights` are closed forms of the doubling
   construction, checked against cascade moments and laminate atoms.
 * `lp_primal` solves the wave-cone residual LP in floats with HiGHS
@@ -706,6 +710,32 @@ def refinement_diagnostics(pot, n_list: Sequence[int] = (65, 129, 257, 513),
         "negative_mass": (float(ref.lo), float(ref.hi)),
         "rows": rows,
     }
+
+
+# -- the trail distance ------------------------------------------------------------------
+
+
+def _seg_dist_sq(x, b, c) -> Fraction:
+    # exact min over s in [0, 1] of |x - (s b + (1 - s) c)|^2, entries
+    # (a11, a12, a22) weighted 1, 2, 1, the norm of the symmetric matrix
+    w = (1, 2, 1)
+    d = [bi - ci for bi, ci in zip(b, c)]
+    r = [xi - ci for xi, ci in zip(x, c)]
+    dd = sum(wi * di * di for wi, di in zip(w, d))
+    s = min(max(sum(wi * ri * di for wi, ri, di in zip(w, r, d)) / dd, 0), 1) if dd else 0
+    return sum(wi * (ri - s * di) ** 2 for wi, ri, di in zip(w, r, d))
+
+
+def trail_dist_sq(b: SymMat2, c: SymMat2, box) -> Fraction:
+    """The largest exact dist^2 from a corner of the Hessian box (a11, a12,
+    a22) to a segment [B, C], B and C taken at the corners of their
+    enclosures. A corner suffices for the box: the distance to a segment is
+    convex in the point."""
+    def corners(entries):
+        return list(itertools.product(*({e.lo, e.hi} for e in entries)))
+
+    return max(_seg_dist_sq(x, pb, pc) for x in corners(box)
+               for pb in corners(b.entries()) for pc in corners(c.entries()))
 
 
 # -- closed forms of the doubling construction -----------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 import subhess.cli as cli
 import subhess.constructions as constructions
+import subhess.obstacle as obstacle
 import subhess.synthesizer as synthesizer
 import subhess.verifier as verifier
 from subhess.cli import main
@@ -102,19 +103,27 @@ class TestDeterminism:
         assert man["runtime_seconds"] >= 0
         assert man["command"] == "wavecone"
 
-    def test_run_path_loads_no_scipy(self, tmp_path):
-        # scipy is a test dependency only: a fresh interpreter that imports
-        # the CLI and runs the wave-cone suites never loads it
-        argv = ["--out", str(tmp_path / "out"), "wavecone", "--n", "3", "--trials", "20"]
+    def test_certified_commands_load_no_numpy_or_scipy(self, tmp_path):
+        # numpy serves the obstacle commands only, scipy the test oracles
+        # only: a fresh interpreter runs the four certified commands without
+        # loading either, and each manifest still names numpy's version
+        runs = [["laminate", "--p", "3/2", "--m", "2"], ["realize", "--p", "3/2", "--eps", "1/10"],
+                ["staircase", "--J", "1"], ["wavecone", "--n", "3", "--trials", "20"]]
+        outs = [str(tmp_path / f"run{i}") for i in range(len(runs))]
         code = ("import sys\n"
                 "import subhess.cli\n"
-                f"assert subhess.cli.main({argv!r}) == 0\n"
-                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+                f"for out, argv in zip({outs!r}, {runs!r}):\n"
+                "    assert subhess.cli.main(['--out', out, *argv]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+                "('numpy', 'scipy')))\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+        for out in outs:
+            man = json.loads((Path(out) / "manifest.json").read_text())
+            assert man["versions"]["numpy"] == np.__version__
 
 
 class TestValidation:
@@ -457,7 +466,7 @@ class TestObstacleCommand:
         def unreadable(*args, **kwargs):
             raise PermissionError("Permission denied")
 
-        monkeypatch.setattr(cli.np, "loadtxt", unreadable)
+        monkeypatch.setattr(np, "loadtxt", unreadable)
         code, out = run(tmp_path, "obstacle", "solve", "--n", "9", "--obstacle", str(path))
         assert code == 2
         assert "cannot read obstacle file" in capsys.readouterr().err
@@ -513,7 +522,7 @@ class TestVerdictGate:
     def test_failed_selfcheck_gate_exits_4(self, tmp_path, monkeypatch):
         fake = {"rows": [{"n": 17, "h": 1 / 16, "sup_dev": 0.5}],
                 "fitted_c": 8.0, "shrinking": False, "suggestion": None}
-        monkeypatch.setattr(cli, "self_obstacle_suite",
+        monkeypatch.setattr(obstacle, "self_obstacle_suite",
                             lambda pot, n_list, tol: fake)
         code, out = run(tmp_path, "obstacle", "selfcheck", "--depth", "1",
                         "--n", "17", "--gate-c", "1.0")
@@ -564,14 +573,15 @@ class TestCouldNotCertify:
                                "residual floor unresolved")
 
 
-# small arguments for each command, and the first library call its runner makes
+# small arguments for each command, and the first library call its runner
+# makes, with the module it is read from when the runner calls it
 SMALL_RUNS = {
-    "laminate": (["laminate", "--p", "3/2"], "doubling_laminate"),
-    "realize": (["realize", "--p", "3/2", "--eps", "1/10"], "realize_laminate"),
-    "staircase": (["staircase", "--J", "1"], "staircase_build"),
-    "wavecone": (["wavecone", "--n", "2", "--trials", "1"], "agreement_suite"),
-    "obstacle-solve": (["obstacle", "solve", "--n", "9"], "obstacle_solve"),
-    "obstacle-selfcheck": (["obstacle", "selfcheck", "--depth", "1", "--n", "9"],
+    "laminate": (["laminate", "--p", "3/2"], cli, "doubling_laminate"),
+    "realize": (["realize", "--p", "3/2", "--eps", "1/10"], cli, "realize_laminate"),
+    "staircase": (["staircase", "--J", "1"], cli, "staircase_build"),
+    "wavecone": (["wavecone", "--n", "2", "--trials", "1"], cli, "agreement_suite"),
+    "obstacle-solve": (["obstacle", "solve", "--n", "9"], obstacle, "solve"),
+    "obstacle-selfcheck": (["obstacle", "selfcheck", "--depth", "1", "--n", "9"], cli,
                            "staircase_build"),
 }
 
@@ -584,12 +594,12 @@ class TestFailedRun:
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_unexpected_exception_exits_5(self, tmp_path, capsys, monkeypatch, command):
-        argv, first_call = SMALL_RUNS[command]
+        argv, owner, first_call = SMALL_RUNS[command]
 
         def planted(*args, **kwargs):
             raise ZeroDivisionError("planted")
 
-        monkeypatch.setattr(cli, first_call, planted)
+        monkeypatch.setattr(owner, first_call, planted)
         code, out = run(tmp_path, *argv)
         assert code == 5
         man = json.loads((out / "manifest.json").read_text())
@@ -627,7 +637,7 @@ class TestFailedRun:
 class TestRunPath:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_runner_touches_no_file(self, tmp_path, command):
-        argv, _ = SMALL_RUNS[command]
+        argv = SMALL_RUNS[command][0]
         never = tmp_path / "never"
         cfg = cli.config_from_args(cli.build_parser().parse_args(["--out", str(never), *argv]))
         status, files = cli._COMMANDS[command].run(cfg)

@@ -1,8 +1,10 @@
 """Obstacle solver: projected relaxation, radial reference, coincidence checks."""
 
 import math
+import sys
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,14 @@ class TestRadialReference:
         assert abs(1.0 - 2.0 * root * root + 4.0 * root * root * math.log(root)) <= 1e-14
         assert root == 0.43206748182527815
         assert abs(root - shoot) <= 1e-10
+
+    def test_contact_radius_is_the_lambert_w_closed_form(self):
+        # the literal is sqrt(-1 / (2 W_{-1}(-1/(2e)))) evaluated at 53 bits
+        with mpmath.workprec(53):
+            w = mpmath.lambertw(-1 / (2 * mpmath.e), -1)
+        c = radial_contact_radius()
+        assert c == math.sqrt(-1 / (2 * float(w.real)))
+        assert abs(1 - 2 * c * c + 4 * c * c * math.log(c)) <= sys.float_info.epsilon
 
     def test_profile_is_c1_at_the_junction(self):
         rs = radial_contact_radius()

@@ -62,6 +62,8 @@ UNREACHED: dict[str, str] = {
     "obstacle.radial_instance": "`obstacle solve --obstacle radial-flat`, the unpinned "
                                 "radial datum (tests/test_obstacle.py "
                                 "test_superharmonic_verdict_and_feasibility)",
+    "obstacle.sample_potential": "the frame-only potential (root=None), a reference input "
+                                 "of tests/test_obstacle.py",
     "obstacle.self_obstacle_suite": "a deviation column that grows under refinement, "
                                     "planted in tests/test_obstacle.py "
                                     "test_growing_deviation_gets_a_suggestion",
@@ -99,8 +101,6 @@ UNREACHED: dict[str, str] = {
     "synthesizer.PiecewisePotential.grad_deviation": "the frame-only potential (root=None), "
                                                      "a reference input of "
                                                      "tests/test_obstacle.py",
-    "synthesizer.PiecewisePotential.sample": "the frame-only potential (root=None), a "
-                                             "reference input of tests/test_obstacle.py",
     "verifier.continuity_audit": "seams that close exactly, from an exact-rational laminate "
                                  "(SIMPLE in tests/test_verifier.py), and an inexact child "
                                  "handoff (test_continuity_audit_interval_handoff)",

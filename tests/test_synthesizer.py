@@ -14,7 +14,7 @@ from subhess.constructions import (
     staircase_params,
 )
 from subhess import synthesizer
-from subhess.scalars import ENCLOSURE_BITS, Iv, as_iv, pow2
+from subhess.scalars import ENCLOSURE_BITS, Dy, Iv, as_iv, pow2
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
     BudgetExceeded,
@@ -33,7 +33,7 @@ from subhess.synthesizer import (
 )
 from subhess.verifier import continuity_audit, report_phis, tally
 
-from oracles import contains_iv, eval_all, iter_cells, one_split, tree_atoms
+from oracles import contains_iv, eval_all, iter_cells, one_split, trail_dist_sq, tree_atoms
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -521,6 +521,40 @@ class TestScaleFreeProfile:
         assert max(significant_bits(e) for st in node.profile.stripes
                    for rng in (st.slope_rng, st.value_rng)
                    for e in (rng.lo, rng.hi)) <= ENCLOSURE_BITS
+
+
+class TestTrailBound:
+    """The trail certificate holds for every B and C in their enclosures."""
+
+    def test_m20_rows_dominate_the_oracle(self):
+        # 160 of the 1,040 ramp rows of this cascade fail under the hull of
+        # B's and C's enclosures, which measured to their range and not to
+        # the smallest admissible segment
+        for node in cascade_pot(20).nodes():
+            for rows in node.ramp_rows:
+                for _, box in rows:
+                    exact = trail_dist_sq(node.mat_b, node.mat_c, box)
+                    bound = _seg_dist_sq_box(node.mat_b, node.mat_c, node.axis, *box).hi
+                    assert exact <= bound <= node.ball_sq.hi, node.tag
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_planted_wide_enclosure(self, axis):
+        w = F(1, 2**20)
+
+        def along(v):
+            return SymMat2.diag(v, 1) if axis == 0 else SymMat2.diag(1, v)
+
+        b, c = along(Iv(2 - w, 2 + w)), along(Iv(-1))
+        box = tuple(Dy.of(e) for e in along(Iv(2 + w)).entries())
+        # the box meets the hull [-1, 2 + w], but B = 2 - w puts it 2w away
+        exact = trail_dist_sq(b, c, box)
+        assert exact == (2 * w) ** 2
+        for ends in ((b, c), (c, b)):
+            assert _seg_dist_sq_box(*ends, axis, *box).hi >= exact
+        # overlapping enclosures: no order is certain
+        b, c = along(Iv(-w, w)), along(Iv(0, 2 * w))
+        box = tuple(Dy.of(e) for e in along(Iv(0)).entries())
+        assert 0 < trail_dist_sq(b, c, box) <= _seg_dist_sq_box(b, c, axis, *box).hi
 
 
 class TestIrrationalFraction:
