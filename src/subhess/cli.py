@@ -32,6 +32,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 import traceback
@@ -193,7 +194,7 @@ def _prepare_obstacle_solve(p: dict):
     _require(p["n"] >= 8, "grid size must be >= 8")
     _require_grid_cap(p["n"])
     _require(p["omega"] is None or 0 < p["omega"] < 2, "relaxation factor must lie in (0, 2)")
-    _require(p["tol"] > 0, "tol must be positive")
+    _require(math.isfinite(p["tol"]) and p["tol"] > 0, "tol must be finite and positive")
     _require(p["max_iter"] >= 1, "max_iter must be positive")
     import numpy as np
     from subhess.obstacle import radial_instance, square_instance
@@ -221,8 +222,10 @@ def _validate_obstacle_selfcheck(p: dict):
     _require(all(n >= 8 for n in p["n"]), "grid sizes must be >= 8")
     for n in p["n"]:
         _require_grid_cap(n)
-    _require(p["tol"] > 0, "tol must be positive")
-    _require(p["gate_c"] >= 0, "gate constant must be nonnegative")
+    # a gate that compares against inf passes vacuously
+    _require(math.isfinite(p["tol"]) and p["tol"] > 0, "tol must be finite and positive")
+    _require(math.isfinite(p["gate_c"]) and p["gate_c"] >= 0,
+             "gate constant must be finite and nonnegative")
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def verify_doubling(
     }
 
     c_val = l1_growth_constant(params)
-    measured = moment(lam, "l1_diag") / k
+    measured = moment(lam, phi_l1_diag) / k
     report["l1_moment"] = {
         "ok": c_val.certainly_gt(2)
         and (measured - c_val).contains(0)
@@ -195,7 +195,7 @@ def verify_doubling(
 
     def neg_item(i: int, qv: Iv) -> dict:
         c = neg_moment_constant(params, qv, i)
-        measured = moment(lam, ("neg_pow", i, qv)) / rpow(k, qv)
+        measured = moment(lam, phi_neg_pow(i, qv)) / rpow(k, qv)
         ok = c.certainly_gt(0) and (measured - c).contains(0)
         return {"applicable": True, "ok": ok, "constant": c, "measured": measured}
 
@@ -205,7 +205,7 @@ def verify_doubling(
         if params.p.certainly_lt(thresh):
             i0 = neg_item(0, qv)
         elif params.p.certainly_gt(thresh):
-            m0 = moment(lam, ("neg_pow", 0, qv))
+            m0 = moment(lam, phi_neg_pow(0, qv))
             i0 = {"applicable": False, "ok": m0 == Iv(0), "measured": m0}
         else:
             raise Undecided(f"p vs log2(3) undecided: {params.p}")

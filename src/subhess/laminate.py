@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from subhess.scalars import Iv, IvLike, as_iv, fr_str, rpow
 from subhess.sym2 import SymMat2, rank_one_connected
-
-PhiLike = Union[str, tuple, Callable[[SymMat2], Iv]]
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ def barycenter(lam: Laminate) -> SymMat2:
     return total
 
 
-# -- moment functionals -----------------------------------------------------------
+# -- moment functionals: plain functions of a SymMat2 -------------------------------
 
 
 def phi_l1_diag(m: SymMat2) -> Iv:
@@ -136,7 +134,13 @@ def phi_l1_diag(m: SymMat2) -> Iv:
 
 
 def phi_neg_pow(i: int, q: IvLike) -> Callable[[SymMat2], Iv]:
+    """m -> ((m_ii)_-)^q; raises ValueError unless q is certainly >= 1 and i
+    is 0 (a11) or 1 (a22)."""
     qv = as_iv(q)
+    if not qv.certainly_ge(1):
+        raise ValueError(f"exponent must be >= 1, got {qv}")
+    if i not in (0, 1):
+        raise ValueError("diagonal index must be 0 or 1")
 
     def phi(m: SymMat2) -> Iv:
         entry = m.a11 if i == 0 else m.a22
@@ -145,22 +149,8 @@ def phi_neg_pow(i: int, q: IvLike) -> Callable[[SymMat2], Iv]:
     return phi
 
 
-def resolve_phi(phi: PhiLike) -> Callable[[SymMat2], Iv]:
-    if callable(phi):
-        return phi
-    if isinstance(phi, str):
-        try:
-            return {"l1_diag": phi_l1_diag}[phi]
-        except KeyError:
-            raise ValueError(f"unknown moment functional {phi!r}") from None
-    if isinstance(phi, tuple) and len(phi) == 3 and phi[0] == "neg_pow":
-        return phi_neg_pow(int(phi[1]), phi[2])
-    raise ValueError(f"unknown moment functional {phi!r}")
-
-
-def moment(lam: Laminate, phi: PhiLike) -> Iv:
-    fn = resolve_phi(phi)
-    return sum((atom.weight * fn(atom.matrix) for atom in lam.atoms), Iv(0))
+def moment(lam: Laminate, phi: Callable[[SymMat2], Iv]) -> Iv:
+    return sum((atom.weight * phi(atom.matrix) for atom in lam.atoms), Iv(0))
 
 
 # -- serialization -----------------------------------------------------------------

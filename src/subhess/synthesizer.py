@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from subhess.constructions import StairLevel, doubling_laminate, staircase_params
-from subhess.laminate import Laminate, SplitNode
+from subhess.laminate import Atom, Laminate, SplitNode
 from subhess.scalars import Dy, Iv, IvLike, as_iv, dyadic_floor_iv, dyadic_round, sqrt_iv
 from subhess.sym2 import SymMat2, rank_one_connected
 
@@ -522,11 +522,7 @@ class CellClass:
     hess: Optional[SymMat2]  # exact Hessian ('atom'/'frame')
     h_box: Optional[tuple[Dy, Dy, Dy]]  # global entry enclosures ('ramp')
     level: int
-    atom_tag: Optional[str]  # terminal atom id for fraction accounting
-
-    @property
-    def area(self) -> Fraction:
-        return self.width * self.height
+    atom_tag: Optional[str]  # terminal atom id, on 'atom' classes only
 
 
 def _node_cell_classes(node: PatternNode) -> Iterator[CellClass]:
@@ -569,21 +565,15 @@ class FrameCell:
     level: int
 
 
-@dataclass(frozen=True)
-class AtomInfo:
-    """A terminal atom: a leaf of the split tree that no deeper level hosts."""
-
-    matrix: SymMat2
-    weight: Iv  # laminate weight (product of fractions along the split path)
-
-
 class PiecewisePotential:
     """u on a rectangle, gradient equal to base affine map on the boundary.
 
     `root` may be None (pure frame). Measurements aggregate cell classes;
     the float grid sampler lives with its one caller, the obstacle check
     (`obstacle.sample_potential`). The base map is
-    grad u0 = A0 (x - origin) + b0 with u0(origin) = c0.
+    grad u0 = A0 (x - origin) + b0 with u0(origin) = c0. `atoms` maps each
+    terminal atom's tag (a split-tree leaf no deeper level hosts) to its
+    `Atom`, weighted by the product of fractions along its split path.
     """
 
     def __init__(
@@ -593,7 +583,7 @@ class PiecewisePotential:
         root: Optional[PatternNode],
         root_origin: Optional[tuple[Fraction, Fraction]] = None,
         frame_cells: tuple[FrameCell, ...] = (),
-        atoms: Optional[dict[str, AtomInfo]] = None,
+        atoms: Optional[dict[str, Atom]] = None,
     ):
         self.domain = domain
         self.base_matrix = base_matrix
@@ -680,7 +670,7 @@ def check_compensators(lam: Laminate, eps: Fraction) -> None:
 
 def _build_tree(split: SplitNode, tag: str, level: int, step: int, rw: Fraction, rh: Fraction,
                 weight: Iv, mult: int, eps_h: Fraction, eps_a: Fraction, dev_cap: Fraction,
-                atoms: dict[str, AtomInfo]) -> PatternNode:
+                atoms: dict[str, Atom]) -> PatternNode:
     """One pattern node per split of the tree under `split`, on a rw x rh
     rect that the potential holds `mult` times; returns the root node. Each
     leaf is recorded in `atoms` as `<tag>.<role>` weighted by `weight` times
@@ -692,7 +682,7 @@ def _build_tree(split: SplitNode, tag: str, level: int, step: int, rw: Fraction,
     node.mult = mult
     for role, child, share in (("B", split.left, split.s), ("C", split.right, 1 - split.s)):
         if child.is_leaf():
-            atoms[f"{tag}.{role}"] = AtomInfo(child.matrix, weight * share)
+            atoms[f"{tag}.{role}"] = Atom(child.matrix, weight * share)
             continue
         child_node = _build_tree(child, f"{tag}.{role}", level + step, step,
                                  *_core_cell_dims(node, role), weight * share,
@@ -718,7 +708,7 @@ def realize_laminate(
     eps_h = eps * Fraction(3, 4)
     eps_a = _ramp_fraction(lam, eps)
     total_dev = Fraction(dev_cap) if dev_cap is not None else eps
-    atoms: dict[str, AtomInfo] = {}
+    atoms: dict[str, Atom] = {}
     root = _build_tree(lam.root, "0", 0, 1, w, h, Iv(1), 1, eps_h, eps_a, total_dev / 2, atoms)
     return PiecewisePotential(
         domain=(x0, y0, w, h),
@@ -776,7 +766,7 @@ def staircase_build(levels: int) -> StaircaseResult:
         FrameCell((m, side - m, inner, m), SymMat2.identity(1), "frame.T", 0),
     )
 
-    atoms: dict[str, AtomInfo] = {}
+    atoms: dict[str, Atom] = {}
 
     def build_layer(idx: int, rw: Fraction, rh: Fraction, weight: Iv, mult: int,
                     tag: str) -> PatternNode:

@@ -24,9 +24,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from subhess.laminate import PhiLike, resolve_phi
+from subhess.laminate import phi_l1_diag, phi_neg_pow
 from subhess.scalars import Dy, Iv, as_iv, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import BuildError, PiecewisePotential
@@ -108,13 +108,13 @@ class _LevelSums:
         self.atom_areas: dict[str, Fraction] = {}
 
 
-def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
+def tally(pot: PiecewisePotential, phis: Iterable[Callable[[SymMat2], Iv]] = ()) -> Tally:
     """Certified integrals of each phi(D^2 u), min trace, trail distance,
     per-atom areas and the cell count, per construction level and over the
     whole domain, from one cell_classes() walk. The trail distance is each
     level's largest node certificate `node.ball_sq`, not re-derived from the
     classes."""
-    fns = [resolve_phi(phi) for phi in phis]
+    fns = list(phis)
     sums: dict[int, _LevelSums] = {}
     for cc in pot.cell_classes():
         s = sums.get(cc.level)
@@ -136,8 +136,8 @@ def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
                 s.exact[k] += term
         tr = as_iv(h.trace())
         s.trace = tr if s.trace is None else Iv(min(s.trace.lo, tr.lo), min(s.trace.hi, tr.hi))
-        if cc.kind == "atom" and cc.atom_tag is not None:
-            s.atom_areas[cc.atom_tag] = s.atom_areas.get(cc.atom_tag, 0) + cc.area * cc.count
+        if cc.kind == "atom":
+            s.atom_areas[cc.atom_tag] = s.atom_areas.get(cc.atom_tag, 0) + Fraction(n, d)
     if not sums:
         raise ValueError("potential has no cells")
     ball_sq_hi = dict.fromkeys(sums, Fraction(0))
@@ -151,21 +151,12 @@ def tally(pot: PiecewisePotential, phis: Iterable[PhiLike] = ()) -> Tally:
 
 def hessian_l1(pot: PiecewisePotential) -> Iv:
     """Mean over the domain of |H11| + |H22|."""
-    return tally(pot, ("l1_diag",)).mean(0)
-
-
-def _neg_phi(q, i: int) -> tuple:
-    qv = as_iv(q)
-    if not qv.certainly_ge(1):
-        raise ValueError(f"exponent must be >= 1, got {qv}")
-    if i not in (0, 1):
-        raise ValueError("diagonal index must be 0 or 1")
-    return ("neg_pow", i, q)
+    return tally(pot, (phi_l1_diag,)).mean(0)
 
 
 def neg_part_lq(pot: PiecewisePotential, q, i: int) -> Iv:
     """Mean over the domain of ((H_ii)_-)^q, bracketed two-sided (`Tally.bracket`)."""
-    return tally(pot, (_neg_phi(q, i),)).bracket(0)
+    return tally(pot, (phi_neg_pow(i, q),)).bracket(0)
 
 
 @dataclass(frozen=True)
@@ -278,9 +269,14 @@ class ReportItem:
     note: str = ""
 
 
+def _neg_rows(q_list: Iterable) -> list[tuple]:
+    """(q, i) of each negative-part row of a report: H_00, then H_11, per q."""
+    return [(q, i) for q in q_list for i in (0, 1)]
+
+
 def report_phis(q_list: Iterable = ()) -> list:
-    """What `report_items` reads: l1_diag, then neg parts of H_00, H_11 per q."""
-    return ["l1_diag", *(_neg_phi(q, i) for q in q_list for i in (0, 1))]
+    """What `report_items` reads: l1_diag, then the `_neg_rows` negative parts."""
+    return [phi_l1_diag, *(phi_neg_pow(i, q) for q, i in _neg_rows(q_list))]
 
 
 def report_items(pot: PiecewisePotential, t: Tally, q_list: Iterable = ()) -> list[ReportItem]:
@@ -292,7 +288,7 @@ def report_items(pot: PiecewisePotential, t: Tally, q_list: Iterable = ()) -> li
         ReportItem("grad_deviation", pot.grad_deviation()),
     ]
     items += [ReportItem(f"neg_part_l{q}_i{i}", t.bracket(k))
-              for k, (_, i, q) in enumerate(report_phis(q_list)[1:], start=1)]
+              for k, (q, i) in enumerate(_neg_rows(q_list), start=1)]
     audit = continuity_audit(pot)
     exact = audit["boundary_exact"]
     return items + [

@@ -154,6 +154,13 @@ ROWS = (
     Row(("obstacle", "selfcheck", "--depth", "1", "--n", ""), 2, {}),
     Row(("--config", "wavecone.json", "wavecone"), 2, {}),
     Row(("obstacle", "solve", "--n", "9", "--obstacle", "phi3.csv"), 2, {}, stderr="3x3"),
+    # a tolerance or gate constant of inf would pass its gate vacuously
+    Row(("obstacle", "solve", "--n", "33", "--obstacle", "bowl", "--tol", "inf"), 2, {},
+        stderr="tol must be finite"),
+    Row(("obstacle", "selfcheck", "--depth", "1", "--n", "9", "--tol", "inf"), 2, {},
+        stderr="tol must be finite"),
+    Row(("obstacle", "selfcheck", "--depth", "1", "--n", "9", "--gate-c", "inf"), 2, {},
+        stderr="gate constant must be finite"),
     # decimals and exact endpoints past the interpreter's 4,300-digit int -> str limit
     Row(("--scalar-mode", "rational", "staircase", "--J", "5"), 0, {
         "staircase_levels.csv": "7d5e559fda9bd262e9a23b1382ef9aa4dfbf4cf91d5d8948ae60d13c6facb388",

@@ -63,7 +63,14 @@ from scipy.optimize import linprog
 from scipy.sparse.linalg import spsolve
 
 from subhess.constructions import DoublingParams, l1_growth_constant
-from subhess.laminate import Atom, Laminate, SplitNode, barycenter, elementary_split
+from subhess.laminate import (
+    Atom,
+    Laminate,
+    SplitNode,
+    barycenter,
+    elementary_split,
+    phi_l1_diag,
+)
 from subhess.obstacle import (
     ObstacleInstance,
     radial_contact_radius,
@@ -676,7 +683,7 @@ def hessian_negative_mass(pot) -> Iv:
     p = 1 diagnostics column of the negated potential approaches this number
     as the grid resolves the stripes.
     """
-    l1, tr = tally(pot, ("l1_diag", phi_trace)).integrals
+    l1, tr = tally(pot, (phi_l1_diag, phi_trace)).integrals
     return (l1 - tr) * Iv(Fraction(1, 2))
 
 

@@ -22,7 +22,7 @@ from subhess.constructions import (
     neg_moment_constant,
     verify_doubling,
 )
-from subhess.laminate import moment
+from subhess.laminate import moment, phi_l1_diag, phi_neg_pow
 from subhess.obstacle import (
     self_obstacle_check,
     solve,
@@ -133,7 +133,7 @@ def test_criterion_3_realization_moment_convergence():
     t0 = time.perf_counter()
     lam, _ = doubling_laminate(F(3, 2), F(1))
     ok = True
-    devs = {phi: [] for phi in (phi_trace, "l1_diag", phi_frobenius)}
+    devs = {phi: [] for phi in (phi_trace, phi_l1_diag, phi_frobenius)}
     for eps in (F(1, 10), F(1, 20), F(1, 40)):
         pot = realize_laminate(lam, UNIT, eps)
         ok &= continuity_audit(pot)["boundary_exact"]
@@ -182,7 +182,7 @@ def test_criterion_5_staircase_divergence():
     # (a) successive gradient steps under the dyadic caps
     ok &= all(lay.grad_step.hi <= F(1, 2**lay.level.j) for lay in r4.layers)
     # (b) nested-region areas inside the two-sided product bounds
-    t4 = tally(pot4, ("l1_diag",))
+    t4 = tally(pot4, (phi_l1_diag,))
     (terminal,) = [a for tag, a in t4.atom_areas.items() if tag.endswith(".C.B")]
     areas = [t4.over(("omega", lay.j)).area for lay in layers] + [terminal]
     ok &= (1 - layers[0].eps) <= areas[0] <= 1
@@ -196,7 +196,7 @@ def test_criterion_5_staircase_divergence():
         contrib = t4.over(("level", j)).integrals[0]
         ok &= contrib.hi * (j + 1) ** 2 <= golden
     # (d) negative q-mass on the first region grows with certified increments
-    vals = {J: tally(results[J].potential, (("neg_pow", 1, q),)).over(("omega", 1)).bracket(0)
+    vals = {J: tally(results[J].potential, (phi_neg_pow(1, q),)).over(("omega", 1)).bracket(0)
             for J in (1, 2, 3, 4)}
     ok &= vals[3].lo > vals[2].hi and vals[4].lo > vals[3].hi
     factors = []

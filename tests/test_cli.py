@@ -37,6 +37,18 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def forbid(monkeypatch, *targets) -> list:
+    """Replace each (owner, name) by a stub that records the name and raises;
+    returns the names called, in order."""
+    called = []
+    for owner, name in targets:
+        def stub(*args, _name=name, **kwargs):
+            called.append(_name)
+            raise AssertionError(f"{_name} was called")
+        monkeypatch.setattr(owner, name, stub)
+    return called
+
+
 def run(tmp_path, *argv, sub=None):
     out = tmp_path / "out"
     args = ["--out", str(out)] + list(argv)
@@ -159,21 +171,22 @@ class TestValidation:
         assert "T_BITS = 80 bits, outside (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_huge_p_refused_from_p_alone(self, tmp_path, capsys):
-        # no 2^p is formed: the refusal costs what parsing costs
-        start = time.perf_counter()
+    def test_huge_p_refused_from_p_alone(self, tmp_path, capsys, monkeypatch):
+        # no 2^p is formed: neither the laminate nor a power of two is built
+        called = forbid(monkeypatch, (cli, "doubling_laminate"), (constructions, "pow2"))
         code, out = run(tmp_path, "realize", "--p", "10000000", "--eps", "1/10")
-        assert time.perf_counter() - start < 0.1
+        assert called == []
         assert code == 2
         assert "T_BITS" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["1/137438953472", "1/100000000000", "1/1000000000000"])
-    def test_eps_beyond_compensator_bits_refused(self, tmp_path, capsys, eps):
+    def test_eps_beyond_compensator_bits_refused(self, tmp_path, capsys, monkeypatch, eps):
         # compensator offsets grow like 2^(2*bits - T_BITS): refused before any build
-        start = time.perf_counter()
+        called = forbid(monkeypatch, (cli, "realize_laminate"),
+                        (synthesizer, "build_pattern_node"))
         code, out = run(tmp_path, "realize", "--p", "3/2", "--eps", eps)
-        assert time.perf_counter() - start < 0.1
+        assert called == []
         assert code == 2
         assert "T_BITS = 80 bits" in capsys.readouterr().err
         assert not out.exists()
@@ -198,12 +211,15 @@ class TestValidation:
         (["wavecone", "--n", "65"], "cap of 64", "0.3 s"),
         (["wavecone", "--n", "3", "--radius", "9"], "cap of 8", "4,913"),
     ], ids=["solve-n", "selfcheck-n", "wavecone-n", "lattice-radius"])
-    def test_sizes_above_cap_refused(self, tmp_path, capsys, argv, bound, cost):
+    def test_sizes_above_cap_refused(self, tmp_path, capsys, monkeypatch, argv, bound, cost):
         # refused by the validator, before any grid, LP or lattice is built,
         # naming what the cap protects
-        start = time.perf_counter()
+        called = forbid(monkeypatch, (obstacle, "radial_instance"),
+                        (obstacle, "square_instance"), (obstacle, "self_obstacle_suite"),
+                        (cli, "agreement_suite"), (cli, "lattice_suite"),
+                        (cli, "staircase_build"))
         code, out = run(tmp_path, *argv)
-        assert time.perf_counter() - start < 0.5
+        assert called == []
         assert code == 2
         err = capsys.readouterr().err
         assert bound in err and cost in err

@@ -17,7 +17,15 @@ from subhess.constructions import (
     staircase_params,
     verify_doubling,
 )
-from subhess.laminate import Laminate, barycenter, dumps, elementary_split, moment
+from subhess.laminate import (
+    Laminate,
+    barycenter,
+    dumps,
+    elementary_split,
+    moment,
+    phi_l1_diag,
+    phi_neg_pow,
+)
 from subhess.scalars import Iv, pow2
 from subhess.sym2 import SymMat2
 
@@ -95,7 +103,7 @@ class TestDoublingLaminate:
         assert bc.a11 == Iv(k) and bc.a22 == Iv(k) and bc.a12 == Iv(0)
         assert l1_growth_constant(params).certainly_gt(2)
         # l1 moment scales linearly in k
-        assert moment(lam, "l1_diag") == Iv(k) * l1_growth_constant(params)
+        assert moment(lam, phi_l1_diag) == Iv(k) * l1_growth_constant(params)
         # traces of the outer atoms agree and are positive
         a, mid, b = lam.atoms
         assert a.matrix.trace() == b.matrix.trace()
@@ -105,7 +113,7 @@ class TestDoublingLaminate:
         vals = []
         for k in (Fraction(1), Fraction(2), Fraction(4)):
             lam, params = doubling_laminate(P13, k=k)
-            vals.append(moment(lam, "l1_diag") / k)
+            vals.append(moment(lam, phi_l1_diag) / k)
         assert (vals[0] - vals[1]).contains(0) and (vals[1] - vals[2]).contains(0)
 
     def test_rejects_bad_exponent(self):
@@ -206,10 +214,10 @@ class TestCascade:
     def test_direct_columns_equal_moment_of_cascade(self, p):
         qs = [Fraction(3, 2), Fraction(6, 5)]
         rows = cascade_moment_table(p, qs, 8)
-        phis = {"a_direct": "l1_diag"}
+        phis = {"a_direct": phi_l1_diag}
         for qi, q in enumerate(qs):
             for i in (0, 1):
-                phis[f"b{i}_direct_q{qi}"] = ("neg_pow", i, q)
+                phis[f"b{i}_direct_q{qi}"] = phi_neg_pow(i, q)
         for m, row in enumerate(rows):
             lam = doubling_cascade(p, m)[0]
             for col, phi in phis.items():

@@ -11,7 +11,8 @@ from subhess.laminate import (
     dumps,
     elementary_split,
     moment,
-    resolve_phi,
+    phi_l1_diag,
+    phi_neg_pow,
 )
 from subhess.scalars import Iv, pow2
 from subhess.sym2 import SymMat2, rank_one_connected
@@ -144,24 +145,20 @@ class TestMoments:
     def test_registry(self):
         lam = two_level()
         assert moment(lam, phi_trace).contains(2)
-        assert moment(lam, "l1_diag").certainly_gt(2)  # kinks added mass
+        assert moment(lam, phi_l1_diag).certainly_gt(2)  # kinks added mass
         fro = moment(lam, phi_frobenius)
         assert fro.certainly_gt(0)
         custom = moment(lam, lambda m: m.a22)
         assert custom == Iv(1)
-        with pytest.raises(ValueError):
-            resolve_phi("nope")
-        with pytest.raises(ValueError):
-            resolve_phi(("neg", 0))
 
     def test_neg_pow(self):
         lam = two_level()
         # only diag(2,-1/2) has a negative entry: weight 1/3, |entry|^2 = 1/4
-        v = moment(lam, ("neg_pow", 1, 2))
+        v = moment(lam, phi_neg_pow(1, 2))
         assert v == Iv(Fraction(1, 12))
-        assert moment(lam, ("neg_pow", 0, 2)) == Iv(0)
+        assert moment(lam, phi_neg_pow(0, 2)) == Iv(0)
         # non-integer exponent through the certified power
-        v = moment(lam, ("neg_pow", 1, Fraction(3, 2)))
+        v = moment(lam, phi_neg_pow(1, Fraction(3, 2)))
         assert v.width < Fraction(1, 2**80)
         assert contains_iv(v, v)
 

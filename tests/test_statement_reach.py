@@ -57,8 +57,6 @@ UNREACHED: dict[str, str] = {
     "laminate.elementary_split.rebuild": "splitting an atom that follows a whole split "
                                          "subtree in depth-first order (tests/test_laminate.py "
                                          "test_split_of_each_position[2])",
-    "laminate.resolve_phi": "a callable moment functional: acceptance criterion 3 and the "
-                            "trace and Frobenius moments of tests/oracles.py",
     "obstacle.radial_instance": "`obstacle solve --obstacle radial-flat`, the unpinned "
                                 "radial datum (tests/test_obstacle.py "
                                 "test_superharmonic_verdict_and_feasibility)",

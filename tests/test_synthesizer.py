@@ -355,7 +355,7 @@ def assert_ramp_cells_inside_class_boxes(pot, cells):
     boxes: dict = {}
     for tag, cc in node_classes(pot):
         if cc.kind == "ramp":
-            boxes.setdefault((tag, cc.area), []).append(cc.h_box)
+            boxes.setdefault((tag, cc.width * cc.height), []).append(cc.h_box)
     ramp_cells = [mc for mc in cells if mc.kind == "ramp"]
     assert ramp_cells
     for mc in ramp_cells:
@@ -714,7 +714,7 @@ class TestStaircase:
     def test_area_accounting_exact(self):
         total = F(0)
         for cc in self.POT.cell_classes():
-            total += cc.area * cc.count
+            total += cc.width * cc.height * cc.count
         assert total == 1
 
     def test_boundary_exact(self):
@@ -878,5 +878,5 @@ class TestRationalFamily:
         assert pot.root.profile.c1 == Iv(0) and pot.root.profile.c2 == Iv(0)
         total = F(0)
         for cc in pot.cell_classes():
-            total += cc.area * cc.count
+            total += cc.width * cc.height * cc.count
         assert total == 1

@@ -9,7 +9,7 @@ import pytest
 import subhess.cli as cli
 from subhess.cli import _csv_text, _report_items_rows, main as cli_main
 from subhess.constructions import doubling_cascade, doubling_laminate
-from subhess.laminate import Laminate, elementary_split, moment
+from subhess.laminate import Laminate, elementary_split, moment, phi_l1_diag, phi_neg_pow
 from subhess.scalars import Iv, sqrt_iv
 from subhess.sym2 import SymMat2
 from subhess.synthesizer import (
@@ -77,7 +77,7 @@ class TestRegions:
         total = tally(DOUBLING).over(("level", 0)).area + tally(DOUBLING).over(("level", 1)).area
         assert total == 1
         # summing the per-level tallies reproduces the whole-domain one exactly
-        phis = ("l1_diag", ("neg_pow", 1, F(3, 2)))
+        phis = (phi_l1_diag, phi_neg_pow(1, F(3, 2)))
         for pot in (DOUBLING, STAIR.potential):
             whole = tally(pot, phis)
             levels = sorted({cc.level for cc in pot.cell_classes()})
@@ -135,15 +135,15 @@ class TestMeans:
 
     def test_hessian_l1_vs_moment(self):
         got = hessian_l1(DOUBLING)
-        want = moment(LAM, "l1_diag")
+        want = moment(LAM, phi_l1_diag)
         # realized mean sits within eps of the laminate moment
         assert abs(got - want).hi <= F(1, 4) * want.hi
-        assert tally(DOUBLING, ("l1_diag",)).integrals[0] == got  # unit area
+        assert tally(DOUBLING, (phi_l1_diag,)).integrals[0] == got  # unit area
 
     def test_neg_part_two_sided(self):
         q = F(3, 2)
         enc = neg_part_lq(DOUBLING, q, 1)
-        want = moment(LAM, ("neg_pow", 1, q))
+        want = moment(LAM, phi_neg_pow(1, q))
         assert 0 < enc.lo <= enc.hi
         assert enc.lo >= F(1, 2) * want.lo
         assert enc.hi <= 2 * want.hi
@@ -158,6 +158,11 @@ class TestMeans:
             neg_part_lq(SIMPLE, F(1, 2), 0)
         with pytest.raises(ValueError):
             neg_part_lq(SIMPLE, F(3, 2), 2)
+        # the functional itself refuses, so no caller can read a22 for i = 2
+        with pytest.raises(ValueError, match="diagonal index"):
+            phi_neg_pow(2, F(3, 2))
+        with pytest.raises(ValueError, match="exponent"):
+            phi_neg_pow(0, F(1, 2))
 
     def test_min_trace_simple(self):
         mt = tally(SIMPLE).min_trace
@@ -208,7 +213,7 @@ class TestFractionsAndAudit:
         terminal = [r for r in rows if r.atom_tag.endswith(".C.B")]
         assert len(terminal) == 1
         # |Omega_{J+1}| summed straight from the classes
-        direct = sum(cc.area * cc.count for cc in STAIR.potential.cell_classes()
+        direct = sum(cc.width * cc.height * cc.count for cc in STAIR.potential.cell_classes()
                      if cc.kind == "atom" and cc.atom_tag.endswith(".C.B"))
         assert terminal[0].area == direct
 
