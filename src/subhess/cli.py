@@ -60,6 +60,7 @@ from subhess.synthesizer import (
 )
 from subhess.verifier import (
     area_fractions,
+    report_columns,
     report_items,
     report_phis,
     tally,
@@ -376,7 +377,7 @@ def _run_realize(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     fr = area_fractions(pot, p["eps"], t=t)
     exact = next(item for item in items if item.name == "boundary_deviation").note == "exact"
     return (EXIT_OK if exact and all(row.ok for row in fr) else EXIT_VERDICT), {
-        "laminate.json": laminate_dumps(lam, indent=2) + "\n",
+        "laminate.json": laminate_dumps(lam) + "\n",
         "realize_report.csv": _csv_text(_report_items_rows(items, cfg.scalar_mode, cfg.digits)),
         "area_fractions.json": _json_text({"rows": fr, "cell_count": t.cells}, cfg),
     }
@@ -389,7 +390,7 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
     q_list = (p["q"],)
     t = tally(pot, report_phis(q_list))
     items = report_items(pot, t, q_list)
-    neg = 1 + p["i"]  # report_phis order: l1_diag, neg part of H_00, of H_11
+    cols = report_columns(q_list)
     rows = []
     for layer in result.layers:
         j = layer.level.j
@@ -402,9 +403,9 @@ def _run_staircase(cfg: ExperimentConfig) -> tuple[int, dict[str, str]]:
             "omega_area": Iv(omega.area),
             "grad_step": layer.grad_step,
             # bounded column: this level's share of the l1 mass
-            "l1_contribution": t.over(("level", j)).integrals[0],
+            "l1_contribution": t.over(("level", j)).integrals[cols["l1_diag"]],
             # growing column: certified mean on the nested region
-            "neg_mean_omega": omega.bracket(neg),
+            "neg_mean_omega": omega.bracket(cols[(p["q"], p["i"])]),
         })
     return (EXIT_OK if t.min_trace.lo >= 0 else EXIT_VERDICT), {
         "staircase_report.csv": _csv_text(_report_items_rows(items, cfg.scalar_mode, cfg.digits)),

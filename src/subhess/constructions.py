@@ -230,7 +230,7 @@ def _cascade_rounds(
     A-atom at j, the doubled atom at j + 1 and the B-atom at j + 2. 2^p is
     computed in round 0 only.
     """
-    lam = Laminate.dirac(SymMat2.identity(1))
+    lam = Laminate.dirac(SymMat2.identity())
     for j in range(m):
         params = DoublingParams.make(p, Fraction(2**j), two_p)
         two_p = params.two_p
@@ -245,7 +245,7 @@ def doubling_cascade(p: IvLike, m: int) -> tuple[Laminate, list[DoublingParams]]
     """
     if m < 0:
         raise ValueError("cascade length must be >= 0")
-    lam, rounds = Laminate.dirac(SymMat2.identity(1)), []
+    lam, rounds = Laminate.dirac(SymMat2.identity()), []
     for lam, params in _cascade_rounds(p, m):
         rounds.append(params)
     return lam, rounds
@@ -275,7 +275,7 @@ def cascade_moment_table(p: IvLike, q_list: Sequence[IvLike], m_max: int) -> lis
             cols[(i, qi)] = (f"b{i}_{{}}_q{qi}", phi_neg_pow(i, qv),
                              neg_moment_constant(params0, qv, i))
     # m = 0 is delta_Id: one atom of weight 1
-    terms = {key: [phi(SymMat2.identity(1))] for key, (_, phi, _) in cols.items()}
+    terms = {key: [phi(SymMat2.identity())] for key, (_, phi, _) in cols.items()}
     sums = {key: (t[0].lo, t[0].hi) for key, t in terms.items()}
     recs = {key: Iv(2) if key == "a" else Iv(0) for key in cols}
 

@@ -181,5 +181,5 @@ def to_jsonable(lam: Laminate) -> dict:
     return {"kind": "laminate", "tree": _node_jsonable(lam.root)}
 
 
-def dumps(lam: Laminate, indent: Optional[int] = None) -> str:
-    return json.dumps(to_jsonable(lam), indent=indent, sort_keys=True)
+def dumps(lam: Laminate) -> str:
+    return json.dumps(to_jsonable(lam), indent=2, sort_keys=True)

@@ -357,8 +357,6 @@ def sample_potential(pot, n: int, negate: bool = False) -> np.ndarray:
         a11, a12, a22 = a0
         dx, dy = x - x0, ys - y0
         out[i] = 0.5 * (a11 * dx * dx + 2 * a12 * dx * dy + a22 * dy * dy)
-        if pot.root is None:
-            continue
         ox, oy = float(pot.root_origin[0]), float(pot.root_origin[1])
         rw, rh = float(pot.root.rect_w), float(pot.root.rect_h)
         j = np.flatnonzero((ox <= x) & (x <= ox + rw) & (oy <= ys) & (ys <= oy + rh))

@@ -26,7 +26,7 @@ from typing import Iterable, Union
 
 import mpmath
 
-DEFAULT_PREC = 120  # bits of every mpmath enclosure
+DEFAULT_PREC = 120  # bits of every mpmath enclosure (`_IV`)
 ENCLOSURE_BITS = 256  # mantissa bits of every `Dy` endpoint
 
 RationalLike = Union[int, str, Fraction]
@@ -160,16 +160,8 @@ class Iv:
         return _ordered(a.lo * a.lo, a.hi * a.hi)
 
     def pow_int(self, n: int) -> "Iv":
-        """self^n for an integer n >= 0."""
-        out = Iv(1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base.sq()
-            k >>= 1
-        return out
+        """self^n for an integer n >= 0, exact."""
+        return _pow_int(self, n, Iv(1))
 
     # -- certified comparisons ----------------------------------------------
 
@@ -227,6 +219,18 @@ def as_iv(x: IvLike) -> Iv:
     if isinstance(x, Dy):
         return x.iv()
     return Iv(_fr(x))
+
+
+def _pow_int(x, n: int, one):
+    """x^n for an integer n >= 0 by square-and-multiply, in the arithmetic of
+    x and of `one` (exact for an `Iv`, rounded outward for a `Dy`)."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x.sq()
+        n >>= 1
+    return out
 
 
 def _ordered(lo: Fraction, hi: Fraction) -> Iv:
@@ -372,6 +376,11 @@ def sqrt_iv(x: IvLike) -> Iv:
 # Every transcendental used here (2^p, x^q, log) is monotone in each argument
 # separately, so an interval argument is handled by evaluating at endpoint
 # rationals and taking the outward hull; wide mpmath intervals are never built.
+# All of them evaluate in one private interval context at DEFAULT_PREC, so
+# the process-wide `mpmath.iv` is never read or written.
+
+_IV = mpmath.ctx_iv.MPIntervalContext()
+_IV.prec = DEFAULT_PREC
 
 
 def _mpi_endpoints(v) -> tuple[Fraction, Fraction]:
@@ -382,16 +391,7 @@ def _mpi_endpoints(v) -> tuple[Fraction, Fraction]:
 
 
 def _rational_to_mpiv(f: Fraction):
-    return mpmath.iv.mpf(int(f.numerator)) / mpmath.iv.mpf(int(f.denominator))
-
-
-def _with_prec(fn):
-    old = mpmath.iv.prec
-    mpmath.iv.prec = DEFAULT_PREC
-    try:
-        return fn()
-    finally:
-        mpmath.iv.prec = old
+    return _IV.mpf(int(f.numerator)) / _IV.mpf(int(f.denominator))
 
 
 def pow2(p: IvLike) -> Iv:
@@ -399,58 +399,50 @@ def pow2(p: IvLike) -> Iv:
     pv = as_iv(p)
     if pv.is_exact() and pv.lo.denominator == 1:
         return Iv(Fraction(2) ** pv.lo)
-
-    def run():
-        two = mpmath.iv.mpf(2)
-        lo, _ = _mpi_endpoints(two ** _rational_to_mpiv(pv.lo))
-        _, hi = _mpi_endpoints(two ** _rational_to_mpiv(pv.hi))
-        return Iv(lo, hi)
-
-    return _with_prec(run)
+    two = _IV.mpf(2)
+    lo, _ = _mpi_endpoints(two ** _rational_to_mpiv(pv.lo))
+    _, hi = _mpi_endpoints(two ** _rational_to_mpiv(pv.hi))
+    return Iv(lo, hi)
 
 
-def rpow(x: IvLike, q: IvLike) -> Iv:
-    """Enclosure of x^q for x >= 0 (0^q := 0 for q > 0); exact for integer q."""
+def rpow(x: Union["Dy", IvLike], q: IvLike) -> Iv:
+    """Enclosure of x^q for x >= 0 (0^q := 0 for q > 0). An integer q is
+    exact on an exact base; on an enclosure it is square-and-multiply in `Dy`,
+    rounded outward to ENCLOSURE_BITS bits, so endpoints do not grow with q."""
     xv = as_iv(x)
     qv = as_iv(q)
     if xv.lo < 0:
         raise ValueError(f"rpow base must be nonnegative: {xv}")
     if qv.is_exact() and qv.lo.denominator == 1:
-        return xv.pow_int(int(qv.lo))
+        if xv.is_exact():
+            return xv.pow_int(int(qv.lo))
+        return _pow_int(Dy.of(x), int(qv.lo), Dy(1, 1, 0)).iv()
     if not qv.lo > 0:
         raise ValueError(f"rpow exponent must be certainly positive: {qv}")
     if xv.hi == 0:
         return ZERO
-
-    def run():
-        los: list[Fraction] = []
-        his: list[Fraction] = []
-        for qe in {qv.lo, qv.hi}:
-            mq = _rational_to_mpiv(qe)
-            for xe in {xv.lo, xv.hi}:
-                if xe == 0:
-                    los.append(Fraction(0))
-                    his.append(Fraction(0))
-                    continue
-                a, b = _mpi_endpoints(_rational_to_mpiv(xe) ** mq)
-                los.append(a)
-                his.append(b)
-        return Iv(max(Fraction(0), min(los)), max(his))
-
-    return _with_prec(run)
+    los: list[Fraction] = []
+    his: list[Fraction] = []
+    for qe in {qv.lo, qv.hi}:
+        mq = _rational_to_mpiv(qe)
+        for xe in {xv.lo, xv.hi}:
+            if xe == 0:
+                los.append(Fraction(0))
+                his.append(Fraction(0))
+                continue
+            a, b = _mpi_endpoints(_rational_to_mpiv(xe) ** mq)
+            los.append(a)
+            his.append(b)
+    return Iv(max(Fraction(0), min(los)), max(his))
 
 
 def ln_iv(x: IvLike) -> Iv:
     xv = as_iv(x)
     if xv.lo <= 0:
         raise ValueError(f"log of non-positive interval: {xv}")
-
-    def run():
-        lo, _ = _mpi_endpoints(mpmath.iv.log(_rational_to_mpiv(xv.lo)))
-        _, hi = _mpi_endpoints(mpmath.iv.log(_rational_to_mpiv(xv.hi)))
-        return Iv(lo, hi)
-
-    return _with_prec(run)
+    lo, _ = _mpi_endpoints(_IV.log(_rational_to_mpiv(xv.lo)))
+    _, hi = _mpi_endpoints(_IV.log(_rational_to_mpiv(xv.hi)))
+    return Iv(lo, hi)
 
 
 def log2_iv(x: IvLike) -> Iv:

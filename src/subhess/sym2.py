@@ -19,17 +19,12 @@ class SymMat2:
     a22: Iv
 
     @staticmethod
-    def of(a11: IvLike, a12: IvLike, a22: IvLike) -> "SymMat2":
-        return SymMat2(as_iv(a11), as_iv(a12), as_iv(a22))
-
-    @staticmethod
     def diag(a11: IvLike, a22: IvLike) -> "SymMat2":
         return SymMat2(as_iv(a11), Iv(0), as_iv(a22))
 
     @staticmethod
-    def identity(scale: IvLike = 1) -> "SymMat2":
-        s = as_iv(scale)
-        return SymMat2(s, Iv(0), s)
+    def identity() -> "SymMat2":
+        return SymMat2(Iv(1), Iv(0), Iv(1))
 
     # -- algebra ---------------------------------------------------------------
 

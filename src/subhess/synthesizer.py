@@ -84,11 +84,10 @@ class EtaPiece:
     d_rng: Iv
     dd: Fraction
     core: bool = False
-    height: Optional[Fraction] = None  # hi - lo, set from the endpoints when not given
 
-    def __post_init__(self):
-        if self.height is None:
-            object.__setattr__(self, "height", self.hi - self.lo)
+    @property
+    def height(self) -> Fraction:
+        return self.hi - self.lo
 
     def value(self, u: Fraction) -> Fraction:
         return self.c0 + self.c1 * u + self.c2 * u * u
@@ -97,45 +96,27 @@ class EtaPiece:
         return self.c1 + 2 * self.c2 * u
 
 
-def _build_etas(perp: Fraction, rho: Fraction) -> tuple[EtaPiece, ...]:
-    if not 0 < 2 * rho < perp:
-        raise BuildError(f"ramp height {rho} does not fit twice in {perp}")
+def _build_etas(rho: Fraction) -> tuple[EtaPiece, ...]:
+    """The ramp profile across height 1, with ramps of height rho < 1/2."""
     r2 = rho * rho
-    p = perp
+    one = Fraction(1)
     pieces = (
         EtaPiece(0, rho / 2, Fraction(0), Fraction(0), 2 / r2, Iv(0, HALF), Iv(0, 2 / rho), 4 / r2),
         EtaPiece(rho / 2, rho, Fraction(-1), 4 / rho, -2 / r2, Iv(HALF, 1), Iv(0, 2 / rho), -4 / r2),
-        EtaPiece(rho, p - rho, Fraction(1), Fraction(0), Fraction(0), Iv(1), Iv(0), Fraction(0), core=True),
-        EtaPiece(
-            p - rho,
-            p - rho / 2,
-            -1 + 4 * p / rho - 2 * p * p / r2,
-            -4 / rho + 4 * p / r2,
-            -2 / r2,
-            Iv(HALF, 1),
-            Iv(-2 / rho, 0),
-            -4 / r2,
-        ),
-        EtaPiece(
-            p - rho / 2,
-            p,
-            2 * p * p / r2,
-            -4 * p / r2,
-            2 / r2,
-            Iv(0, HALF),
-            Iv(-2 / rho, 0),
-            4 / r2,
-        ),
+        EtaPiece(rho, one - rho, one, Fraction(0), Fraction(0), Iv(1), Iv(0), Fraction(0), core=True),
+        EtaPiece(one - rho, one - rho / 2, -1 + 4 / rho - 2 / r2, -4 / rho + 4 / r2, -2 / r2,
+                 Iv(HALF, 1), Iv(-2 / rho, 0), -4 / r2),
+        EtaPiece(one - rho / 2, one, 2 / r2, -4 / r2, 2 / r2, Iv(0, HALF), Iv(-2 / rho, 0), 4 / r2),
     )
     # seam identities are exact rational facts; fail loudly if broken
     assert pieces[0].value(Fraction(0)) == 0 and pieces[0].deriv(Fraction(0)) == 0
     assert pieces[0].value(rho / 2) == HALF == pieces[1].value(rho / 2)
     assert pieces[0].deriv(rho / 2) == 2 / rho == pieces[1].deriv(rho / 2)
     assert pieces[1].value(rho) == 1 and pieces[1].deriv(rho) == 0
-    assert pieces[3].value(p - rho) == 1 and pieces[3].deriv(p - rho) == 0
-    assert pieces[3].value(p - rho / 2) == HALF == pieces[4].value(p - rho / 2)
-    assert pieces[3].deriv(p - rho / 2) == -2 / rho == pieces[4].deriv(p - rho / 2)
-    assert pieces[4].value(p) == 0 and pieces[4].deriv(p) == 0
+    assert pieces[3].value(1 - rho) == 1 and pieces[3].deriv(1 - rho) == 0
+    assert pieces[3].value(1 - rho / 2) == HALF == pieces[4].value(1 - rho / 2)
+    assert pieces[3].deriv(1 - rho / 2) == -2 / rho == pieces[4].deriv(1 - rho / 2)
+    assert pieces[4].value(one) == 0 and pieces[4].deriv(one) == 0
     return pieces
 
 
@@ -145,7 +126,7 @@ def _scale_etas(unit: tuple[EtaPiece, ...], perp: Fraction) -> tuple[EtaPiece, .
     the seam identities checked at perp = 1 hold."""
     p2 = perp * perp
     return tuple(EtaPiece(e.lo * perp, e.hi * perp, e.c0, e.c1 / perp, e.c2 / p2, e.rng,
-                          e.d_rng / perp, e.dd / p2, e.core, e.height * perp) for e in unit)
+                          e.d_rng / perp, e.dd / p2, e.core) for e in unit)
 
 
 # -- stripe profile W ----------------------------------------------------------------
@@ -408,6 +389,20 @@ def _check_compensators(profile: _Profile, w2_b: Iv, w2_c: Iv, t: Iv, bits: int)
             "leave the segment [B, C]")
 
 
+def _unit_profile(mat_b: SymMat2, mat_c: SymMat2, t: Iv,
+                  eps_a: Fraction) -> tuple[int, Iv, _Profile]:
+    """(axis, gamma, stripe profile at delta = 1) of the split of fraction t
+    into B and C on a level of ramp fraction eps_a: the one place a profile
+    is built. Raises BuildError when B - C is not supported on a coordinate
+    axis, t rounds out of (0, 1) at T_BITS, or the compensators cannot cancel
+    that rounding's drift (the offsets do not depend on delta)."""
+    axis, gamma, w2_b, w2_c = _split_waves(mat_b, mat_c, t)
+    bits = _sigma_bits(eps_a)
+    unit = _build_profile(Fraction(1), Fraction(1, 1 << bits), split_dyadic(t), w2_b, w2_c)
+    _check_compensators(unit, w2_b, w2_c, t, bits)
+    return axis, gamma, unit
+
+
 def build_pattern_node(
     *,
     tag: str,
@@ -435,32 +430,27 @@ def build_pattern_node(
     for entry in recon.entries():
         if not entry.contains(0):
             raise BuildError(f"base is not the t-average of the targets: residual {entry}")
-    axis, gamma, w2_b, w2_c = _split_waves(mat_b, mat_c, t_iv)
+    axis, gamma, unit = _unit_profile(mat_b, mat_c, t_iv, eps_a)
     long = rect_w if axis == 0 else rect_h
     perp = rect_h if axis == 0 else rect_w
 
-    t_hat = split_dyadic(t_iv)
     rho = eps_a * perp / 2
     if not 0 < 2 * rho < perp:
         raise BuildError("ramp fraction too large for the rect")
 
+    # rank_one_connected never returns an exact 0 scale, so g_hi > 0
     g_hi = abs(gamma).hi
     m_hi = (t_iv * (1 - t_iv)).hi
-    if g_hi == 0:
-        raise BuildError("degenerate split: targets coincide on the axis")
     dev_cap = Fraction(dev_cap)
     delta_cap = min(rho * eps_h / (4 * m_hi * g_hi), rho, dev_cap / (2 * m_hi * g_hi))
-    bits = _sigma_bits(eps_a)
-    # period = 2*delta*(1 + 2^-bits) and n_pairs * period = long exactly;
-    # delta_cap is sized for both certificates below, and every node of the
-    # documented inputs certifies at this n_pairs, so there is one attempt
-    pscale = 2 * (1 + Fraction(1, 1 << bits))
-    n_pairs = max(1, _ceil_div(long, delta_cap * pscale))
+    # the unit period is 2 * (1 + 2^-bits), so n_pairs periods of half-period
+    # delta fill `long` exactly; delta_cap is sized for both certificates
+    # below, and every node of the documented inputs certifies at this
+    # n_pairs, so there is one attempt
+    n_pairs = max(1, _ceil_div(long, delta_cap * unit.period))
 
-    etas = _scale_etas(_build_etas(Fraction(1), eps_a / 2), perp)
-    unit = _build_profile(Fraction(1), Fraction(1, 1 << bits), t_hat, w2_b, w2_c)
-    _check_compensators(unit, w2_b, w2_c, t_iv, bits)
-    profile = _scale_profile(unit, long / n_pairs / pscale)
+    etas = _scale_etas(_build_etas(eps_a / 2), perp)
+    profile = _scale_profile(unit, long / n_pairs / unit.period)
 
     # ramp-cell certification: every ramp-row Hessian box within eps_h of
     # [B, C]; the only place a box is derived or its segment distance
@@ -568,7 +558,8 @@ class FrameCell:
 class PiecewisePotential:
     """u on a rectangle, gradient equal to base affine map on the boundary.
 
-    `root` may be None (pure frame). Measurements aggregate cell classes;
+    `root` is the pattern tree's root node, whose rect has its lower-left
+    corner at `root_origin`. Measurements aggregate cell classes;
     the float grid sampler lives with its one caller, the obstacle check
     (`obstacle.sample_potential`). The base map is
     grad u0 = A0 (x - origin) + b0 with u0(origin) = c0. `atoms` maps each
@@ -580,17 +571,17 @@ class PiecewisePotential:
         self,
         domain: tuple[Fraction, Fraction, Fraction, Fraction],
         base_matrix: SymMat2,
-        root: Optional[PatternNode],
-        root_origin: Optional[tuple[Fraction, Fraction]] = None,
+        root: PatternNode,
+        root_origin: tuple[Fraction, Fraction],
+        atoms: dict[str, Atom],
         frame_cells: tuple[FrameCell, ...] = (),
-        atoms: Optional[dict[str, Atom]] = None,
     ):
         self.domain = domain
         self.base_matrix = base_matrix
         self.root = root
-        self.root_origin = root_origin if root_origin is not None else (domain[0], domain[1])
+        self.root_origin = root_origin
+        self.atoms = atoms
         self.frame_cells = frame_cells
-        self.atoms = atoms or {}
 
     # ---- aggregation ------------------------------------------------------------
 
@@ -616,8 +607,7 @@ class PiecewisePotential:
             for link in n.children.values():
                 yield from walk(link.node)
 
-        if self.root is not None:
-            yield from walk(self.root)
+        yield from walk(self.root)
 
     def cell_count(self) -> int:
         # per node, so that the one cell_classes() walk stays the measurement's
@@ -634,8 +624,6 @@ class PiecewisePotential:
                 worst_child = Iv(0, max(worst_child.hi, child_dev.hi))
             return n.grad_dev + worst_child
 
-        if self.root is None:
-            return ZERO
         return walk(self.root)
 
 
@@ -650,18 +638,14 @@ def _ramp_fraction(lam: Laminate, eps: Fraction) -> Fraction:
 
 def check_compensators(lam: Laminate, eps: Fraction) -> None:
     """Raise BuildError, before any build, when a split of `lam` cannot be
-    realized at `eps` by `realize_laminate`: its fraction rounds out of (0, 1)
-    at T_BITS, or its compensators cannot cancel that rounding's drift."""
-    bits = _sigma_bits(_ramp_fraction(lam, Fraction(eps)))
+    realized at `eps` by `realize_laminate`: the build's own per-split check
+    (`_unit_profile`) refuses it."""
+    eps_a = _ramp_fraction(lam, Fraction(eps))
 
     def walk(split: SplitNode) -> None:
         if split.is_leaf():
             return
-        _, _, w2_b, w2_c = _split_waves(split.left.matrix, split.right.matrix, split.s)
-        # offsets do not depend on delta: check them at delta = 1
-        profile = _build_profile(Fraction(1), Fraction(1, 1 << bits),
-                                 split_dyadic(split.s), w2_b, w2_c)
-        _check_compensators(profile, w2_b, w2_c, split.s, bits)
+        _unit_profile(split.left.matrix, split.right.matrix, split.s, eps_a)
         walk(split.left)
         walk(split.right)
 
@@ -760,10 +744,10 @@ def staircase_build(levels: int) -> StaircaseResult:
     inner = side - 2 * m
     domain = (Fraction(0), Fraction(0), side, side)
     frame = (
-        FrameCell((Fraction(0), Fraction(0), m, side), SymMat2.identity(1), "frame.L", 0),
-        FrameCell((side - m, Fraction(0), m, side), SymMat2.identity(1), "frame.R", 0),
-        FrameCell((m, Fraction(0), inner, m), SymMat2.identity(1), "frame.B", 0),
-        FrameCell((m, side - m, inner, m), SymMat2.identity(1), "frame.T", 0),
+        FrameCell((Fraction(0), Fraction(0), m, side), SymMat2.identity(), "frame.L", 0),
+        FrameCell((side - m, Fraction(0), m, side), SymMat2.identity(), "frame.R", 0),
+        FrameCell((m, Fraction(0), inner, m), SymMat2.identity(), "frame.B", 0),
+        FrameCell((m, side - m, inner, m), SymMat2.identity(), "frame.T", 0),
     )
 
     atoms: dict[str, Atom] = {}
@@ -793,7 +777,7 @@ def staircase_build(levels: int) -> StaircaseResult:
 
     pot = PiecewisePotential(
         domain=domain,
-        base_matrix=SymMat2.identity(1),
+        base_matrix=SymMat2.identity(),
         root=root,
         root_origin=(m, m),
         frame_cells=frame,

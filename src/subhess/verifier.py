@@ -210,11 +210,22 @@ def continuity_audit(pot: PiecewisePotential) -> dict:
     vanish with their derivative at both ends; "closure_width" is the
     largest period closure width.
     """
-    exact = 0
+    exact = checks = 0
     width = closure = Fraction(0)
-    checks = 0
     boundary_exact = True
     half = Fraction(1, 2)
+
+    def count(resid: Iv, mismatch: str, tag: str) -> None:
+        # one check: raise unless resid holds 0, else count it exact or widen
+        nonlocal exact, checks, width
+        checks += 1
+        if not resid.contains(0):
+            raise BuildError(f"{mismatch} {tag}: {resid}")
+        if resid.lo == 0 and resid.hi == 0:
+            exact += 1
+        else:
+            width = max(width, resid.width)
+
     for node in pot.nodes():
         prof = node.profile
         first, eta0, eta_last = prof.stripes[0], node.etas[0], node.etas[-1]
@@ -228,33 +239,11 @@ def continuity_audit(pot: PiecewisePotential) -> dict:
             v_end = left.v0 + left.s0 * wspan + left.w2 * wspan * wspan * half
             s_end = left.s0 + left.w2 * wspan
             for resid in (v_end - right.v0, s_end - right.s0):
-                checks += 1
-                if not resid.contains(0):
-                    raise BuildError(
-                        f"profile knot mismatch in node {node.tag}: {resid}"
-                    )
-                if resid.lo == 0 and resid.hi == 0:
-                    exact += 1
-                else:
-                    width = max(width, resid.width)
-        checks += 1
-        if prof.closure_width == 0:
-            exact += 1
-        else:
-            width = max(width, prof.closure_width)
+                count(resid, "profile knot mismatch in node", node.tag)
+        count(Iv(0, prof.closure_width), "period closure in node", node.tag)
         for role, link in node.children.items():
-            host = node.atom_for_role(role)
-            resid_mat = host - link.node.base
-            for entry in resid_mat.entries():
-                checks += 1
-                if not entry.contains(0):
-                    raise BuildError(
-                        f"child base mismatch under node {node.tag}: {entry}"
-                    )
-                if entry.lo == 0 and entry.hi == 0:
-                    exact += 1
-                else:
-                    width = max(width, entry.width)
+            for entry in (node.atom_for_role(role) - link.node.base).entries():
+                count(entry, "child base mismatch under node", node.tag)
     return {"checks": checks, "exact": exact, "max_width": width,
             "boundary_exact": boundary_exact, "closure_width": closure}
 
@@ -279,16 +268,22 @@ def report_phis(q_list: Iterable = ()) -> list:
     return [phi_l1_diag, *(phi_neg_pow(i, q) for q, i in _neg_rows(q_list))]
 
 
+def report_columns(q_list: Iterable) -> dict:
+    """The index of each functional in `report_phis(q_list)`, and so in a
+    tally of it: "l1_diag", then each (q, i) of `_neg_rows`, in order."""
+    return {key: k for k, key in enumerate(["l1_diag", *_neg_rows(q_list)])}
+
+
 def report_items(pot: PiecewisePotential, t: Tally, q_list: Iterable = ()) -> list[ReportItem]:
     """Standard measurement set from a tally of `report_phis(q_list)`."""
+    cols = report_columns(q_list)
     items = [
-        ReportItem("hessian_l1_mean", t.mean(0)),
+        ReportItem("hessian_l1_mean", t.mean(cols.pop("l1_diag"))),
         ReportItem("min_trace", t.min_trace),
         ReportItem("trail_proximity", t.trail()),
         ReportItem("grad_deviation", pot.grad_deviation()),
     ]
-    items += [ReportItem(f"neg_part_l{q}_i{i}", t.bracket(k))
-              for k, (q, i) in enumerate(_neg_rows(q_list), start=1)]
+    items += [ReportItem(f"neg_part_l{q}_i{i}", t.bracket(k)) for (q, i), k in cols.items()]
     audit = continuity_audit(pot)
     exact = audit["boundary_exact"]
     return items + [

@@ -128,6 +128,11 @@ def round_out(x: Iv) -> Iv:
     return Iv(lo, hi)
 
 
+def sym(a11: IvLike, a12: IvLike, a22: IvLike) -> SymMat2:
+    """The symmetric matrix written entry by entry."""
+    return SymMat2(as_iv(a11), as_iv(a12), as_iv(a22))
+
+
 def apply(m: SymMat2, x: IvLike, y: IvLike) -> tuple[Iv, Iv]:
     """The matrix times the vector (x, y)."""
     xv, yv = as_iv(x), as_iv(y)

@@ -24,8 +24,11 @@ import subhess.synthesizer as synthesizer
 import subhess.verifier as verifier
 from subhess.cli import main
 from subhess.constructions import cascade_moment_table
+from subhess.laminate import phi_neg_pow
 from subhess.scalars import iv_dec
-from subhess.synthesizer import PiecewisePotential
+from subhess.sym2 import SymMat2
+from subhess.synthesizer import PiecewisePotential, staircase_build
+from subhess.verifier import tally
 
 from oracles import loads as laminate_loads
 
@@ -53,6 +56,22 @@ def run(tmp_path, *argv, sub=None):
     out = tmp_path / "out"
     args = ["--out", str(out)] + list(argv)
     return main(args), out
+
+
+def loaded_by_fresh_runs(tmp_path, runs, roots) -> tuple[list, list]:
+    """(output dirs, sorted modules under the top-level packages `roots` in
+    sys.modules) after a fresh interpreter ran each argv of `runs` to exit 0."""
+    outs = [str(tmp_path / f"run{i}") for i in range(len(runs))]
+    code = ("import json, sys\n"
+            "import subhess.cli\n"
+            f"for out, argv in zip({outs!r}, {runs!r}):\n"
+            "    assert subhess.cli.main(['--out', out, *argv]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            f"if m.partition('.')[0] in {tuple(roots)!r})))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return outs, json.loads(proc.stdout)
 
 
 class TestLaminateCommand:
@@ -121,21 +140,19 @@ class TestDeterminism:
         # loading either, and each manifest still names numpy's version
         runs = [["laminate", "--p", "3/2", "--m", "2"], ["realize", "--p", "3/2", "--eps", "1/10"],
                 ["staircase", "--J", "1"], ["wavecone", "--n", "3", "--trials", "20"]]
-        outs = [str(tmp_path / f"run{i}") for i in range(len(runs))]
-        code = ("import sys\n"
-                "import subhess.cli\n"
-                f"for out, argv in zip({outs!r}, {runs!r}):\n"
-                "    assert subhess.cli.main(['--out', out, *argv]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
-                "('numpy', 'scipy')))\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        outs, loaded = loaded_by_fresh_runs(tmp_path, runs, ("numpy", "scipy"))
+        assert loaded == []
         for out in outs:
             man = json.loads((Path(out) / "manifest.json").read_text())
             assert man["versions"]["numpy"] == np.__version__
+
+    def test_obstacle_commands_load_no_scipy(self, tmp_path):
+        # the obstacle commands run on the declared dependencies too: a
+        # fresh interpreter runs both without loading the oracles' scipy
+        runs = [["obstacle", "solve", "--n", "33"],
+                ["obstacle", "selfcheck", "--depth", "1", "--n", "9"]]
+        _, loaded = loaded_by_fresh_runs(tmp_path, runs, ("scipy",))
+        assert loaded == []
 
 
 class TestValidation:
@@ -190,6 +207,24 @@ class TestValidation:
         assert code == 2
         assert "T_BITS = 80 bits" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_split_check_refuses_on_both_paths(self, tmp_path, capsys, monkeypatch):
+        # planted: the per-split check refuses every split. `prepare` runs it
+        # through check_compensators, so realize exits 2 before --out exists,
+        # and a node build runs the same check and refuses too
+        def refuse(*args):
+            raise synthesizer.BuildError("planted split refusal")
+
+        monkeypatch.setattr(synthesizer, "_unit_profile", refuse)
+        code, out = run(tmp_path, "realize", "--p", "3/2", "--eps", "1/20")
+        assert code == 2
+        assert "planted split refusal" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(synthesizer.BuildError, match="planted split refusal"):
+            synthesizer.build_pattern_node(
+                tag="0", level=0, base=SymMat2.diag(1, 1), mat_b=SymMat2.diag(2, 1),
+                mat_c=SymMat2.diag(0, 1), t=F(1, 2), rect_w=F(1), rect_h=F(1),
+                eps_h=F(3, 8), eps_a=F(1, 4), dev_cap=F(1, 2))
 
     @pytest.mark.parametrize("p, eps", [
         ("3/2", "1/10000000000"),
@@ -401,6 +436,21 @@ class TestStaircaseCommand:
         report = read_csv(out / "staircase_report.csv")
         by_name = {r[0]: r for r in report[1:]}
         assert float(by_name["min_trace"][1]) >= 0
+
+    def test_columns_read_the_report_order(self, tmp_path, monkeypatch):
+        # planted: the report lists H_11 before H_00; the --i 1 column still
+        # reads the negative part of H_11 on each Omega_j
+        monkeypatch.setattr(verifier, "_neg_rows",
+                            lambda q_list: [(q, i) for q in q_list for i in (1, 0)])
+        code, out = run(tmp_path, "staircase", "--J", "2", "--i", "1")
+        assert code == 0
+        rows = read_csv(out / "staircase_levels.csv")
+        header, data = rows[0], rows[1:]
+        t = tally(staircase_build(2).potential, (phi_neg_pow(1, F(3, 2)),))
+        lo, hi = header.index("neg_mean_omega_lower"), header.index("neg_mean_omega_upper")
+        for r in data:
+            want = t.over(("omega", int(r[header.index("level")]))).bracket(0)
+            assert (r[lo], r[hi]) == iv_dec(want, 30)
 
 
     def test_exact_endpoints_past_the_int_str_limit(self, tmp_path):

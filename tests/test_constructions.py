@@ -227,7 +227,7 @@ class TestCascade:
     def test_cascade_matches_round_by_round_splits(self):
         # reference: each round rebuilt from scratch, 2^p recomputed every round
         lam, rounds = doubling_cascade(P13, 5)
-        ref = Laminate.dirac(SymMat2.identity(1))
+        ref = Laminate.dirac(SymMat2.identity())
         for j in range(5):
             params = DoublingParams.make(P13, Fraction(2**j))
             ref = elementary_split(ref, j, params.alpha, params.mat_a, params.mat_m)

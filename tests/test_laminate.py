@@ -17,7 +17,7 @@ from subhess.laminate import (
 from subhess.scalars import Iv, pow2
 from subhess.sym2 import SymMat2, rank_one_connected
 
-from oracles import contains_iv, loads, phi_frobenius, phi_trace, tree_atoms, validate
+from oracles import contains_iv, loads, phi_frobenius, phi_trace, sym, tree_atoms, validate
 
 
 def two_level() -> Laminate:
@@ -76,8 +76,8 @@ class TestSplitting:
         # B - C = (1,1)(x)(1,1) is rank one, but not along a coordinate axis
         lam = Laminate.dirac(SymMat2.diag(1, 1))
         half = Fraction(1, 2)
-        b = SymMat2.of(1 + half, half, 1 + half)
-        c = SymMat2.of(half, -half, half)
+        b = sym(1 + half, half, 1 + half)
+        c = sym(half, -half, half)
         with pytest.raises(ValueError, match="along a coordinate axis"):
             elementary_split(lam, 0, half, b, c)
 

@@ -28,12 +28,7 @@ from subhess.obstacle import (
     _residual_workspace,
 )
 from subhess.sym2 import SymMat2
-from subhess.synthesizer import (
-    FrameCell,
-    PiecewisePotential,
-    realize_laminate,
-    staircase_build,
-)
+from subhess.synthesizer import realize_laminate, staircase_build
 from subhess.verifier import tally
 
 from oracles import (
@@ -70,13 +65,6 @@ STAIR2 = staircase_build(2).potential
 AXIS1 = one_split(
     SymMat2.diag(1, 0), SymMat2.diag(1, -2), SymMat2.diag(1, 2), F(1, 2), UNIT, eps=F(1, 2),
 )
-
-
-def quadratic_frame_potential(domain=UNIT):
-    x0, y0, w, h = domain
-    ident = SymMat2.diag(1, 1)
-    frame = FrameCell((x0, y0, w, h), ident, "F", 0)
-    return PiecewisePotential(domain, ident, None, frame_cells=(frame,))
 
 
 def bowl(X, Y):
@@ -419,8 +407,10 @@ class TestSelfObstacle:
             self_obstacle_check(AXIS1, 33)
 
     def test_quadratic_frame_full_contact(self):
-        pot = quadratic_frame_potential()
-        assert pot.grad_deviation() == 0  # no pattern node moves the gradient
+        # the staircase is the quadratic |x|^2 / 2 on its frame, which no
+        # pattern node moves, and its negation is its own discrete solution
+        pot = STAIR2
+        assert all(fc.matrix == pot.base_matrix for fc in pot.frame_cells)
         rep = self_obstacle_check(pot, 33, tol=1e-12)
         assert rep["sup_dev"] == 0.0
         assert rep["iterations"] == 0
@@ -456,17 +446,23 @@ class TestSelfObstacle:
         assert rep["phi_stencil_pos"] == 0.0
 
     def test_sample_requires_square_domain(self):
-        pot = quadratic_frame_potential((F(0), F(0), F(1), F(1, 2)))
+        pot = realize_laminate(doubling_laminate(F(3, 2))[0], (F(0), F(0), F(1), F(1, 2)),
+                               F(1, 20))
         with pytest.raises(ValueError, match="square"):
             sample_potential(pot, 9)
 
     def test_sample_frame_values(self):
-        pot = quadratic_frame_potential()
-        grid = sample_potential(pot, 9)
-        xs = np.arange(9) / 8
+        # the staircase's frame region, the two outer node rings at n = 65,
+        # samples the quadratic |x|^2 / 2
+        pot = STAIR2
+        grid = sample_potential(pot, 65)
+        xs = np.arange(65) / 64
         X, Y = np.meshgrid(xs, xs, indexing="ij")
-        assert np.allclose(grid, 0.5 * (X * X + Y * Y), atol=1e-15)
-        assert np.array_equal(sample_potential(pot, 9, negate=True), -grid)
+        m = float(pot.root_origin[0])
+        frame = (X < m) | (X > 1 - m) | (Y < m) | (Y > 1 - m)
+        assert frame.sum() == 64 * 4 + 62 * 4
+        assert np.allclose(grid[frame], 0.5 * (X * X + Y * Y)[frame], atol=1e-15)
+        assert np.array_equal(sample_potential(pot, 65, negate=True), -grid)
 
     @pytest.mark.parametrize("pot", [
         BAND,

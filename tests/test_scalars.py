@@ -182,6 +182,24 @@ class TestTranscendentalBridge:
         assert 0 < v.width <= Fraction(1, 2**110)
 
 
+class TestIntegerPowers:
+    # an integer power of an enclosure is square-and-multiply in `Dy`,
+    # rounded outward, so its endpoints do not grow with the exponent
+    NEAR_ONE = Iv(Fraction(999_999, 10**6), Fraction(1_000_001, 10**6))
+
+    def test_endpoint_bits_stay_bounded(self):
+        v = rpow(self.NEAR_ONE, 20000)
+        assert max(max(e.numerator.bit_length(), e.denominator.bit_length())
+                   for e in (v.lo, v.hi)) <= ENCLOSURE_BITS + 64
+
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_contains_the_exact_power(self, q):
+        for base in (self.NEAR_ONE, Iv(Fraction(1, 3), Fraction(5, 2)), Iv(0, Fraction(2, 7))):
+            exact = base.pow_int(q)
+            assert contains_iv(rpow(base, q), exact)
+            assert contains_iv(rpow(Dy.of(base), q), exact)
+
+
 class TestRendering:
     def test_directed_decimals(self):
         assert dec_floor(Fraction(1, 3), 4) == "0.3333"

@@ -60,8 +60,6 @@ UNREACHED: dict[str, str] = {
     "obstacle.radial_instance": "`obstacle solve --obstacle radial-flat`, the unpinned "
                                 "radial datum (tests/test_obstacle.py "
                                 "test_superharmonic_verdict_and_feasibility)",
-    "obstacle.sample_potential": "the frame-only potential (root=None), a reference input "
-                                 "of tests/test_obstacle.py",
     "obstacle.self_obstacle_suite": "a deviation column that grows under refinement, "
                                     "planted in tests/test_obstacle.py "
                                     "test_growing_deviation_gets_a_suggestion",
@@ -87,21 +85,14 @@ UNREACHED: dict[str, str] = {
                           "within about 1e-90 of log2 3 (tests/test_cli.py "
                           "TestCouldNotCertify) and the refused splits and builds",
     "scalars.rpow": "an integer moment exponent, `laminate --q 2`: acceptance criterion 1 "
-                    "and tests/test_laminate.py test_neg_pow",
-    "sym2.SymMat2.of": "a matrix written entry by entry as rationals: the matrices of "
-                       "tests/test_sym2.py and tests/test_synthesizer.py",
+                    "and tests/test_laminate.py test_neg_pow, and on an enclosed base "
+                    "tests/test_scalars.py TestIntegerPowers",
     "sym2.rank_one_connected": "a split that is not along one coordinate axis, refused by "
                                "elementary_split and build_pattern_node (tests/test_sym2.py "
                                "TestRankOne, tests/test_synthesizer.py TestErrors)",
     "synthesizer._quad_ranges": "a W'' enclosure that straddles 0 under a slope that "
                                 "changes sign (tests/test_synthesizer.py TestQuadRanges); "
                                 "no stripe the commands build has one",
-    "synthesizer.PiecewisePotential.grad_deviation": "the frame-only potential (root=None), "
-                                                     "a reference input of "
-                                                     "tests/test_obstacle.py",
-    "verifier.continuity_audit": "seams that close exactly, from an exact-rational laminate "
-                                 "(SIMPLE in tests/test_verifier.py), and an inexact child "
-                                 "handoff (test_continuity_audit_interval_handoff)",
     "wavecone.agreement_suite": "an oracle disagreement: the flipped member planted in "
                                 "tests/test_wavecone.py test_gate_catches_flipped_member",
     "wavecone.lattice_suite": "a failed cone invariant: the faults planted in "

@@ -8,7 +8,7 @@ from subhess.scalars import Iv
 from subhess.sym2 import SymMat2, rank_one_connected
 from subhess.synthesizer import _seg_dist_sq_box
 
-from oracles import apply, frob
+from oracles import apply, frob, sym
 
 small = st.fractions(min_value=-10, max_value=10, max_denominator=40)
 # exact and interval entries from a small pool, so entries of A and B
@@ -49,20 +49,20 @@ class TestRankOne:
 
     def test_off_axis_directions_refused(self):
         # (1,1)(x)(1,1) and (1,-1)(x)(1,-1) are rank one, but off the axes
-        assert rank_one_connected(SymMat2.of(2, 1, 2), SymMat2.of(1, 0, 1)) is None
-        assert rank_one_connected(SymMat2.of(1, -1, 1), SymMat2.of(0, 0, 0)) is None
+        assert rank_one_connected(sym(2, 1, 2), sym(1, 0, 1)) is None
+        assert rank_one_connected(sym(1, -1, 1), sym(0, 0, 0)) is None
 
     def test_entry_containing_zero_is_not_zero(self):
         # an enclosure around 0 does not settle the zero pattern, and the test
         # answers None rather than raising
         near = Iv(Fraction(-1, 10**9), Fraction(1, 10**9))
-        assert rank_one_connected(SymMat2.of(1, near, 0), SymMat2.diag(0, 0)) is None
+        assert rank_one_connected(sym(1, near, 0), SymMat2.diag(0, 0)) is None
         assert rank_one_connected(SymMat2.diag(1, near), SymMat2.diag(0, 0)) is None
 
     def test_rejections(self):
         assert rank_one_connected(SymMat2.diag(1, 1), SymMat2.diag(0, 0)) is None
         assert rank_one_connected(SymMat2.diag(1, 1), SymMat2.diag(1, 1)) is None
-        assert rank_one_connected(SymMat2.of(1, 1, 1), SymMat2.of(0, 1, -1)) is None
+        assert rank_one_connected(sym(1, 1, 1), sym(0, 1, -1)) is None
 
     @given(small, small, st.sampled_from([0, 1]))
     @settings(max_examples=80)
@@ -106,7 +106,7 @@ class TestSegmentDistance:
         return float((m[:, 0, 0] ** 2 + 2 * m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2).min())
 
     def test_interior_projection(self):
-        x = SymMat2.of(1, 0, Fraction(3, 2))
+        x = sym(1, 0, Fraction(3, 2))
         d2 = self.dist_sq(x)
         assert d2.contains(Fraction(1, 4))
         assert abs(self.brute(x) - 0.25) < 1e-7
@@ -119,7 +119,7 @@ class TestSegmentDistance:
     @given(small, small, small)
     @settings(max_examples=40)
     def test_against_brute_force(self, a, b, c):
-        x = SymMat2.of(a, b, c)
+        x = sym(a, b, c)
         d2 = self.dist_sq(x)
         ref = self.brute(x)
         assert float(d2.lo) - 1e-6 <= ref <= float(d2.hi) + 1e-6
@@ -129,7 +129,7 @@ class TestSegmentDistance:
         assert d2.contains(Fraction(1))
 
     def test_in_eps_segment_verdicts(self):
-        x = SymMat2.of(1, 0, Fraction(3, 2))
+        x = sym(1, 0, Fraction(3, 2))
         assert self.dist_sq(x).certainly_le(Iv(Fraction(6, 10)).sq())
         assert not self.dist_sq(x).certainly_le(Iv(Fraction(4, 10)).sq())
 
@@ -149,8 +149,8 @@ class TestSegmentDistance:
 
 class TestMatrixBasics:
     def test_algebra(self):
-        a = SymMat2.of(1, 2, 3)
-        b = SymMat2.of(Fraction(1, 2), 0, -1)
+        a = sym(1, 2, 3)
+        b = sym(Fraction(1, 2), 0, -1)
         assert (a + b).a11 == Iv(Fraction(3, 2))
         assert (a - b).a22 == Iv(4)
         assert a.scale(2).a12 == Iv(4)
@@ -159,5 +159,5 @@ class TestMatrixBasics:
         assert frob(a).sq().contains(18) and frob(a).width < Fraction(1, 2**100)
 
     def test_apply(self):
-        gx, gy = apply(SymMat2.of(2, 1, 3), 1, Fraction(1, 2))
+        gx, gy = apply(sym(2, 1, 3), 1, Fraction(1, 2))
         assert gx == Iv(Fraction(5, 2)) and gy == Iv(Fraction(5, 2))

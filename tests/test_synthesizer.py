@@ -33,7 +33,8 @@ from subhess.synthesizer import (
 )
 from subhess.verifier import continuity_audit, report_phis, tally
 
-from oracles import contains_iv, eval_all, iter_cells, one_split, trail_dist_sq, tree_atoms
+from oracles import (contains_iv, eval_all, iter_cells, one_split, sym, trail_dist_sq,
+                     tree_atoms)
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -765,7 +766,7 @@ class TestStaircase:
         expected, tag, weight = {}, "s1", Iv(1)
         for lvl in staircase_params(levels):
             a, dbl, b = tree_atoms(doubling_laminate(lvl.p, lvl.k)[0].root)
-            assert dbl.matrix == SymMat2.identity(2 * lvl.k)
+            assert dbl.matrix == SymMat2.diag(2 * lvl.k, 2 * lvl.k)
             expected[f"{tag}.B"] = (a.matrix, weight * a.weight)
             expected[f"{tag}.C.C"] = (b.matrix, weight * b.weight)
             tag, weight = f"{tag}.C.B", weight * dbl.weight
@@ -813,7 +814,7 @@ def pattern_node(base, b, c, t):
 class TestErrors:
     def test_non_axis_rank_one(self):
         base = SymMat2.diag(0, 0)
-        d = SymMat2.of(1, 1, 1)  # e (x) e for e = (1,1): rank one, off-axis
+        d = sym(1, 1, 1)  # e (x) e for e = (1,1): rank one, off-axis
         b = base + d.scale(F(1, 2))
         c = base + d.scale(-F(1, 2))
         with pytest.raises(BuildError, match="along a coordinate axis"):

@@ -28,7 +28,7 @@ from subhess.verifier import (
     ReportItem,
 )
 
-from oracles import one_split, phi_trace
+from oracles import one_split, phi_trace, sym
 
 F = Fraction
 UNIT = (F(0), F(0), F(1), F(1))
@@ -238,7 +238,7 @@ class TestFractionsAndAudit:
         g = sqrt_iv(2) / 4
         one = SymMat2.diag(1, 1)
         lam = elementary_split(Laminate.dirac(one), 0, F(1, 2),
-                               one + SymMat2.of(g, 0, 0), one - SymMat2.of(g, 0, 0))
+                               one + sym(g, 0, 0), one - sym(g, 0, 0))
         b = lam.atoms[0].matrix
         lam = elementary_split(lam, 0, F(1, 2),
                                b + SymMat2.diag(F(1, 2), 0), b - SymMat2.diag(F(1, 2), 0))
